@@ -55,6 +55,10 @@ class HorizonError(ValueError):
     """Formula needs more future than the trajectory provides."""
 
 
+class NonFiniteError(ValueError):
+    """States handed to the monitor hold NaN or infinite coordinates."""
+
+
 @dataclass(frozen=True)
 class RobustnessConfig:
     """mode is "classical" or "smooth"; tau is the smooth temperature;
@@ -409,13 +413,33 @@ def outer_rho(
     return float(_outer_signal(members, Phi, 1, _backend(cfg, ()))[0])
 
 
+def _batch_shape(members, Phi: OuterFormula) -> tuple:
+    """Leading batch shape of the member states (..., T, 2), once every
+    member is long enough for Phi at time 0 and holds only finite states."""
+    need = horizon(Phi)
+    for k, (states, _) in enumerate(members):
+        values = states.value if isinstance(states, Tensor) else np.asarray(states)
+        last = values.shape[-2] - 1
+        if need > last:
+            raise HorizonError(
+                f"evaluating at t=0 needs {need} steps, member {k} has {last}"
+            )
+        bad = np.argwhere(~np.isfinite(values).all(axis=-1))
+        if len(bad):
+            raise NonFiniteError(
+                f"member {k} has {len(bad)} non-finite states, first at index "
+                f"(batch..., t) {tuple(int(i) for i in bad[0])}"
+            )
+    return members[0][0].shape[:-2]
+
+
 def outer_rho_batch(
     members: list[tuple[np.ndarray, frozenset]],
     Phi: OuterFormula,
     cfg: RobustnessConfig = CLASSICAL,
 ) -> np.ndarray:
     """Classical robustness at time 0 for a batch: states are (B, T, 2)."""
-    batch_shape = members[0][0].shape[:-2]
+    batch_shape = _batch_shape(members, Phi)
     if cfg.mode == "smooth":
         with ad.no_grad():
             sig = _outer_signal(
@@ -432,7 +456,7 @@ def outer_rho_tensor(
     cfg: RobustnessConfig,
 ) -> Tensor:
     """Robustness at time 0 as a graph node; member states are (..., T, 2)."""
-    batch_shape = members[0][0].shape[:-2]
+    batch_shape = _batch_shape(members, Phi)
     sig = _outer_signal(members, Phi, 1, _backend(cfg, batch_shape))
     return sig[..., 0]
 

@@ -1,6 +1,6 @@
 """Parser for the textual specification grammar.
 
-Surface syntax (EBNF shipped in docs/grammar.ebnf)::
+Surface syntax (EBNF)::
 
     outer   := or ;           or  := and { "|" and } ;
     and     := until { "&" until } ;

@@ -276,15 +276,17 @@ def rollout(
     length: int,
     gate_mode: str = "full",
     member_caps: list[frozenset[str]] | None = None,
-    ablate: tuple[int, int] | None = None,
+    cut: np.ndarray | None = None,
     nocomm_params: PolicyParams | None = None,
 ) -> RolloutResult:
     """Closed-loop simulation for ``length`` steps under x(t+1) = x(t) + u(t).
 
-    x0 is (J, n_x) or batched (B, J, n_x). With ``ablate=(j, t)`` the channel
-    connection of roster index j is cut at time t only and that agent's
-    control at t comes from ``nocomm_params`` (its own encoder fed the same
-    observed states); everything else follows ``params``.
+    x0 is (J, n_x) or batched (B, J, n_x). ``cut`` is an optional boolean
+    (B, J, length) array: where ``cut[b, j, t]`` is set, the channel
+    connection of roster index j in row b is masked off at time t and that
+    agent's control at t comes from ``nocomm_params`` (its own encoder fed
+    the row's observed states, values only); everything else follows
+    ``params``.
     """
     if gate_mode not in GATE_MODES:
         raise ValueError(f"unknown gate mode {gate_mode!r}")
@@ -301,13 +303,16 @@ def rollout(
     x = Tensor(x0.reshape(bj, n_x))
     h = params.cap_net(Tensor(caps_tiled))
     c = Tensor(np.zeros((bj, params.dims.n_c)))
-    if ablate is not None:
+    if cut is not None:
         if nocomm_params is None:
-            raise ValueError("ablation needs nocomm_params")
-        j_ab, t_ab = ablate
-        nc_caps = np.tile(params.cap_matrix[j_ab : j_ab + 1], (batch, 1))
-        h_nc = nocomm_params.cap_net(Tensor(nc_caps))
-        c_nc = Tensor(np.zeros((batch, nocomm_params.dims.n_c)))
+            raise ValueError("cut needs nocomm_params")
+        cut = np.asarray(cut, dtype=bool)
+        if cut.shape != (batch, n_agents, length):
+            raise ValueError(f"cut has shape {cut.shape}, want {(batch, n_agents, length)}")
+        cut_rows = cut.reshape(bj, length)  # flat row b*J + j, as x
+        h_nc = nocomm_params.cap_net(Tensor(caps_tiled))
+        c_nc = Tensor(np.zeros((bj, nocomm_params.dims.n_c)))
+        no_talk = Tensor(np.zeros((bj, nocomm_params.dims.n_c)))
 
     states = [x]
     controls: list[Tensor] = []
@@ -318,11 +323,9 @@ def rollout(
         h, c = params.encoder.step(params.normalize_obs(x), h, c)
         thoughts.append(h)
 
-        mask_flat = gate(h, params, gate_mode).astype(np.float64)
-        mask = mask_flat.reshape(batch, n_agents)
-        if ablate is not None and t == t_ab:
-            mask = mask.copy()
-            mask[:, j_ab] = 0.0
+        mask = gate(h, params, gate_mode).astype(np.float64).reshape(batch, n_agents)
+        if cut is not None:
+            mask[cut[:, :, t]] = 0.0
         comm_mask[:, :, t] = mask
 
         hr = ad.reshape(h, (batch, n_agents, params.dims.n_c))
@@ -333,21 +336,15 @@ def rollout(
 
         u = act(params, h, h_tilde, umax_tiled)
 
-        if ablate is not None:
-            xr_val = x.value.reshape(batch, n_agents, n_x)
+        if cut is not None:
             h_nc, c_nc = nocomm_params.encoder.step(
-                nocomm_params.normalize_obs(Tensor(xr_val[:, j_ab, :])), h_nc, c_nc
+                nocomm_params.normalize_obs(Tensor(x.value)), h_nc, c_nc
             )
-            if t == t_ab:
-                # substitution is values-only: ablation is a labeling tool,
-                # never a training path
-                zero = Tensor(np.zeros((batch, nocomm_params.dims.n_c)))
-                u_nc = act(nocomm_params, h_nc, zero, params.u_max[j_ab])
-                pick = np.zeros((bj, 1))
-                pick[j_ab::n_agents] = 1.0  # rows of agent j_ab in the flat layout
-                full_sub = np.zeros((bj, u.value.shape[1]))
-                full_sub[j_ab::n_agents] = u_nc.value
-                u = Tensor(pick) * Tensor(full_sub) + Tensor(1.0 - pick) * u
+            # substitution is values-only: cutting is a labeling tool, never
+            # a training path
+            u_nc = act(nocomm_params, h_nc, no_talk, umax_tiled).value
+            on = cut_rows[:, t : t + 1]
+            u = u * Tensor(~on) + Tensor(np.where(on, u_nc, 0.0))
 
         controls.append(u)
         x = x + u

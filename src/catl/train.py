@@ -22,7 +22,13 @@ from scipy.optimize import linear_sum_assignment
 from . import autodiff as ad
 from .autodiff import Tensor
 from .formulas import OuterFormula
-from .monitor import RobustnessConfig, outer_rho_batch, outer_rho_tensor
+from .monitor import (
+    NonFiniteError,
+    RobustnessConfig,
+    outer_rho_batch,
+    outer_rho_tensor,
+    outer_sat,
+)
 from .nn import Adam
 from .policy import PolicyParams, RolloutResult, create_policy, rollout, save_policy
 from .repair import RepairBudget, repair
@@ -159,8 +165,6 @@ class Dataset:
         return len(self.entries)
 
     def add(self, entry: DatasetEntry, team: TeamTrajectory, phi: OuterFormula) -> None:
-        from .monitor import outer_sat
-
         if not outer_sat(team, phi, 0):
             raise ValueError("refusing to insert a violating trajectory into the dataset")
         self.entries.append(entry)
@@ -214,12 +218,12 @@ def aggregate_dataset(
         res = rollout(params, x0, scenario.horizon, gate_mode, member_caps=member_caps)
     teams = res.to_teams()
     states_np = res.states_numpy()
-    members = [(states_np[:, j], caps) for j, caps in enumerate(member_caps)]
-    etas = outer_rho_batch(members, phi, RobustnessConfig("classical", top=cfg.r_top))
     stats = {"rollouts": cfg.n_rollouts, "satisfying": 0, "repaired": 0, "failed": 0}
     budget = cfg.repair_budget()
     for i, team in enumerate(teams):
-        if etas[i] >= 0:
+        # the boolean monitor decides, as Dataset.add does: a rollout that
+        # ties at robustness -0.0 can still violate
+        if outer_sat(team, phi, 0):
             stats["satisfying"] += 1
             dataset.add(
                 DatasetEntry(x0[i], states_np[i], "rollout", round_index),
@@ -331,6 +335,10 @@ def success_rate(
 # -- policy training engine ------------------------------------------------------------
 
 
+class DivergenceError(FloatingPointError):
+    """The training objective or the rollout under it became non-finite."""
+
+
 @dataclass
 class StageResult:
     params: PolicyParams
@@ -379,9 +387,13 @@ def train_policy(
     for step in range(steps):
         x0 = scenario.sample_initial_batch(rng, cfg.m_samples)
         opt.zero_grad()
-        objective, _, eta = robustness_objective(
-            params, x0, phi, scenario, cfg, gate_mode, gamma, step=step
-        )
+        diverged = f"training stage {stage!r} diverged at step {step + 1}"
+        try:
+            objective, _, eta = robustness_objective(
+                params, x0, phi, scenario, cfg, gate_mode, gamma, step=step
+            )
+        except NonFiniteError as err:  # the rollout left the finite states
+            raise DivergenceError(f"{diverged}: {err}") from err
         if use_imitation:
             k = min(cfg.m_samples, len(train_idx))
             picks = rng.choice(len(train_idx), size=k, replace=False)
@@ -390,6 +402,8 @@ def train_policy(
             total = objective * (1.0 - cfg.beta) - imit * cfg.beta
         else:
             total = objective
+        if not np.isfinite(total.value):
+            raise DivergenceError(f"{diverged}: objective is {float(total.value)}")
         (-total).backward()
         opt.step()
 
@@ -463,41 +477,41 @@ def build_gate_dataset(
 ) -> GateDataset:
     """Label each (agent, time) thought by the robustness drop when that one
     channel connection is cut and the agent falls back to the no-comm policy
-    for that step. Covers all agents at all time points of each sampled run."""
+    for that step. Covers all agents at all time points of each sampled run.
+
+    All cuts of one initial state run as one batched rollout: row 0 is the
+    uncut base and row 1 + j*H + t cuts agent j at time t."""
     member_caps = scenario.member_caps()
     smooth = cfg.smooth_cfg()
     data = GateDataset()
     sweep_rels = (0.01, 0.05, 0.1)
     sweep_counts = {rel: 0 for rel in sweep_rels}
     total = 0
-
-    def smooth_eta(res: RolloutResult) -> float:
-        states = res.states_numpy()
-        members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
-        return float(outer_rho_batch(members, phi, smooth)[0])
+    n_agents, length = scenario.n_agents, scenario.horizon
+    cuts = np.arange(n_agents * length)
+    cut = np.zeros((1 + len(cuts), n_agents, length), dtype=bool)
+    cut[1 + cuts, cuts // length, cuts % length] = True
 
     for _ in range(cfg.gate_states):
         x0 = scenario.sample_initial(rng)
         with ad.no_grad():
-            base = rollout(params_full, x0, scenario.horizon, "full",
-                           member_caps=member_caps)
-            eta_full = smooth_eta(base)
-            eps = cfg.gate_eps_rel * max(abs(eta_full), cfg.gate_eps_floor)
-            for j in range(scenario.n_agents):
-                for t in range(scenario.horizon):
-                    abl = rollout(
-                        params_full, x0, scenario.horizon, "full",
-                        member_caps=member_caps,
-                        ablate=(j, t), nocomm_params=params_nocomm,
-                    )
-                    drop = eta_full - smooth_eta(abl)
-                    label = int(drop > eps)
-                    thought = base.thoughts[t].value[j].copy()
-                    data.samples.append(GateSample(thought, label, j, t, float(drop)))
-                    total += 1
-                    for rel in sweep_rels:
-                        if drop > rel * max(abs(eta_full), cfg.gate_eps_floor):
-                            sweep_counts[rel] += 1
+            res = rollout(params_full, np.tile(x0, (len(cut), 1, 1)), length, "full",
+                          member_caps=member_caps, cut=cut, nocomm_params=params_nocomm)
+        states = res.states_numpy()
+        members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
+        etas = outer_rho_batch(members, phi, smooth)
+        eta_full = float(etas[0])
+        eps = cfg.gate_eps_rel * max(abs(eta_full), cfg.gate_eps_floor)
+        for k in cuts:
+            j, t = divmod(int(k), length)
+            drop = eta_full - float(etas[1 + k])
+            label = int(drop > eps)
+            thought = res.thoughts[t].value[j].copy()  # row 0, agent j
+            data.samples.append(GateSample(thought, label, j, t, float(drop)))
+            total += 1
+            for rel in sweep_rels:
+                if drop > rel * max(abs(eta_full), cfg.gate_eps_floor):
+                    sweep_counts[rel] += 1
 
     data.threshold_sweep = {
         "relative_thresholds": list(sweep_rels),
@@ -595,7 +609,11 @@ def run_pipeline(
     out_dir: str | Path | None = None,
     stages: str = "abcde",
 ) -> PipelineResult:
-    """Run the requested training stages in order; see the module docstring."""
+    """Run the requested training stages in order; see the module docstring.
+
+    The returned ``log`` ends with a ``done`` event carrying ``wall_clock_s``.
+    That timing is in the returned log only: ``training_log.json`` is a
+    deterministic artifact, so seeded runs write identical files."""
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

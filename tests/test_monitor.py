@@ -22,12 +22,14 @@ from catl.geometry import Region
 from catl.monitor import (
     CLASSICAL,
     HorizonError,
+    NonFiniteError,
     RobustnessConfig,
     count,
     inner_rho,
     inner_rho_tensor,
     inner_sat,
     outer_rho,
+    outer_rho_batch,
     outer_rho_tensor,
     outer_sat,
     smoothness_bound,
@@ -267,6 +269,39 @@ class TestOuterSemantics:
                 rho_s = outer_rho(team, phi, 0, cfg)
                 slack = 128 * np.spacing(max(1.0, abs(rho_c)))
                 assert abs(rho_s - rho_c) <= smoothness_bound(phi, tau) + slack
+
+
+class TestBatchEntryPoints:
+    """outer_rho_batch and outer_rho_tensor reject bad states at the boundary."""
+
+    PHI = Task(IEventually(in_region(C_REGION), 0, 4), Capability("red", 0), 1)
+
+    @staticmethod
+    def rho(entry: str, states: np.ndarray):
+        """states is (B, J, T, 2) for the members of TEAM_CAPS."""
+        if entry == "batch":
+            members = [(states[:, j], caps) for j, caps in enumerate(TEAM_CAPS)]
+            return outer_rho_batch(members, TestBatchEntryPoints.PHI)
+        members = [(Tensor(states[:, j]), caps) for j, caps in enumerate(TEAM_CAPS)]
+        return outer_rho_tensor(members, TestBatchEntryPoints.PHI, SMOOTH10).value
+
+    @pytest.mark.parametrize("entry", ["batch", "tensor"])
+    def test_short_trajectory_raises_horizon_error(self, entry):
+        rng = np.random.default_rng(66)
+        states = rng.normal(size=(2, 3, 5, 2))
+        assert self.rho(entry, states).shape == (2,)  # exactly horizon + 1 states
+        with pytest.raises(HorizonError):
+            self.rho(entry, states[:, :, :4])
+
+    @pytest.mark.parametrize("entry", ["batch", "tensor"])
+    def test_non_finite_states_rejected(self, entry):
+        states = np.random.default_rng(67).normal(size=(2, 3, 6, 2))
+        states[1, 2, 3, 0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"member 2 has 1 non-finite.*\(1, 3\)"):
+            self.rho(entry, states)
+        states[1, 2, 3, 0] = np.inf
+        with pytest.raises(NonFiniteError):
+            self.rho(entry, states)
 
 
 class TestSmoothGradients:

@@ -189,9 +189,44 @@ class TestRollout:
         nocomm = small_policy(seed=12)
         x0 = np.random.default_rng(11).normal(size=(2, 2))
         base = rollout(params, x0, 6).states_numpy()
-        abl = rollout(params, x0, 6, ablate=(0, 3), nocomm_params=nocomm).states_numpy()
+        cut = np.zeros((1, 2, 6), dtype=bool)
+        cut[0, 0, 3] = True
+        abl = rollout(params, x0, 6, cut=cut, nocomm_params=nocomm).states_numpy()
         assert np.array_equal(base[:, :, : 3 + 1], abl[:, :, : 3 + 1])
         assert not np.array_equal(base, abl)
+
+    def test_cut_control_comes_from_nocomm_encoder(self):
+        params = small_policy(seed=11, n_agents=3)
+        nocomm = small_policy(seed=12, n_agents=3)
+        x0 = np.random.default_rng(12).normal(size=(2, 3, 2))
+        j, t_cut = 1, 3
+        cut = np.zeros((2, 3, 6), dtype=bool)
+        cut[1, j, t_cut] = True
+        res = rollout(params, x0, 6, cut=cut, nocomm_params=nocomm)
+        states = res.states_numpy()[1, j]
+        # the no-comm encoder sees the row's own observed states from t = 0
+        h_nc = nocomm.cap_net(Tensor(params.cap_matrix[j : j + 1]))
+        c_nc = Tensor(np.zeros((1, nocomm.dims.n_c)))
+        for t in range(t_cut + 1):
+            h_nc, c_nc = nocomm.encoder.step(
+                nocomm.normalize_obs(Tensor(states[t : t + 1])), h_nc, c_nc)
+        want = act(nocomm, h_nc, Tensor(np.zeros((1, nocomm.dims.n_c))), params.u_max[j])
+        assert np.allclose(res.controls_numpy()[1, j, t_cut], want.value[0],
+                           rtol=0, atol=1e-12)
+        assert res.comm_mask[1, j, t_cut] == 0
+        assert res.comm_mask.sum() == res.comm_mask.size - 1
+        # row 0 carries no cut and matches an uncut rollout
+        uncut = rollout(params, x0, 6).states_numpy()
+        assert np.allclose(res.states_numpy()[0], uncut[0], rtol=0, atol=1e-12)
+
+    def test_cut_rejects_wrong_shape_and_missing_fallback(self):
+        params = small_policy(seed=11)
+        x0 = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="nocomm_params"):
+            rollout(params, x0, 6, cut=np.zeros((1, 2, 6), dtype=bool))
+        with pytest.raises(ValueError, match="shape"):
+            rollout(params, x0, 6, cut=np.zeros((1, 2, 5), dtype=bool),
+                    nocomm_params=small_policy(seed=12))
 
     def test_checkpoint_roundtrip(self, tmp_path):
         params = small_policy(seed=13)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from catl import autodiff as ad
+from catl import train
 from catl.autodiff import Tensor
-from catl.monitor import RobustnessConfig, outer_rho_batch
-from catl.policy import create_policy, rollout
+from catl.monitor import RobustnessConfig, outer_rho, outer_rho_batch, outer_sat
+from catl.policy import RolloutResult, create_policy, rollout
 from catl.scenario import toy_benchmark, triple_toy
 from catl.train import (
     Dataset,
     DatasetEntry,
+    DivergenceError,
     GateDataset,
     GateSample,
     TrainConfig,
@@ -197,6 +199,33 @@ class TestDataset:
         assert len(loaded) == len(ds)
         assert np.array_equal(loaded.entries[0].states, ds.entries[0].states)
 
+    def test_rollout_tied_on_obstacle_edge_goes_to_repair(self, monkeypatch):
+        # touches the Obs corner (2.5, 2.0) on its way to the goal: classical
+        # robustness is -0.0, yet the rollout violates "never in Obs"
+        path = np.array([(1, 1), (1.8, 1.2), (2.5, 1.5), (2.5, 2.0), (3.5, 1.9), (4.2, 2.8),
+                         (4.8, 3.7), (5, 4.6), (5, 5), (5, 5), (5, 5)], dtype=float)
+        assert len(path) == TOY_SC.horizon + 1
+
+        def tied_rollout(params, x0, length, gate_mode="full", member_caps=None, **kw):
+            return RolloutResult(
+                states=[Tensor(x[None]) for x in path],
+                controls=[Tensor((b - a)[None]) for a, b in zip(path[:-1], path[1:])],
+                thoughts=[], comm_mask=np.ones((1, 1, length)), batch=1, n_agents=1,
+                agent_ids=[1], member_caps=member_caps,
+            )
+
+        team = tied_rollout(None, None, TOY_SC.horizon,
+                            member_caps=TOY_SC.member_caps()).to_teams()[0]
+        assert outer_rho(team, TOY_PHI, 0) == 0.0 and not outer_sat(team, TOY_PHI, 0)
+        monkeypatch.setattr(train, "rollout", tied_rollout)
+        cfg = TrainConfig(n_rollouts=1, repair_iterations=40, repair_restarts=1)
+        ds = Dataset()
+        stats = aggregate_dataset(toy_params(), TOY_SC, TOY_PHI, cfg, ds,
+                                  np.random.default_rng(0), 1)
+        assert stats["satisfying"] == 0
+        assert stats["repaired"] + stats["failed"] == 1
+        assert len(ds) == stats["repaired"]
+
     def test_split_is_deterministic(self):
         ds = Dataset()
         for i in range(10):
@@ -268,6 +297,46 @@ class TestGate:
             assert s.label in (0, 1)
             assert s.thought.shape == (full.dims.n_c,)
 
+    def test_build_gate_dataset_matches_one_row_cut_rollouts(self):
+        cfg = TrainConfig(seed=0, gate_states=1, gate_eps_rel=0.01, gate_eps_floor=0.01)
+        full = create_policy(np.random.default_rng(30), TRIPLE_SC, n_c=6, hidden=16)
+        nocomm = create_policy(np.random.default_rng(31), TRIPLE_SC, n_c=6, hidden=16)
+        for p in nocomm.named().values():
+            p.value = p.value * 3.0  # a fallback far enough off to flip some labels
+        data = build_gate_dataset(full, nocomm, TRIPLE_SC, TRIPLE_PHI, cfg,
+                                  np.random.default_rng(22))
+
+        # reference: one one-row rollout per (agent, time) cut, j outer, t inner
+        x0 = TRIPLE_SC.sample_initial(np.random.default_rng(22))
+        caps = TRIPLE_SC.member_caps()
+        n_agents, length = TRIPLE_SC.n_agents, TRIPLE_SC.horizon
+
+        def smooth_eta(cut=None):
+            with ad.no_grad():
+                res = rollout(full, x0, length, member_caps=caps, cut=cut,
+                              nocomm_params=nocomm)
+            states = res.states_numpy()
+            members = [(states[:, j], c) for j, c in enumerate(caps)]
+            return float(outer_rho_batch(members, TRIPLE_PHI, cfg.smooth_cfg())[0]), res
+
+        eta_full, base = smooth_eta()
+        eps = cfg.gate_eps_rel * max(abs(eta_full), cfg.gate_eps_floor)
+        want = []
+        for j in range(n_agents):
+            for t in range(length):
+                cut = np.zeros((1, n_agents, length), dtype=bool)
+                cut[0, j, t] = True
+                want.append((j, t, eta_full - smooth_eta(cut)[0]))
+
+        assert [(s.agent_index, s.time) for s in data.samples] == [w[:2] for w in want]
+        assert [s.label for s in data.samples] == [int(w[2] > eps) for w in want]
+        assert 0 < sum(s.label for s in data.samples) < len(want)
+        drops = np.array([s.drop for s in data.samples])
+        assert np.abs(drops - np.array([w[2] for w in want])).max() <= 1e-12
+        for s in data.samples:
+            assert np.allclose(s.thought, base.thoughts[s.time].value[s.agent_index],
+                               rtol=0, atol=1e-12)
+
 
 class TestTrainPolicy:
     def test_seeded_runs_bitwise_identical(self):
@@ -283,6 +352,23 @@ class TestTrainPolicy:
         a, b = run(), run()
         for k in a:
             assert np.array_equal(a[k], b[k]), k
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("gamma, poison, step, why", [
+        # saturated controls keep step 1 finite; its gradient is NaN
+        (None, True, 2, "non-finite states"),
+        # 1/gamma overflows, so the cost term is inf or NaN from the start
+        (1e-320, False, 1, "objective is"),
+    ])
+    def test_diverging_training_stops(self, gamma, poison, step, why):
+        params = toy_params(18)
+        if poison:
+            params.encoder.w_x.value[0, 0] = np.inf
+        cfg = TrainConfig(seed=3, m_samples=4, eval_every=5, val_states=8, gamma=gamma)
+        with pytest.raises(DivergenceError,
+                           match=rf"stage 'a' diverged at step {step}: .*{why}"):
+            train_policy(TOY_SC, TOY_PHI, cfg, gate_mode="full", steps=2, stage="a",
+                         rng=np.random.default_rng(18), init_params=params)
 
     def test_zero_policy_has_zero_success_on_toy(self):
         params = toy_params(16)
