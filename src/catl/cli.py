@@ -43,11 +43,19 @@ def _load_scenario(value: str) -> Scenario:
     return load_scenario(value)
 
 
+def _file_or_inline(value: str) -> str:
+    """Contents of the file named by value, else value itself as formula text."""
+    path = Path(value)
+    try:
+        exists = path.exists()
+    except OSError:  # not a usable file name, e.g. a formula longer than NAME_MAX
+        exists = False
+    return path.read_text() if exists else value
+
+
 def _load_spec(value: str, scenario: Scenario):
     """Spec from a .catl file or an inline formula string."""
-    path = Path(value)
-    text = path.read_text() if path.exists() else value
-    return scenario.parse_spec(text)
+    return scenario.parse_spec(_file_or_inline(value))
 
 
 def _load_team(path: str, caps: str | None):
@@ -66,12 +74,10 @@ def _add_scenario_arg(p: argparse.ArgumentParser):
 
 
 def cmd_parse(args) -> int:
-    text = Path(args.spec).read_text() if Path(args.spec).exists() else args.spec
     if args.scenario:
-        scenario = _load_scenario(args.scenario)
-        phi = scenario.parse_spec(text)
+        phi = _load_spec(args.spec, _load_scenario(args.scenario))
     else:
-        phi = parse_spec(text)
+        phi = parse_spec(_file_or_inline(args.spec))
     print(print_formula(phi))
     print(f"horizon: {horizon(phi)}")
     return 0
@@ -105,8 +111,7 @@ def cmd_synth(args) -> int:
     agent = next((a for a in scenario.agents if a.agent_id == args.agent), None)
     if agent is None:
         raise _CliError(f"no agent {args.agent} in scenario")
-    text = Path(args.formula).read_text() if Path(args.formula).exists() else args.formula
-    target = parse_inner(text, regions=scenario.regions)
+    target = parse_inner(_file_or_inline(args.formula), regions=scenario.regions)
     if args.x0:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     else:

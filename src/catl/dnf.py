@@ -79,11 +79,7 @@ def _fold_and(children: list[OuterFormula]) -> OuterFormula:
         if c == OTrue():
             continue
         kept.append(c)
-    if not kept:
-        return OTrue()
-    if len(kept) == 1:
-        return kept[0]
-    return OAnd(tuple(kept))
+    return OAnd.of(kept, OTrue())
 
 
 def _fold_or(children: list[OuterFormula]) -> OuterFormula:
@@ -94,11 +90,7 @@ def _fold_or(children: list[OuterFormula]) -> OuterFormula:
         if c == FALSE:
             continue
         kept.append(c)
-    if not kept:
-        return FALSE
-    if len(kept) == 1:
-        return kept[0]
-    return OOr(tuple(kept))
+    return OOr.of(kept, FALSE)
 
 
 # -- step 1: temporal expansion -------------------------------------------------
@@ -282,20 +274,11 @@ def jc_sizes_of(members_caps) -> dict[str, int]:
 
 
 def clause_formula(atoms: tuple[TimedTask, ...]) -> OuterFormula:
-    if not atoms:
-        return OTrue()
-    if len(atoms) == 1:
-        return atoms[0]
-    return OAnd(atoms)
+    return OAnd.of(atoms, OTrue())
 
 
 def dnf_to_formula(dnf: DnfForm) -> OuterFormula:
-    if not dnf.clauses:
-        return FALSE
-    parts = [clause_formula(c) for c in dnf.clauses]
-    if len(parts) == 1:
-        return parts[0]
-    return OOr(tuple(parts))
+    return OOr.of([clause_formula(c) for c in dnf.clauses], FALSE)
 
 
 def dnf_to_json(dnf: DnfForm) -> dict:

@@ -8,7 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,10 +45,14 @@ class InRegion:
     region_name: str
     region: Region | None = None
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def geometry(self) -> Region:
+        """The bound region; the one place an unbound predicate is rejected."""
         if self.region is None:
             raise SpecError(f"region {self.region_name!r} is unbound; bind to a scenario first")
-        return self.region.margin(x)
+        return self.region
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self.geometry().margin(x)
 
     def bound(self, regions: dict[str, Region]) -> "InRegion":
         if self.region_name not in regions:
@@ -73,18 +77,105 @@ class HalfPlane:
 PredicateFn = InRegion | HalfPlane
 
 
-# -- inner formulas ----------------------------------------------------------
+# -- node shapes ---------------------------------------------------------------
+#
+# Both layers use the same operators. Each shape is declared once below; the
+# inner and outer node kinds are empty subclasses of a shape and of their
+# layer's marker. Dataclass equality compares classes exactly, so
+# IAnd(cs) != OAnd(cs). Empty __slots__ all the way down keep every node
+# frozen: no field can be reassigned and no attribute added.
 
 
 class InnerFormula:
-    """Marker base; concrete node kinds below."""
+    """Marker base of single-agent formulas."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ITrue(InnerFormula):
+class OuterFormula:
+    """Marker base of team formulas."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True, slots=True)
+class _True:
     pass
+
+
+@dataclass(frozen=True, slots=True)
+class _Not:
+    child: InnerFormula | OuterFormula
+
+
+@dataclass(frozen=True, slots=True)
+class _NAry:
+    children: tuple
+
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise SpecError(f"{self.noun} needs at least 2 children")
+
+    @classmethod
+    def of(cls, parts, empty):
+        """The node over parts; a lone part stands for itself, no part for empty."""
+        if not parts:
+            return empty
+        return parts[0] if len(parts) == 1 else cls(tuple(parts))
+
+
+class _And(_NAry):
+    __slots__ = ()
+    noun, symbol = "conjunction", "&"
+
+
+class _Or(_NAry):
+    __slots__ = ()
+    noun, symbol = "disjunction", "|"
+
+
+class _Interval:
+    """Checks the time window [a, b] of the two temporal shapes."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        if self.a != int(self.a) or self.b != int(self.b):
+            raise SpecError("interval bounds must be integers")
+        if self.a < 0 or self.b < self.a:
+            raise SpecError(f"bad interval [{self.a},{self.b}]: need 0 <= a <= b")
+
+
+@dataclass(frozen=True, slots=True)
+class _Window(_Interval):
+    child: InnerFormula | OuterFormula
+    a: int
+    b: int
+
+
+class _Eventually(_Window):
+    __slots__ = ()
+    symbol = "F"
+
+
+class _Always(_Window):
+    __slots__ = ()
+    symbol = "G"
+
+
+@dataclass(frozen=True, slots=True)
+class _Until(_Interval):
+    left: InnerFormula | OuterFormula
+    right: InnerFormula | OuterFormula
+    a: int
+    b: int
+
+
+# -- inner formulas ----------------------------------------------------------
+
+
+class ITrue(_True, InnerFormula):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -92,79 +183,35 @@ class Predicate(InnerFormula):
     fn: PredicateFn
 
 
-@dataclass(frozen=True)
-class INot(InnerFormula):
-    child: InnerFormula
+class INot(_Not, InnerFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IAnd(InnerFormula):
-    children: tuple[InnerFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise SpecError("conjunction needs at least 2 children")
+class IAnd(_And, InnerFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IOr(InnerFormula):
-    children: tuple[InnerFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise SpecError("disjunction needs at least 2 children")
+class IOr(_Or, InnerFormula):
+    __slots__ = ()
 
 
-def _check_interval(a: int, b: int) -> None:
-    if a != int(a) or b != int(b):
-        raise SpecError("interval bounds must be integers")
-    if a < 0 or b < a:
-        raise SpecError(f"bad interval [{a},{b}]: need 0 <= a <= b")
+class IUntil(_Until, InnerFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IUntil(InnerFormula):
-    left: InnerFormula
-    right: InnerFormula
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
+class IEventually(_Eventually, InnerFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IEventually(InnerFormula):
-    child: InnerFormula
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class IAlways(InnerFormula):
-    child: InnerFormula
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
+class IAlways(_Always, InnerFormula):
+    __slots__ = ()
 
 
 # -- outer formulas ----------------------------------------------------------
 
 
-class OuterFormula:
-    """Marker base; concrete node kinds below."""
-
+class OTrue(_True, OuterFormula):
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class OTrue(OuterFormula):
-    pass
 
 
 @dataclass(frozen=True)
@@ -192,58 +239,58 @@ class TimedTask(OuterFormula):
             raise SpecError(f"timed task offset must be a nonnegative integer, got {self.time}")
 
 
-@dataclass(frozen=True)
-class ONot(OuterFormula):
-    child: OuterFormula
+class ONot(_Not, OuterFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OAnd(OuterFormula):
-    children: tuple[OuterFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise SpecError("conjunction needs at least 2 children")
+class OAnd(_And, OuterFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OOr(OuterFormula):
-    children: tuple[OuterFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise SpecError("disjunction needs at least 2 children")
+class OOr(_Or, OuterFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OUntil(OuterFormula):
-    left: OuterFormula
-    right: OuterFormula
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
+class OUntil(_Until, OuterFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OEventually(OuterFormula):
-    child: OuterFormula
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
+class OEventually(_Eventually, OuterFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OAlways(OuterFormula):
-    child: OuterFormula
-    a: int
-    b: int
+class OAlways(_Always, OuterFormula):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
+
+# -- traversal -------------------------------------------------------------------
+
+
+def _subformula_fields(phi) -> dict:
+    """Fields of phi that hold a subformula or, for n-ary nodes, a tuple of them."""
+    if not isinstance(phi, (InnerFormula, OuterFormula)):
+        raise TypeError(f"not a formula: {phi!r}")
+    return {
+        f.name: value for f in fields(phi)
+        if isinstance(value := getattr(phi, f.name), (tuple, InnerFormula, OuterFormula))
+    }
+
+
+def map_children(phi, fn):
+    """Copy of phi with fn applied to each direct subformula."""
+    changes = {
+        name: tuple(map(fn, value)) if isinstance(value, tuple) else fn(value)
+        for name, value in _subformula_fields(phi).items()
+    }
+    return replace(phi, **changes)
+
+
+def walk(phi):
+    """phi and every formula below it, in pre-order."""
+    yield phi
+    for value in _subformula_fields(phi).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            yield from walk(child)
 
 
 # -- horizon ------------------------------------------------------------------
@@ -252,20 +299,19 @@ class OAlways(OuterFormula):
 def horizon(phi: InnerFormula | OuterFormula) -> int:
     """Latest future offset needed to decide satisfaction at the evaluation time."""
     match phi:
-        case ITrue() | OTrue() | Predicate():
+        case _True() | Predicate():
             return 0
         case Task(inner=inner):
             return horizon(inner)
         case TimedTask(task=task, time=t):
             return t + horizon(task)
-        case INot(child=c) | ONot(child=c):
+        case _Not(child=c):
             return horizon(c)
-        case IAnd(children=cs) | IOr(children=cs) | OAnd(children=cs) | OOr(children=cs):
+        case _NAry(children=cs):
             return max(horizon(c) for c in cs)
-        case (IEventually(child=c, b=b) | IAlways(child=c, b=b)
-              | OEventually(child=c, b=b) | OAlways(child=c, b=b)):
+        case _Window(child=c, b=b):
             return b + horizon(c)
-        case IUntil(left=l, right=r, b=b) | OUntil(left=l, right=r, b=b):
+        case _Until(left=l, right=r, b=b):
             return b + max(horizon(l), horizon(r))
         case _:
             raise TypeError(f"not a formula: {phi!r}")
@@ -283,7 +329,7 @@ def _format_number(x: float) -> str:
 def print_formula(phi: InnerFormula | OuterFormula) -> str:
     """Render in the surface grammar; parsing the result reproduces the AST."""
     match phi:
-        case ITrue() | OTrue():
+        case _True():
             return "true"
         case Predicate(fn=InRegion(region_name=name)):
             return f"in({name})"
@@ -293,68 +339,27 @@ def print_formula(phi: InnerFormula | OuterFormula) -> str:
             return f"task({print_formula(inner)}, {cap.name}, {m})"
         case TimedTask(task=task, time=t):
             return f"{print_formula(task)} @ {t}"
-        case INot(child=c) | ONot(child=c):
+        case _Not(child=c):
             return f"!{_child_str(c)}"
-        case IAnd(children=cs) | OAnd(children=cs):
-            return "(" + " & ".join(print_formula(c) for c in cs) + ")"
-        case IOr(children=cs) | OOr(children=cs):
-            return "(" + " | ".join(print_formula(c) for c in cs) + ")"
-        case IUntil(left=l, right=r, a=a, b=b) | OUntil(left=l, right=r, a=a, b=b):
+        case _NAry(children=cs):
+            return "(" + f" {phi.symbol} ".join(print_formula(c) for c in cs) + ")"
+        case _Until(left=l, right=r, a=a, b=b):
             return f"({print_formula(l)} U[{a},{b}] {print_formula(r)})"
-        case IEventually(child=c, a=a, b=b) | OEventually(child=c, a=a, b=b):
-            return f"F[{a},{b}] {_child_str(c)}"
-        case IAlways(child=c, a=a, b=b) | OAlways(child=c, a=a, b=b):
-            return f"G[{a},{b}] {_child_str(c)}"
+        case _Window(child=c, a=a, b=b):
+            return f"{phi.symbol}[{a},{b}] {_child_str(c)}"
         case _:
             raise TypeError(f"not a formula: {phi!r}")
 
 
 def _child_str(c) -> str:
-    """Unary operators bind one atom-or-unary unit; wrap anything looser."""
-    match c:
-        case ITrue() | OTrue() | Predicate() | Task() | INot() | ONot() \
-                | IEventually() | IAlways() | OEventually() | OAlways():
-            return print_formula(c)
-        case TimedTask():
-            return "(" + print_formula(c) + ")"
-        case _:
-            return print_formula(c)  # And/Or/Until already parenthesize
+    """Unary operators bind one atom-or-unary unit. A timed task's postfix
+    ``@`` binds looser, so it is wrapped; And/Or/Until already parenthesize."""
+    text = print_formula(c)
+    return f"({text})" if isinstance(c, TimedTask) else text
 
 
 def bind(phi, regions: dict[str, Region]):
     """Resolve region names against concrete geometry, returning a new AST."""
-    match phi:
-        case ITrue() | OTrue():
-            return phi
-        case Predicate(fn=fn):
-            return Predicate(fn.bound(regions))
-        case Task(inner=inner, cap=cap, count=m):
-            return Task(bind(inner, regions), cap, m)
-        case TimedTask(task=task, time=t):
-            return TimedTask(bind(task, regions), t)
-        case INot(child=c):
-            return INot(bind(c, regions))
-        case ONot(child=c):
-            return ONot(bind(c, regions))
-        case IAnd(children=cs):
-            return IAnd(tuple(bind(c, regions) for c in cs))
-        case OAnd(children=cs):
-            return OAnd(tuple(bind(c, regions) for c in cs))
-        case IOr(children=cs):
-            return IOr(tuple(bind(c, regions) for c in cs))
-        case OOr(children=cs):
-            return OOr(tuple(bind(c, regions) for c in cs))
-        case IUntil(left=l, right=r, a=a, b=b):
-            return IUntil(bind(l, regions), bind(r, regions), a, b)
-        case OUntil(left=l, right=r, a=a, b=b):
-            return OUntil(bind(l, regions), bind(r, regions), a, b)
-        case IEventually(child=c, a=a, b=b):
-            return IEventually(bind(c, regions), a, b)
-        case OEventually(child=c, a=a, b=b):
-            return OEventually(bind(c, regions), a, b)
-        case IAlways(child=c, a=a, b=b):
-            return IAlways(bind(c, regions), a, b)
-        case OAlways(child=c, a=a, b=b):
-            return OAlways(bind(c, regions), a, b)
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
+    if isinstance(phi, Predicate):
+        return Predicate(phi.fn.bound(regions))
+    return map_children(phi, lambda c: bind(c, regions))

@@ -31,7 +31,6 @@ from .formulas import (
     IEventually,
     INot,
     InnerFormula,
-    InRegion,
     IOr,
     ITrue,
     IUntil,
@@ -46,6 +45,13 @@ from .formulas import (
     Predicate,
     Task,
     TimedTask,
+    _Always,
+    _And,
+    _Not,
+    _NAry,
+    _True,
+    _Until,
+    _Window,
     horizon,
 )
 from .trajectories import IndividualTrajectory, TeamTrajectory
@@ -81,17 +87,19 @@ CLASSICAL = RobustnessConfig("classical")
 SMOOTH = RobustnessConfig("smooth")
 
 
+def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> None:
+    """Raise HorizonError unless states 0..last decide phi at time t."""
+    if t < 0 or t + horizon(phi) > last:
+        raise HorizonError(f"evaluating at t={t} needs {t + horizon(phi)} steps, {who} has {last}")
+
+
 # -- boolean semantics -------------------------------------------------------
 
 
 def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> bool:
     """Bounded STL satisfaction of one agent's trajectory at time t."""
     states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
-    last = len(states) - 1
-    if t < 0 or t + horizon(phi) > last:
-        raise HorizonError(
-            f"evaluating at t={t} needs {t + horizon(phi)} steps, trajectory has {last}"
-        )
+    _check_horizon(phi, t, len(states) - 1)
     return _inner_sat(states, phi, t, {})
 
 
@@ -134,11 +142,7 @@ def count(X: TeamTrajectory, cap: Capability | str, phi: InnerFormula, t: int) -
 
 def outer_sat(X: TeamTrajectory, Phi: OuterFormula, t: int) -> bool:
     """Team-level satisfaction at time t."""
-    last = X.last_time
-    if t < 0 or t + horizon(Phi) > last:
-        raise HorizonError(
-            f"evaluating at t={t} needs {t + horizon(Phi)} steps, trajectory has {last}"
-        )
+    _check_horizon(Phi, t, X.last_time)
     return _outer_sat(X, Phi, t)
 
 
@@ -179,28 +183,24 @@ def _outer_sat(X, Phi, t) -> bool:
 # Signals are arrays whose last axis is time: value i is the robustness when
 # evaluation starts at time i. Leading axes (if any) are batch dimensions.
 # The classical backend works on ndarrays, the smooth one on Tensors; both
-# share the recursion in _inner_signal/_outer_signal.
+# share the recursion in _signal.
 
 
-class _ClassicalBackend:
-    smooth = False
+class _Backend:
+    """Mode settings and the batch shape of the signals being combined."""
 
-    def __init__(self, top: float, batch_shape: tuple):
-        self.top = top
+    def __init__(self, cfg: RobustnessConfig, batch_shape: tuple):
+        self.top = cfg.top
+        self.tau = cfg.tau
         self.batch_shape = batch_shape
 
+
+class _ClassicalBackend(_Backend):
     def const(self, value: float, length: int):
         return np.full(self.batch_shape + (length,), value)
 
     def margins(self, states, fn):
-        if isinstance(fn, InRegion):
-            if fn.region is None:
-                raise ValueError(f"region {fn.region_name!r} is unbound")
-            return fn.region.margin(states)
         return fn.evaluate(states)
-
-    def neg(self, sig):
-        return -sig
 
     def reduce_min(self, sigs):
         return sigs[0] if len(sigs) == 1 else np.min(np.stack(sigs, axis=-1), axis=-1)
@@ -214,19 +214,8 @@ class _ClassicalBackend:
         stacked = np.sort(np.stack(sigs, axis=-1), axis=-1)
         return stacked[..., len(sigs) - k]
 
-    @staticmethod
-    def slice_t(sig, start: int, length: int):
-        return sig[..., start : start + length]
 
-
-class _SmoothBackend:
-    smooth = True
-
-    def __init__(self, top: float, tau: float, batch_shape: tuple):
-        self.top = top
-        self.tau = tau
-        self.batch_shape = batch_shape
-
+class _SmoothBackend(_Backend):
     def const(self, value: float, length: int):
         return Tensor(np.full(self.batch_shape + (length,), value))
 
@@ -235,20 +224,15 @@ class _SmoothBackend:
         x1 = states[..., 1]
         if isinstance(fn, HalfPlane):
             return fn.offset - (x0 * fn.normal[0] + x1 * fn.normal[1])
-        if fn.region is None:
-            raise ValueError(f"region {fn.region_name!r} is unbound")
         # Exact (hard) min over faces / max over rectangles: the margin is the
         # predicate itself, not a semantic min/max, so it is not smoothed.
         rect_margins = []
-        for lo, hi in fn.region.rects:
+        for lo, hi in fn.geometry().rects:
             faces = ad.stack([x0 - lo[0], x1 - lo[1], hi[0] - x0, hi[1] - x1], axis=-1)
             rect_margins.append(ad.kth_largest(faces, k=4, axis=-1))
         if len(rect_margins) == 1:
             return rect_margins[0]
         return ad.kth_largest(ad.stack(rect_margins, axis=-1), k=1, axis=-1)
-
-    def neg(self, sig):
-        return -sig
 
     def reduce_min(self, sigs):
         if len(sigs) == 1:
@@ -265,89 +249,77 @@ class _SmoothBackend:
             return sigs[0]
         return ad.kth_largest(ad.stack(sigs, axis=-1), k=k, axis=-1)
 
-    @staticmethod
-    def slice_t(sig, start: int, length: int):
-        return sig[..., start : start + length]
 
-
-def _backend(cfg: RobustnessConfig, batch_shape: tuple):
+def _backend(cfg: RobustnessConfig, batch_shape: tuple) -> _Backend:
     if cfg.mode == "smooth":
-        return _SmoothBackend(cfg.top, cfg.tau, batch_shape)
-    return _ClassicalBackend(cfg.top, batch_shape)
+        return _SmoothBackend(cfg, batch_shape)
+    return _ClassicalBackend(cfg, batch_shape)
 
 
-def _inner_signal(states, phi, length: int, be):
-    """Robustness signal of phi for start times 0..length-1."""
+def _slice_t(sig, start: int, length: int):
+    return sig[..., start : start + length]
+
+
+def _signal(x, phi, length: int, be):
+    """Robustness signal of phi for start times 0..length-1.
+
+    x holds one agent's states (..., T, 2) below a task and, above it, the
+    team as a list of (states, capability set) members.
+    """
     match phi:
-        case ITrue():
+        case _True():
             return be.const(be.top, length)
         case Predicate(fn=fn):
-            return be.slice_t(be.margins(states, fn), 0, length)
-        case INot(child=c):
-            return be.neg(_inner_signal(states, c, length, be))
-        case IAnd(children=cs):
-            return be.reduce_min([_inner_signal(states, c, length, be) for c in cs])
-        case IOr(children=cs):
-            return be.reduce_max([_inner_signal(states, c, length, be) for c in cs])
-        case IEventually(child=c, a=a, b=b):
-            sig = _inner_signal(states, c, length + b, be)
-            return be.reduce_max([be.slice_t(sig, a + k, length) for k in range(b - a + 1)])
-        case IAlways(child=c, a=a, b=b):
-            sig = _inner_signal(states, c, length + b, be)
-            return be.reduce_min([be.slice_t(sig, a + k, length) for k in range(b - a + 1)])
-        case IUntil(left=l, right=r, a=a, b=b):
-            sig1 = _inner_signal(states, l, length + b, be)
-            sig2 = _inner_signal(states, r, length + b, be)
+            return _slice_t(be.margins(x, fn), 0, length)
+        case Task(inner=inner, cap=cap, count=m):
+            holders = [s for s, caps in x if cap.name in caps]
+            if m > len(holders):
+                raise ValueError(
+                    f"task needs {m} agents with {cap.name!r}, team has {len(holders)}"
+                )
+            return be.kth_largest([_signal(s, inner, length, be) for s in holders], m)
+        case TimedTask(task=task, time=offset):
+            return _slice_t(_signal(x, task, length + offset, be), offset, length)
+        case _Not(child=c):
+            return -_signal(x, c, length, be)
+        case _NAry(children=cs):
+            reduce = be.reduce_min if isinstance(phi, _And) else be.reduce_max
+            return reduce([_signal(x, c, length, be) for c in cs])
+        case _Window(child=c, a=a, b=b):
+            reduce = be.reduce_min if isinstance(phi, _Always) else be.reduce_max
+            sig = _signal(x, c, length + b, be)
+            return reduce([_slice_t(sig, a + k, length) for k in range(b - a + 1)])
+        case _Until(left=l, right=r, a=a, b=b):
+            sig1 = _signal(x, l, length + b, be)
+            sig2 = _signal(x, r, length + b, be)
             return _until_signal(sig1, sig2, a, b, length, be)
         case _:
-            raise TypeError(f"not an inner formula: {phi!r}")
+            raise TypeError(f"not a formula: {phi!r}")
 
 
 def _until_signal(sig1, sig2, a: int, b: int, length: int, be):
     terms = []
     for s in range(a, b + 1):
-        witness = be.slice_t(sig2, s, length)
+        witness = _slice_t(sig2, s, length)
         if s == 0:
             terms.append(witness)
         else:
-            prefix = be.reduce_min([be.slice_t(sig1, k, length) for k in range(s)])
+            prefix = be.reduce_min([_slice_t(sig1, k, length) for k in range(s)])
             terms.append(be.reduce_min([witness, prefix]))
     return be.reduce_max(terms)
 
 
-def _outer_signal(members, Phi, length: int, be):
-    """members: list of (states, capability set) with states (..., T, 2)."""
-    match Phi:
-        case OTrue():
-            return be.const(be.top, length)
-        case Task(inner=inner, cap=cap, count=m):
-            holders = [s for s, caps in members if cap.name in caps]
-            if m > len(holders):
-                raise ValueError(
-                    f"task needs {m} agents with {cap.name!r}, team has {len(holders)}"
-                )
-            return be.kth_largest([_inner_signal(s, inner, length, be) for s in holders], m)
-        case TimedTask(task=task, time=offset):
-            sig = _outer_signal(members, task, length + offset, be)
-            return be.slice_t(sig, offset, length)
-        case ONot(child=c):
-            return be.neg(_outer_signal(members, c, length, be))
-        case OAnd(children=cs):
-            return be.reduce_min([_outer_signal(members, c, length, be) for c in cs])
-        case OOr(children=cs):
-            return be.reduce_max([_outer_signal(members, c, length, be) for c in cs])
-        case OEventually(child=c, a=a, b=b):
-            sig = _outer_signal(members, c, length + b, be)
-            return be.reduce_max([be.slice_t(sig, a + k, length) for k in range(b - a + 1)])
-        case OAlways(child=c, a=a, b=b):
-            sig = _outer_signal(members, c, length + b, be)
-            return be.reduce_min([be.slice_t(sig, a + k, length) for k in range(b - a + 1)])
-        case OUntil(left=l, right=r, a=a, b=b):
-            sig1 = _outer_signal(members, l, length + b, be)
-            sig2 = _outer_signal(members, r, length + b, be)
-            return _until_signal(sig1, sig2, a, b, length, be)
-        case _:
-            raise TypeError(f"not a team formula: {Phi!r}")
+def _rho0(x, phi, cfg: RobustnessConfig, batch_shape: tuple = ()) -> np.ndarray:
+    """Robustness values at time 0 over states or members x, without a graph."""
+    be = _backend(cfg, batch_shape)
+    if cfg.mode == "classical":
+        return _signal(x, phi, 1, be)[..., 0]
+    if isinstance(phi, InnerFormula):
+        x = Tensor(x)
+    else:
+        x = [(Tensor(s), caps) for s, caps in x]
+    with ad.no_grad():
+        return _signal(x, phi, 1, be).value[..., 0]
 
 
 # -- public entry points -------------------------------------------------------
@@ -361,24 +333,13 @@ def inner_rho(
 ) -> float:
     """Robustness of one agent's trajectory at time t."""
     states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
-    last = len(states) - 1
-    if t < 0 or t + horizon(phi) > last:
-        raise HorizonError(
-            f"evaluating at t={t} needs {t + horizon(phi)} steps, trajectory has {last}"
-        )
-    suffix = states[t:]
-    if cfg.mode == "smooth":
-        with ad.no_grad():
-            sig = _inner_signal(Tensor(suffix), phi, 1, _backend(cfg, ()))
-        return float(sig.value[0])
-    return float(_inner_signal(suffix, phi, 1, _backend(cfg, ()))[0])
+    _check_horizon(phi, t, len(states) - 1)
+    return float(_rho0(states[t:], phi, cfg))
 
 
 def inner_rho_tensor(states: Tensor, phi: InnerFormula, cfg: RobustnessConfig) -> Tensor:
     """Smooth robustness at time 0 as a graph node; states is (..., T, 2)."""
-    be = _backend(cfg, states.shape[:-2])
-    sig = _inner_signal(states, phi, 1, be)
-    return sig[..., 0]
+    return _signal(states, phi, 1, _backend(cfg, states.shape[:-2]))[..., 0]
 
 
 def task_rho(
@@ -398,32 +359,17 @@ def outer_rho(
     cfg: RobustnessConfig = CLASSICAL,
 ) -> float:
     """Team-level robustness at time t."""
-    last = X.last_time
-    if t < 0 or t + horizon(Phi) > last:
-        raise HorizonError(
-            f"evaluating at t={t} needs {t + horizon(Phi)} steps, trajectory has {last}"
-        )
+    _check_horizon(Phi, t, X.last_time)
     members = [(m.trajectory.states[t:], m.capabilities) for m in X.members]
-    if cfg.mode == "smooth":
-        with ad.no_grad():
-            sig = _outer_signal(
-                [(Tensor(s), caps) for s, caps in members], Phi, 1, _backend(cfg, ())
-            )
-        return float(sig.value[0])
-    return float(_outer_signal(members, Phi, 1, _backend(cfg, ()))[0])
+    return float(_rho0(members, Phi, cfg))
 
 
 def _batch_shape(members, Phi: OuterFormula) -> tuple:
     """Leading batch shape of the member states (..., T, 2), once every
     member is long enough for Phi at time 0 and holds only finite states."""
-    need = horizon(Phi)
     for k, (states, _) in enumerate(members):
         values = states.value if isinstance(states, Tensor) else np.asarray(states)
-        last = values.shape[-2] - 1
-        if need > last:
-            raise HorizonError(
-                f"evaluating at t=0 needs {need} steps, member {k} has {last}"
-            )
+        _check_horizon(Phi, 0, values.shape[-2] - 1, f"member {k}")
         bad = np.argwhere(~np.isfinite(values).all(axis=-1))
         if len(bad):
             raise NonFiniteError(
@@ -438,16 +384,8 @@ def outer_rho_batch(
     Phi: OuterFormula,
     cfg: RobustnessConfig = CLASSICAL,
 ) -> np.ndarray:
-    """Classical robustness at time 0 for a batch: states are (B, T, 2)."""
-    batch_shape = _batch_shape(members, Phi)
-    if cfg.mode == "smooth":
-        with ad.no_grad():
-            sig = _outer_signal(
-                [(Tensor(s), caps) for s, caps in members], Phi, 1,
-                _backend(cfg, batch_shape),
-            )
-        return sig.value[..., 0]
-    return _outer_signal(members, Phi, 1, _backend(cfg, batch_shape))[..., 0]
+    """Robustness at time 0 for a batch, without a graph: states are (B, T, 2)."""
+    return _rho0(members, Phi, cfg, _batch_shape(members, Phi))
 
 
 def outer_rho_tensor(
@@ -456,9 +394,7 @@ def outer_rho_tensor(
     cfg: RobustnessConfig,
 ) -> Tensor:
     """Robustness at time 0 as a graph node; member states are (..., T, 2)."""
-    batch_shape = _batch_shape(members, Phi)
-    sig = _outer_signal(members, Phi, 1, _backend(cfg, batch_shape))
-    return sig[..., 0]
+    return _signal(members, Phi, 1, _backend(cfg, _batch_shape(members, Phi)))[..., 0]
 
 
 # -- smooth-vs-classical error bound -------------------------------------------
@@ -480,23 +416,22 @@ def smoothness_depth(phi) -> tuple[int, int]:
     and predicate margins are exact sorts (1-Lipschitz, no level).
     """
     match phi:
-        case ITrue() | OTrue() | Predicate():
+        case _True() | Predicate():
             return 0, 1
         case Task(inner=inner):
             return smoothness_depth(inner)
         case TimedTask(task=task):
             return smoothness_depth(task)
-        case INot(child=c) | ONot(child=c):
+        case _Not(child=c):
             return smoothness_depth(c)
-        case IAnd(children=cs) | IOr(children=cs) | OAnd(children=cs) | OOr(children=cs):
+        case _NAry(children=cs):
             ds, ws = zip(*(smoothness_depth(c) for c in cs))
             return (1 if len(cs) >= 2 else 0) + max(ds), max(len(cs), *ws)
-        case (IEventually(child=c, a=a, b=b) | IAlways(child=c, a=a, b=b)
-              | OEventually(child=c, a=a, b=b) | OAlways(child=c, a=a, b=b)):
+        case _Window(child=c, a=a, b=b):
             d, w = smoothness_depth(c)
             window = b - a + 1
             return (1 if window >= 2 else 0) + d, max(window, w)
-        case IUntil(left=l, right=r, a=a, b=b) | OUntil(left=l, right=r, a=a, b=b):
+        case _Until(left=l, right=r, a=a, b=b):
             d1, w1 = smoothness_depth(l)
             d2, w2 = smoothness_depth(r)
             return 3 + max(d1, d2), max(b - a + 1, max(2, b), w1, w2)

@@ -1,24 +1,32 @@
 """Parser for the textual specification grammar.
 
-Surface syntax (EBNF)::
+Both layers share one grammar; only the leaf rule differs (EBNF)::
 
-    outer   := or ;           or  := and { "|" and } ;
-    and     := until { "&" until } ;
-    until   := unary [ "U" "[" INT "," INT "]" unary ] ;
-    unary   := "!" unary | "F" interval unary | "G" interval unary | atom ;
-    atom    := "true" | task [ "@" INT ] | "(" or ")" ;
-    task    := "task" "(" inner "," IDENT "," INT ")" ;
+    formula   := or ;
+    or        := and { "|" and } ;
+    and       := until { "&" until } ;
+    until     := unary [ "U" interval unary ] ;
+    unary     := "!" unary | "F" interval unary | "G" interval unary | atom ;
+    atom      := "true" | leaf | "(" or ")" ;
+    interval  := "[" INT "," INT "]" ;
 
-The inner grammar is identical except that the ``task`` atom is replaced by
-the predicates ``in(Name)`` and ``halfplane(nx,ny,c)``. ``&``/``|`` chains at
-one level collapse into a single n-ary node; parentheses preserve nesting,
-so pretty-printed formulas reparse to structurally identical ASTs. Until is
-non-associative: chains need explicit parentheses.
+    leaf      := predicate            (inner formulas, one agent)
+               | task [ "@" INT ] ;   (outer formulas, the team)
+    predicate := "in" "(" IDENT ")" | "halfplane" "(" NUM "," NUM "," NUM ")" ;
+    task      := "task" "(" inner formula "," IDENT "," INT ")" ;
+    NUM       := [ "-" ] ( INT | FLOAT ) ;
+
+``&``/``|`` chains at one level collapse into a single n-ary node;
+parentheses preserve nesting, so pretty-printed formulas reparse to
+structurally identical ASTs. Until is non-associative: chains need explicit
+parentheses. A task's inner formula cannot contain a task, and a team
+formula cannot contain a bare predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .formulas import (
     Capability,
@@ -189,59 +197,57 @@ class _Parser:
             raise self.error(f"expected {what}")
         return self.next().text
 
-    # -- inner grammar --
+    # -- one grammar for both layers --
 
-    def inner(self) -> InnerFormula:
-        return self.inner_or()
+    def parse_or(self, layer: "_Layer"):
+        return self.chain(layer, layer.or_, self.parse_and)
 
-    def inner_or(self) -> InnerFormula:
-        parts = [self.inner_and()]
-        while self.peek().kind == "|":
+    def parse_and(self, layer: "_Layer"):
+        return self.chain(layer, layer.and_, self.parse_until)
+
+    def chain(self, layer: "_Layer", node, operand):
+        """operand { symbol operand }, collapsed into one n-ary node."""
+        parts = [operand(layer)]
+        while self.peek().kind == node.symbol:
             self.next()
-            parts.append(self.inner_and())
-        return parts[0] if len(parts) == 1 else IOr(tuple(parts))
+            parts.append(operand(layer))
+        return node.of(parts, None)
 
-    def inner_and(self) -> InnerFormula:
-        parts = [self.inner_until()]
-        while self.peek().kind == "&":
-            self.next()
-            parts.append(self.inner_until())
-        return parts[0] if len(parts) == 1 else IAnd(tuple(parts))
-
-    def inner_until(self) -> InnerFormula:
-        left = self.inner_unary()
+    def parse_until(self, layer: "_Layer"):
+        left = self.parse_unary(layer)
         if self.at_keyword("U"):
             self.next()
             a, b = self.interval()
-            right = self.inner_unary()
-            return IUntil(left, right, a, b)
+            right = self.parse_unary(layer)
+            return layer.until(left, right, a, b)
         return left
 
-    def inner_unary(self) -> InnerFormula:
-        tok = self.peek()
-        if tok.kind == "!":
+    def parse_unary(self, layer: "_Layer"):
+        if self.peek().kind == "!":
             self.next()
-            return INot(self.inner_unary())
-        if self.at_keyword("F"):
-            self.next()
-            a, b = self.interval()
-            return IEventually(self.inner_unary(), a, b)
-        if self.at_keyword("G"):
-            self.next()
-            a, b = self.interval()
-            return IAlways(self.inner_unary(), a, b)
-        return self.inner_atom()
+            return layer.not_(self.parse_unary(layer))
+        for node in (layer.eventually, layer.always):
+            if self.at_keyword(node.symbol):
+                self.next()
+                a, b = self.interval()
+                return node(self.parse_unary(layer), a, b)
+        return self.parse_atom(layer)
 
-    def inner_atom(self) -> InnerFormula:
-        tok = self.peek()
-        if tok.kind == "(":
+    def parse_atom(self, layer: "_Layer"):
+        if self.peek().kind == "(":
             self.next()
-            phi = self.inner_or()
+            phi = self.parse_or(layer)
             self.expect(")")
             return phi
         if self.at_keyword("true"):
             self.next()
-            return ITrue()
+            return layer.true()
+        return layer.leaf(self)
+
+    # -- leaf rules: the last alternative of atom, so they report its error --
+
+    def predicate(self) -> InnerFormula:
+        tok = self.peek()
         if self.at_keyword("in"):
             self.next()
             self.expect("(")
@@ -265,85 +271,51 @@ class _Parser:
             return Predicate(HalfPlane((nx, ny), c))
         raise self.error("expected an inner formula")
 
-    # -- outer grammar --
+    def task(self) -> OuterFormula:
+        if not self.at_keyword("task"):
+            raise self.error("expected a team formula")
+        self.next()
+        self.expect("(")
+        inner = self.parse_or(_INNER)
+        self.expect(",")
+        cap_tok = self.peek()
+        cap_name = self.ident("a capability name")
+        self.expect(",")
+        m_tok = self.expect("INT")
+        m = int(m_tok.text)
+        self.expect(")")
+        if m < 1:
+            raise SpecSyntaxError(f"task count must be >= 1, got {m}", m_tok.line, m_tok.col)
+        index = -1
+        if self.capabilities is not None:
+            if cap_name not in self.capabilities:
+                raise SpecSyntaxError(f"unknown capability {cap_name!r}",
+                                      cap_tok.line, cap_tok.col)
+            index = self.capabilities.index(cap_name)
+        task = Task(inner, Capability(cap_name, index), m)
+        if self.peek().kind == "@":
+            self.next()
+            t_tok = self.expect("INT")
+            return TimedTask(task, int(t_tok.text))
+        return task
 
-    def outer(self) -> OuterFormula:
-        return self.outer_or()
 
-    def outer_or(self) -> OuterFormula:
-        parts = [self.outer_and()]
-        while self.peek().kind == "|":
-            self.next()
-            parts.append(self.outer_and())
-        return parts[0] if len(parts) == 1 else OOr(tuple(parts))
+@dataclass(frozen=True)
+class _Layer:
+    """Node classes and leaf rule that instantiate the grammar for one layer."""
 
-    def outer_and(self) -> OuterFormula:
-        parts = [self.outer_until()]
-        while self.peek().kind == "&":
-            self.next()
-            parts.append(self.outer_until())
-        return parts[0] if len(parts) == 1 else OAnd(tuple(parts))
+    true: type
+    not_: type
+    and_: type
+    or_: type
+    until: type
+    eventually: type
+    always: type
+    leaf: Callable  # _Parser method parsing the layer's leaf node
 
-    def outer_until(self) -> OuterFormula:
-        left = self.outer_unary()
-        if self.at_keyword("U"):
-            self.next()
-            a, b = self.interval()
-            right = self.outer_unary()
-            return OUntil(left, right, a, b)
-        return left
 
-    def outer_unary(self) -> OuterFormula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
-            return ONot(self.outer_unary())
-        if self.at_keyword("F"):
-            self.next()
-            a, b = self.interval()
-            return OEventually(self.outer_unary(), a, b)
-        if self.at_keyword("G"):
-            self.next()
-            a, b = self.interval()
-            return OAlways(self.outer_unary(), a, b)
-        return self.outer_atom()
-
-    def outer_atom(self) -> OuterFormula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            phi = self.outer_or()
-            self.expect(")")
-            return phi
-        if self.at_keyword("true"):
-            self.next()
-            return OTrue()
-        if self.at_keyword("task"):
-            self.next()
-            self.expect("(")
-            inner = self.inner()
-            self.expect(",")
-            cap_tok = self.peek()
-            cap_name = self.ident("a capability name")
-            self.expect(",")
-            m_tok = self.expect("INT")
-            m = int(m_tok.text)
-            self.expect(")")
-            if m < 1:
-                raise SpecSyntaxError(f"task count must be >= 1, got {m}", m_tok.line, m_tok.col)
-            index = -1
-            if self.capabilities is not None:
-                if cap_name not in self.capabilities:
-                    raise SpecSyntaxError(f"unknown capability {cap_name!r}",
-                                          cap_tok.line, cap_tok.col)
-                index = self.capabilities.index(cap_name)
-            task = Task(inner, Capability(cap_name, index), m)
-            if self.peek().kind == "@":
-                self.next()
-                t_tok = self.expect("INT")
-                return TimedTask(task, int(t_tok.text))
-            return task
-        raise self.error("expected a team formula")
+_INNER = _Layer(ITrue, INot, IAnd, IOr, IUntil, IEventually, IAlways, _Parser.predicate)
+_OUTER = _Layer(OTrue, ONot, OAnd, OOr, OUntil, OEventually, OAlways, _Parser.task)
 
 
 def parse_spec(
@@ -358,7 +330,7 @@ def parse_spec(
     names raise :class:`SpecSyntaxError` with position info.
     """
     parser = _Parser(text, regions, capabilities)
-    phi = parser.outer()
+    phi = parser.parse_or(_OUTER)
     parser.expect("EOF")
     return phi
 
@@ -369,6 +341,6 @@ def parse_inner(
 ) -> InnerFormula:
     """Parse a single-agent formula (predicate level)."""
     parser = _Parser(text, regions)
-    phi = parser.inner()
+    phi = parser.parse_or(_INNER)
     parser.expect("EOF")
     return phi

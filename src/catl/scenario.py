@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formulas import OuterFormula, SpecError, Task, TimedTask, capability_vector, horizon
+from .formulas import OuterFormula, SpecError, Task, bind, capability_vector, horizon, walk
 from .geometry import Region
 from .parsing import parse_spec
 
@@ -100,15 +100,12 @@ class Scenario:
 
     def bind_spec(self, phi: OuterFormula) -> OuterFormula:
         """Bind region names, validate capabilities/counts and the horizon."""
-        from .formulas import bind
-
         bound = bind(phi, self.regions)
         if horizon(bound) > self.horizon:
             raise SpecError(
                 f"spec horizon {horizon(bound)} exceeds scenario horizon {self.horizon}"
             )
-        sizes = self.jc_sizes()
-        _validate_counts(bound, sizes)
+        _validate_counts(bound, self.jc_sizes())
         return bound
 
     def parse_spec(self, text: str) -> OuterFormula:
@@ -117,25 +114,16 @@ class Scenario:
 
 
 def _validate_counts(phi, sizes: dict[str, int]) -> None:
-    if isinstance(phi, Task):
-        if phi.cap.name not in sizes:
-            raise SpecError(f"capability {phi.cap.name!r} absent from the scenario")
-        if phi.count > sizes[phi.cap.name]:
+    for node in walk(phi):
+        if not isinstance(node, Task):
+            continue
+        name = node.cap.name
+        if name not in sizes:
+            raise SpecError(f"capability {name!r} absent from the scenario")
+        if node.count > sizes[name]:
             raise SpecError(
-                f"task needs {phi.count} agents with {phi.cap.name!r}, "
-                f"scenario has {sizes[phi.cap.name]}"
+                f"task needs {node.count} agents with {name!r}, scenario has {sizes[name]}"
             )
-        _validate_counts(phi.inner, sizes)
-        return
-    if isinstance(phi, TimedTask):
-        _validate_counts(phi.task, sizes)
-        return
-    for attr in ("child", "left", "right"):
-        if hasattr(phi, attr):
-            _validate_counts(getattr(phi, attr), sizes)
-    if hasattr(phi, "children"):
-        for c in phi.children:
-            _validate_counts(c, sizes)
 
 
 # -- scenario files -----------------------------------------------------------

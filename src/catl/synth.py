@@ -139,12 +139,8 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
 
 def pinned_conjunction(pins: list[tuple[int, InnerFormula]]) -> InnerFormula:
     """Conjunction of formulas each pinned to hold at an exact time."""
-    if not pins:
-        return ITrue()
-    parts = tuple(IEventually(phi, t, t) for t, phi in sorted(pins, key=lambda p: p[0]))
-    if len(parts) == 1:
-        return parts[0]
-    return IAnd(parts)
+    parts = [IEventually(phi, t, t) for t, phi in sorted(pins, key=lambda p: p[0])]
+    return IAnd.of(parts, ITrue())
 
 
 def synthesize_conjunction(

@@ -185,3 +185,76 @@ class TestValidation:
     def test_bad_interval(self):
         with pytest.raises(SpecError):
             IEventually(ITrue(), 3, 1)
+
+
+class TestBindSpec:
+    """Scenario.bind_spec resolves names and checks counts and the horizon."""
+
+    @staticmethod
+    def toy():
+        from catl.scenario import toy_benchmark
+
+        return toy_benchmark()[0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("task(in(Goal), Flying, 1)", "absent from the scenario"),
+        ("task(in(Goal), Robot, 2)", "task needs 2 agents"),
+        ("F[0,11] task(in(Goal), Robot, 1)", "exceeds scenario horizon"),
+        ("task(in(Nowhere), Robot, 1)", "unknown region"),
+    ], ids=["absent_capability", "count", "horizon", "unknown_region"])
+    def test_rejects_bad_spec(self, text, message):
+        with pytest.raises(SpecError, match=message):
+            self.toy().bind_spec(parse_spec(text))
+
+    @pytest.mark.parametrize("wrap", [
+        lambda bad: ONot(bad),
+        lambda bad: OUntil(OTrue(), bad, 0, 1),
+        lambda bad: OUntil(bad, OTrue(), 0, 1),
+        lambda bad: OAlways(bad, 0, 1),
+        lambda bad: TimedTask(bad, 1),
+        lambda bad: OAnd((OTrue(), ONot(OEventually(bad, 0, 1)))),
+    ], ids=["not", "until_right", "until_left", "always", "timed", "deep"])
+    def test_nested_bad_task_is_caught(self, wrap):
+        bad = task(Predicate(InRegion("Goal")), "Robot", 2)
+        with pytest.raises(SpecError, match="task needs 2 agents"):
+            self.toy().bind_spec(wrap(bad))
+
+    def test_binding_fills_regions_and_keeps_the_rest(self):
+        sc = self.toy()
+        phi = sc.bind_spec(parse_spec("G[0,3] !task(in(Obs) & true, Robot, 1) @ 2"))
+        pred = phi.child.child.task.inner.children[0]
+        assert pred.fn.region is sc.regions["Obs"]
+        assert print_formula(phi) == "G[0,3] !(task((in(Obs) & true), Robot, 1) @ 2)"
+
+    @pytest.mark.parametrize("name", ["toy", "triple-toy", "reduced", "case-study"])
+    def test_builtin_spec_round_trips(self, name):
+        from catl.scenario import builtin
+
+        sc, phi, _ = builtin(name)
+        assert sc.parse_spec(print_formula(phi)) == phi
+
+
+class TestLayerSeparation:
+    def test_task_is_not_an_inner_atom(self):
+        with pytest.raises(SpecSyntaxError, match="expected an inner formula"):
+            parse_inner("task(true, a, 1)")
+
+    def test_predicate_is_not_a_team_atom(self):
+        with pytest.raises(SpecSyntaxError, match="expected a team formula"):
+            parse_spec("in(A)")
+
+    def test_same_shape_different_layer_differs(self):
+        assert IAnd((ITrue(), ITrue())) != OAnd((OTrue(), OTrue()))
+        assert parse_inner("true & true") == IAnd((ITrue(), ITrue()))
+        assert parse_spec("true & true") == OAnd((OTrue(), OTrue()))
+        assert IEventually(ITrue(), 0, 1) != OEventually(ITrue(), 0, 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: OAnd((OTrue(),)),
+        lambda: OUntil(OTrue(), OTrue(), 2, 1),
+        lambda: OAlways(OTrue(), -1, 1),
+        lambda: IEventually(ITrue(), 0, 1.5),
+    ], ids=["one_child", "reversed", "negative", "fractional"])
+    def test_shapes_validate_in_both_layers(self, make):
+        with pytest.raises(SpecError):
+            make()

@@ -14,6 +14,7 @@ from catl.formulas import (
     ITrue,
     OTrue,
     Predicate,
+    SpecError,
     Task,
     TimedTask,
     horizon,
@@ -269,6 +270,24 @@ class TestOuterSemantics:
                 rho_s = outer_rho(team, phi, 0, cfg)
                 slack = 128 * np.spacing(max(1.0, abs(rho_c)))
                 assert abs(rho_s - rho_c) <= smoothness_bound(phi, tau) + slack
+
+
+class TestUnboundRegion:
+    """Every monitor path raises SpecError for a region that was never bound."""
+
+    PHI = IEventually(Predicate(InRegion("A")), 0, 2)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda states, phi: inner_sat(states, phi, 0),
+        lambda states, phi: inner_rho(states, phi, 0),
+        lambda states, phi: inner_rho(states, phi, 0, SMOOTH10),
+        lambda states, phi: outer_rho_batch(
+            [(states[None], frozenset({"red"}))], Task(phi, Capability("red"), 1)),
+    ], ids=["inner_sat", "inner_rho", "inner_rho_smooth", "outer_rho_batch"])
+    def test_raises_spec_error(self, evaluate):
+        states = random_states(np.random.default_rng(3), 4)
+        with pytest.raises(SpecError, match="region 'A' is unbound"):
+            evaluate(states, self.PHI)
 
 
 class TestBatchEntryPoints:
