@@ -67,9 +67,6 @@ class Tensor:
             raise ValueError(f"item() needs a single element, got shape {self.shape}")
         return float(self.value.reshape(()))
 
-    def detach(self) -> np.ndarray:
-        return self.value
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -376,13 +373,3 @@ def kth_largest(a: Tensor, k: int, axis: int = -1) -> Tensor:
         return (np.moveaxis(gm, -1, axis).reshape(av_shape),)
 
     return Tensor(out, (a,), bwd)
-
-
-def maximum_scalar(a: Tensor, c: float) -> Tensor:
-    """Elementwise max(x, c) against a constant; subgradient 0 at the kink."""
-    mask = a.value > c
-
-    def bwd(g):
-        return (g * mask,)
-
-    return Tensor(np.where(mask, a.value, c), (a,), bwd)

@@ -8,7 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import numpy as np
 
@@ -86,6 +86,20 @@ PredicateFn = InRegion | HalfPlane
 # frozen: no field can be reassigned and no attribute added.
 
 
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}: formulas are immutable")
+
+
+def _shape(cls):
+    """Frozen, slotted dataclass shape. The __setattr__ that dataclass
+    generates for it calls super() on the class that slots=True replaced, so
+    on a subclass it raises TypeError for a name that is not a field; every
+    assignment and deletion raises FrozenInstanceError instead."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
 class InnerFormula:
     """Marker base of single-agent formulas."""
 
@@ -98,17 +112,17 @@ class OuterFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_shape
 class _True:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_shape
 class _Not:
     child: InnerFormula | OuterFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_shape
 class _NAry:
     children: tuple
 
@@ -146,7 +160,7 @@ class _Interval:
             raise SpecError(f"bad interval [{self.a},{self.b}]: need 0 <= a <= b")
 
 
-@dataclass(frozen=True, slots=True)
+@_shape
 class _Window(_Interval):
     child: InnerFormula | OuterFormula
     a: int
@@ -163,7 +177,7 @@ class _Always(_Window):
     symbol = "G"
 
 
-@dataclass(frozen=True, slots=True)
+@_shape
 class _Until(_Interval):
     left: InnerFormula | OuterFormula
     right: InnerFormula | OuterFormula

@@ -40,9 +40,6 @@ class Region:
             best = m if best is None else np.maximum(best, m)
         return best
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        return self.margin(x) >= 0.0
-
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         los = np.array([lo for lo, _ in self.rects])

@@ -1,9 +1,14 @@
 """Qualitative and quantitative semantics over team trajectories.
 
-Two quantitative modes share one signal-based evaluator:
+One signal recursion (``_signal``) serves three backends:
 
-* ``classical`` - exact min/max robustness. Its sign decides satisfaction
-  (soundness, checked against an independent boolean recursion in the tests).
+* boolean - satisfaction, carried as a +1/-1 signal so that min, max,
+  negation and the k-th largest compute and, or, not and "at least m
+  holders". Its predicate leaf is the one place ties are decided: a state
+  whose margin is exactly 0 satisfies the predicate. Robustness cannot
+  decide ties by its sign, since at margin 0 both p and not p get 0.
+* ``classical`` - exact min/max robustness. Away from ties its sign agrees
+  with satisfaction (checked against independent oracles in the tests).
 * ``smooth`` - min/max replaced by temperature-tau log-sum-exp softmin/softmax,
   evaluated over autodiff tensors so gradients flow to states or parameters.
   Task atoms select the m-th largest per-agent value by exact sort in both
@@ -26,22 +31,8 @@ from .autodiff import Tensor
 from .formulas import (
     Capability,
     HalfPlane,
-    IAlways,
-    IAnd,
-    IEventually,
-    INot,
     InnerFormula,
-    IOr,
-    ITrue,
-    IUntil,
-    OAlways,
-    OAnd,
-    OEventually,
-    ONot,
-    OOr,
-    OTrue,
     OuterFormula,
-    OUntil,
     Predicate,
     Task,
     TimedTask,
@@ -93,97 +84,12 @@ def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> None:
         raise HorizonError(f"evaluating at t={t} needs {t + horizon(phi)} steps, {who} has {last}")
 
 
-# -- boolean semantics -------------------------------------------------------
-
-
-def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> bool:
-    """Bounded STL satisfaction of one agent's trajectory at time t."""
-    states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
-    _check_horizon(phi, t, len(states) - 1)
-    return _inner_sat(states, phi, t, {})
-
-
-def _inner_sat(states, phi, t, memo) -> bool:
-    key = (id(phi), t)
-    if key in memo:
-        return memo[key]
-    match phi:
-        case ITrue():
-            out = True
-        case Predicate(fn=fn):
-            out = bool(fn.evaluate(states[t]) >= 0.0)
-        case INot(child=c):
-            out = not _inner_sat(states, c, t, memo)
-        case IAnd(children=cs):
-            out = all(_inner_sat(states, c, t, memo) for c in cs)
-        case IOr(children=cs):
-            out = any(_inner_sat(states, c, t, memo) for c in cs)
-        case IEventually(child=c, a=a, b=b):
-            out = any(_inner_sat(states, c, t + s, memo) for s in range(a, b + 1))
-        case IAlways(child=c, a=a, b=b):
-            out = all(_inner_sat(states, c, t + s, memo) for s in range(a, b + 1))
-        case IUntil(left=l, right=r, a=a, b=b):
-            out = any(
-                _inner_sat(states, r, t + s, memo)
-                and all(_inner_sat(states, l, t + k, memo) for k in range(s))
-                for s in range(a, b + 1)
-            )
-        case _:
-            raise TypeError(f"not an inner formula: {phi!r}")
-    memo[key] = out
-    return out
-
-
-def count(X: TeamTrajectory, cap: Capability | str, phi: InnerFormula, t: int) -> int:
-    """Number of capability holders whose trajectory satisfies phi at t."""
-    name = cap.name if isinstance(cap, Capability) else cap
-    return sum(1 for m in X.with_capability(name) if inner_sat(m.trajectory, phi, t))
-
-
-def outer_sat(X: TeamTrajectory, Phi: OuterFormula, t: int) -> bool:
-    """Team-level satisfaction at time t."""
-    _check_horizon(Phi, t, X.last_time)
-    return _outer_sat(X, Phi, t)
-
-
-def _outer_sat(X, Phi, t) -> bool:
-    match Phi:
-        case OTrue():
-            return True
-        case Task(inner=inner, cap=cap, count=m):
-            holders = X.with_capability(cap.name)
-            if m > len(holders):
-                raise ValueError(
-                    f"task needs {m} agents with {cap.name!r}, team has {len(holders)}"
-                )
-            return count(X, cap, inner, t) >= m
-        case TimedTask(task=task, time=offset):
-            return _outer_sat(X, task, t + offset)
-        case ONot(child=c):
-            return not _outer_sat(X, c, t)
-        case OAnd(children=cs):
-            return all(_outer_sat(X, c, t) for c in cs)
-        case OOr(children=cs):
-            return any(_outer_sat(X, c, t) for c in cs)
-        case OEventually(child=c, a=a, b=b):
-            return any(_outer_sat(X, c, t + s) for s in range(a, b + 1))
-        case OAlways(child=c, a=a, b=b):
-            return all(_outer_sat(X, c, t + s) for s in range(a, b + 1))
-        case OUntil(left=l, right=r, a=a, b=b):
-            return any(
-                _outer_sat(X, r, t + s) and all(_outer_sat(X, l, t + k) for k in range(s))
-                for s in range(a, b + 1)
-            )
-        case _:
-            raise TypeError(f"not a team formula: {Phi!r}")
-
-
-# -- quantitative semantics ---------------------------------------------------
+# -- signal semantics ------------------------------------------------------------
 #
-# Signals are arrays whose last axis is time: value i is the robustness when
-# evaluation starts at time i. Leading axes (if any) are batch dimensions.
-# The classical backend works on ndarrays, the smooth one on Tensors; both
-# share the recursion in _signal.
+# Signals are arrays whose last axis is time: value i is the robustness (or
+# truth) when evaluation starts at time i. Leading axes (if any) are batch
+# dimensions. The boolean and classical backends work on ndarrays, the smooth
+# one on Tensors; all three share the recursion in _signal.
 
 
 class _Backend:
@@ -248,6 +154,17 @@ class _SmoothBackend(_Backend):
         if len(sigs) == 1:
             return sigs[0]
         return ad.kth_largest(ad.stack(sigs, axis=-1), k=k, axis=-1)
+
+
+class _BooleanBackend(_ClassicalBackend):
+    """Truth as a +1/-1 signal; True is the constant +1 (top=1). A predicate
+    holds where its margin is >= 0, on the region's edge too."""
+
+    def margins(self, states, fn):
+        return np.where(fn.evaluate(states) >= 0.0, 1.0, -1.0)
+
+
+_BOOLEAN = _BooleanBackend(RobustnessConfig(top=1.0), ())
 
 
 def _backend(cfg: RobustnessConfig, batch_shape: tuple) -> _Backend:
@@ -325,6 +242,35 @@ def _rho0(x, phi, cfg: RobustnessConfig, batch_shape: tuple = ()) -> np.ndarray:
 # -- public entry points -------------------------------------------------------
 
 
+def _agent_from(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> np.ndarray:
+    """One agent's states from time t on, once they decide phi at t."""
+    states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
+    _check_horizon(phi, t, len(states) - 1)
+    return states[t:]
+
+
+def _team_from(X: TeamTrajectory, Phi: OuterFormula, t: int) -> list:
+    """Members as (states from time t on, capabilities), once they decide Phi at t."""
+    _check_horizon(Phi, t, X.last_time)
+    return [(m.trajectory.states[t:], m.capabilities) for m in X.members]
+
+
+def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> bool:
+    """Bounded STL satisfaction of one agent's trajectory at time t."""
+    return bool(_signal(_agent_from(x, phi, t), phi, 1, _BOOLEAN)[0] > 0)
+
+
+def count(X: TeamTrajectory, cap: Capability | str, phi: InnerFormula, t: int) -> int:
+    """Number of capability holders whose trajectory satisfies phi at t."""
+    name = cap.name if isinstance(cap, Capability) else cap
+    return sum(1 for m in X.with_capability(name) if inner_sat(m.trajectory, phi, t))
+
+
+def outer_sat(X: TeamTrajectory, Phi: OuterFormula, t: int) -> bool:
+    """Team-level satisfaction at time t."""
+    return bool(_signal(_team_from(X, Phi, t), Phi, 1, _BOOLEAN)[0] > 0)
+
+
 def inner_rho(
     x: IndividualTrajectory | np.ndarray,
     phi: InnerFormula,
@@ -332,9 +278,7 @@ def inner_rho(
     cfg: RobustnessConfig = CLASSICAL,
 ) -> float:
     """Robustness of one agent's trajectory at time t."""
-    states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
-    _check_horizon(phi, t, len(states) - 1)
-    return float(_rho0(states[t:], phi, cfg))
+    return float(_rho0(_agent_from(x, phi, t), phi, cfg))
 
 
 def inner_rho_tensor(states: Tensor, phi: InnerFormula, cfg: RobustnessConfig) -> Tensor:
@@ -359,9 +303,7 @@ def outer_rho(
     cfg: RobustnessConfig = CLASSICAL,
 ) -> float:
     """Team-level robustness at time t."""
-    _check_horizon(Phi, t, X.last_time)
-    members = [(m.trajectory.states[t:], m.capabilities) for m in X.members]
-    return float(_rho0(members, Phi, cfg))
+    return float(_rho0(_team_from(X, Phi, t), Phi, cfg))
 
 
 def _batch_shape(members, Phi: OuterFormula) -> tuple:

@@ -184,10 +184,6 @@ def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
     raise ValueError(f"unknown gate mode {mode!r} (have: {GATE_MODES})")
 
 
-def gate_logits(params: PolicyParams, h: Tensor) -> Tensor:
-    return params.gate_net(h)
-
-
 def channel(
     params: PolicyParams,
     thoughts: list[Tensor],

@@ -134,12 +134,11 @@ def save_team_csv(team: TeamTrajectory, csv_path: str | Path,
         writer.writerow(header)
         for t in range(len(team)):
             for m in team.members:
-                row = [t, m.agent_id, repr(m.trajectory.states[t, 0]),
-                       repr(m.trajectory.states[t, 1])]
+                # repr of a Python float is the shortest text float() reads back exactly
+                row = [t, m.agent_id, *map(repr, m.trajectory.states[t].tolist())]
                 if has_controls:
                     if t < m.trajectory.last_time:
-                        row += [repr(m.trajectory.controls[t, 0]),
-                                repr(m.trajectory.controls[t, 1])]
+                        row += map(repr, m.trajectory.controls[t].tolist())
                     else:
                         row += ["", ""]
                 writer.writerow(row)

@@ -1,10 +1,14 @@
 """Command-line entry points: exit codes and what they print."""
 
+import json
+
+import numpy as np
 import pytest
 
 from catl.cli import main
 from catl.formulas import horizon, print_formula
 from catl.scenario import BUILTIN_SCENARIOS, builtin
+from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory, save_team_csv
 
 NAMES = sorted(BUILTIN_SCENARIOS)
 
@@ -40,3 +44,28 @@ def test_malformed_spec_exits_1(text, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# Toy paths from Init to Goal. The second touches the Obs corner (2.5, 2.0):
+# its robustness is 0, yet it violates "never in Obs".
+AROUND_OBS = [(1, 1), (2, 1), (3, 1), (4, 1.5), (4.5, 2.5), (5, 3.5), (5, 4.5),
+              (5, 5), (5, 5), (5, 5), (5, 5)]
+TIED_ON_OBS_CORNER = [(1, 1), (1.8, 1.2), (2.5, 1.5), (2.5, 2.0), (3.5, 1.9), (4.2, 2.8),
+                      (4.8, 3.7), (5, 4.6), (5, 5), (5, 5), (5, 5)]
+
+
+@pytest.mark.parametrize("path, code, satisfied, rho", [
+    (AROUND_OBS, 0, True, 0.5),
+    (TIED_ON_OBS_CORNER, 2, False, 0.0),
+], ids=["around_obstacle", "tied_on_obstacle_corner"])
+def test_monitor_exit_code_follows_satisfaction(path, code, satisfied, rho, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    states = np.array(path, dtype=float)
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(states, np.diff(states, axis=0)), frozenset({"Robot"}))])
+    save_team_csv(team, tmp_path / "t.csv")
+    args = ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(tmp_path / "t.csv")]
+    assert main(args) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["satisfied"] is satisfied
+    assert report["robustness"] == pytest.approx(rho)

@@ -1,5 +1,9 @@
 """AST construction, horizon, capability vectors, and parse/print round trips."""
 
+import copy
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from catl.formulas import (
     capability_vector,
     horizon,
     print_formula,
+    walk,
 )
 from catl.parsing import SpecSyntaxError, parse_inner, parse_spec
 
@@ -258,3 +263,25 @@ class TestLayerSeparation:
     def test_shapes_validate_in_both_layers(self, make):
         with pytest.raises(SpecError):
             make()
+
+
+class TestImmutability:
+    # every node kind of both layers
+    SPEC = ("(F[0,2] task((in(A) U[0,1] !halfplane(1,0,0)), red, 1) | G[0,1] !true)"
+            " & (task(G[0,1] (true | in(B)) & F[0,1] in(A), blue, 2) @ 1 U[0,1] true)")
+
+    @pytest.mark.parametrize("spec", ["inline", "case-study"])
+    def test_nodes_refuse_assignment_and_deletion(self, spec):
+        from catl.scenario import builtin
+
+        phi = parse_spec(self.SPEC) if spec == "inline" else builtin(spec)[1]
+        for node in walk(phi):
+            if not isinstance(node, (Predicate, Task, TimedTask)):
+                assert not hasattr(node, "__dict__")
+            for name in [f.name for f in fields(node)] + ["x"]:
+                with pytest.raises(AttributeError):
+                    setattr(node, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+        for copied in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+            assert copied == phi and hash(copied) == hash(phi)

@@ -56,6 +56,11 @@ def in_region(region: Region) -> Predicate:
     return Predicate(InRegion(region.name, region))
 
 
+def on_grid(states: np.ndarray) -> np.ndarray:
+    """States snapped to a 0.5 grid, where predicates sit exactly on region edges."""
+    return np.round(states * 2) / 2
+
+
 def make_team(states_list, caps_list) -> TeamTrajectory:
     return TeamTrajectory(
         [
@@ -83,7 +88,15 @@ class TestInnerSat:
             phi = random_inner(rng, depth=int(rng.integers(0, 4)), budget=budget)
             states = random_states(rng, horizon(phi) + int(rng.integers(1, 4)))
             t = int(rng.integers(0, len(states) - horizon(phi)))
-            assert inner_sat(states, phi, t) == individual_sat(states, phi, t)
+            for x in (states, on_grid(states)):
+                assert inner_sat(x, phi, t) == individual_sat(x, phi, t)
+
+    def test_region_edge_satisfies_region(self):
+        # margin exactly 0: robustness cannot tell in(A) from !in(A), satisfaction can
+        edge = np.array([[1.0, 0.0]])
+        phi = INot(in_region(REGIONS["A"]))
+        assert not inner_sat(edge, phi, 0)
+        assert inner_rho(edge, phi, 0) == 0.0
 
     def test_horizon_violation_raises(self):
         states = random_states(np.random.default_rng(0), 4)
@@ -226,6 +239,9 @@ class TestOuterSemantics:
             phi = random_outer(rng, depth=int(rng.integers(0, 4)), budget=budget)
             team = random_team(rng, horizon(phi) + int(rng.integers(1, 3)))
             t = int(rng.integers(0, len(team) - horizon(phi)))
+            snapped = make_team([on_grid(m.trajectory.states) for m in team.members],
+                                [m.capabilities for m in team.members])
+            assert outer_sat(snapped, phi, t) == team_sat(snapped, phi, t)
             rho = outer_rho(team, phi, t)
             if abs(rho) <= 1e-9:
                 continue

@@ -1,0 +1,30 @@
+"""Trajectory file formats."""
+
+import numpy as np
+
+from catl.trajectories import (
+    IndividualTrajectory,
+    TeamMember,
+    TeamTrajectory,
+    load_team_csv,
+    save_team_csv,
+)
+
+from generators import TEAM_CAPS
+
+
+def test_team_csv_round_trip_is_bitwise_exact(tmp_path):
+    rng = np.random.default_rng(7)
+    members = []
+    for j, caps in enumerate(TEAM_CAPS):
+        states = rng.normal(size=(6, 2))
+        members.append(TeamMember(j, IndividualTrajectory(states, np.diff(states, axis=0)), caps))
+    team = TeamTrajectory(members)
+    save_team_csv(team, tmp_path / "team.csv")
+    loaded = load_team_csv(tmp_path / "team.csv")
+    assert len(loaded.members) == len(team.members)
+    for before, after in zip(team.members, loaded.members):
+        assert after.agent_id == before.agent_id
+        assert after.capabilities == before.capabilities
+        assert after.trajectory.states.tobytes() == before.trajectory.states.tobytes()
+        assert after.trajectory.controls.tobytes() == before.trajectory.controls.tobytes()
