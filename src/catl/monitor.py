@@ -45,15 +45,11 @@ from .formulas import (
     _Window,
     horizon,
 )
-from .trajectories import IndividualTrajectory, TeamTrajectory
+from .trajectories import IndividualTrajectory, NonFiniteError, TeamTrajectory
 
 
 class HorizonError(ValueError):
     """Formula needs more future than the trajectory provides."""
-
-
-class NonFiniteError(ValueError):
-    """States handed to the monitor hold NaN or infinite coordinates."""
 
 
 @dataclass(frozen=True)
@@ -78,10 +74,13 @@ CLASSICAL = RobustnessConfig("classical")
 SMOOTH = RobustnessConfig("smooth")
 
 
-def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> None:
-    """Raise HorizonError unless states 0..last decide phi at time t."""
-    if t < 0 or t + horizon(phi) > last:
-        raise HorizonError(f"evaluating at t={t} needs {t + horizon(phi)} steps, {who} has {last}")
+def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> int:
+    """Raise HorizonError unless states 0..last decide phi at time t; return
+    the last time step phi reads at t."""
+    end = t + horizon(phi)
+    if t < 0 or end > last:
+        raise HorizonError(f"evaluating at t={t} needs {end} steps, {who} has {last}")
+    return end
 
 
 # -- signal semantics ------------------------------------------------------------
@@ -243,16 +242,16 @@ def _rho0(x, phi, cfg: RobustnessConfig, batch_shape: tuple = ()) -> np.ndarray:
 
 
 def _agent_from(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> np.ndarray:
-    """One agent's states from time t on, once they decide phi at t."""
+    """One agent's states from t to t + horizon(phi), once they decide phi at t."""
     states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
-    _check_horizon(phi, t, len(states) - 1)
-    return states[t:]
+    return states[t : _check_horizon(phi, t, len(states) - 1) + 1]
 
 
 def _team_from(X: TeamTrajectory, Phi: OuterFormula, t: int) -> list:
-    """Members as (states from time t on, capabilities), once they decide Phi at t."""
-    _check_horizon(Phi, t, X.last_time)
-    return [(m.trajectory.states[t:], m.capabilities) for m in X.members]
+    """Members as (states from t to t + horizon(Phi), capabilities), once they
+    decide Phi at t."""
+    end = _check_horizon(Phi, t, X.last_time) + 1
+    return [(m.trajectory.states[t:end], m.capabilities) for m in X.members]
 
 
 def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> bool:

@@ -6,6 +6,11 @@ network), a gate decides channel participation, a bidirectional scan over the
 participants' thoughts (ascending agent id) produces integrated thoughts, and
 the output network maps [thought, integrated thought] to a control squashed
 into the agent's box bounds. One parameter set serves any number of agents.
+
+``rollout`` simulates B teams of J agents at once. Its loop computes on flat
+(B*J, n) rows, row b*J + j holding agent j of team b, and it returns every
+trace as one tensor indexed (b, j, time, .), so no other module needs to know
+the flat row order.
 """
 
 from __future__ import annotations
@@ -139,33 +144,7 @@ def create_policy(
     )
 
 
-# -- single-agent operations ---------------------------------------------------
-
-
-@dataclass
-class AgentRuntime:
-    """Recurrent state of one agent (hidden state seeded by the capability net)."""
-
-    h: Tensor
-    c: Tensor
-    cap_vec: np.ndarray
-    last_thought: Tensor | None = None
-
-
-def init_runtime(params: PolicyParams, cap_vec: np.ndarray) -> AgentRuntime:
-    h0 = params.cap_net(Tensor(cap_vec.reshape(1, -1)))
-    c0 = Tensor(np.zeros((1, params.dims.n_c)))
-    return AgentRuntime(h=h0, c=c0, cap_vec=cap_vec)
-
-
-def encode(params: PolicyParams, runtime: AgentRuntime, x: np.ndarray | Tensor) -> Tensor:
-    """One recurrent step on the observed state; returns the thought."""
-    if runtime.h is None:
-        raise ValueError("runtime not initialized")
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=float).reshape(1, -1))
-    runtime.h, runtime.c = params.encoder.step(params.normalize_obs(xt), runtime.h, runtime.c)
-    runtime.last_thought = runtime.h
-    return runtime.h
+# -- per-step operations -----------------------------------------------------
 
 
 def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
@@ -211,40 +190,28 @@ def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
 
 @dataclass
 class RolloutResult:
-    """Differentiable rollout trace: tensors stay on the tape."""
+    """Differentiable rollout trace: tensors stay on the tape.
 
-    states: list[Tensor]  # H+1 tensors of shape (B*J, n_x)
-    controls: list[Tensor]  # H tensors of shape (B*J, n_u)
-    thoughts: list[Tensor]  # H tensors of shape (B*J, n_c)
+    Each trace is one tensor indexed (batch row b, roster index j, time, .).
+    """
+
+    states: Tensor  # (B, J, H+1, n_x)
+    controls: Tensor  # (B, J, H, n_u)
+    thoughts: Tensor  # (B, J, H, n_c)
     comm_mask: np.ndarray  # (B, J, H) in {0,1}
-    batch: int
-    n_agents: int
     agent_ids: list[int]
     member_caps: list[frozenset[str]] | None = None
 
     @property
-    def length(self) -> int:
-        return len(self.states) - 1
-
-    def agent_states(self, j: int) -> Tensor:
-        """(B, H+1, n_x) tensor of agent j's states (j is a roster index)."""
-        b, n = self.batch, self.n_agents
-        per_t = [ad.reshape(x, (b, n, -1))[:, j, :] for x in self.states]
-        return ad.stack(per_t, axis=1)
+    def batch(self) -> int:
+        return self.states.shape[0]
 
     def member_tensors(self, member_caps) -> list[tuple[Tensor, frozenset]]:
-        return [(self.agent_states(j), caps) for j, caps in enumerate(member_caps)]
+        return [(self.states[:, j], caps) for j, caps in enumerate(member_caps)]
 
     def states_numpy(self) -> np.ndarray:
         """(B, J, H+1, n_x)"""
-        arr = np.stack([x.value for x in self.states], axis=1)  # (B*J, H+1, n_x)
-        b, n = self.batch, self.n_agents
-        return arr.reshape(b, n, arr.shape[1], arr.shape[2])
-
-    def controls_numpy(self) -> np.ndarray:
-        arr = np.stack([u.value for u in self.controls], axis=1)
-        b, n = self.batch, self.n_agents
-        return arr.reshape(b, n, arr.shape[1], arr.shape[2])
+        return self.states.value
 
     def comm_counts(self) -> np.ndarray:
         """Total channel accesses per batch element."""
@@ -252,18 +219,13 @@ class RolloutResult:
 
     def to_teams(self) -> list[TeamTrajectory]:
         assert self.member_caps is not None
-        states = self.states_numpy()
-        controls = self.controls_numpy()
-        teams = []
-        for i in range(self.batch):
-            members = [
-                TeamMember(self.agent_ids[j],
-                           IndividualTrajectory(states[i, j], controls[i, j]),
-                           self.member_caps[j])
-                for j in range(self.n_agents)
-            ]
-            teams.append(TeamTrajectory(members))
-        return teams
+        return [
+            TeamTrajectory([
+                TeamMember(agent_id, IndividualTrajectory(x[j], u[j]), caps)
+                for j, (agent_id, caps) in enumerate(zip(self.agent_ids, self.member_caps))
+            ])
+            for x, u in zip(self.states.value, self.controls.value)
+        ]
 
 
 def rollout(
@@ -286,6 +248,8 @@ def rollout(
     """
     if gate_mode not in GATE_MODES:
         raise ValueError(f"unknown gate mode {gate_mode!r}")
+    if length < 1:
+        raise ValueError(f"rollout length must be >= 1, got {length}")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 2:
         x0 = x0[None]
@@ -346,13 +310,15 @@ def rollout(
         x = x + u
         states.append(x)
 
+    def trace(steps: list[Tensor]) -> Tensor:
+        """Per-step (B*J, n) rows as one (B, J, steps, n) tensor."""
+        return ad.reshape(ad.stack(steps, axis=1), (batch, n_agents, len(steps), -1))
+
     return RolloutResult(
-        states=states,
-        controls=controls,
-        thoughts=thoughts,
+        states=trace(states),
+        controls=trace(controls),
+        thoughts=trace(thoughts),
         comm_mask=comm_mask,
-        batch=batch,
-        n_agents=n_agents,
         agent_ids=list(params.agent_ids),
         member_caps=member_caps,
     )
@@ -379,6 +345,8 @@ def save_policy(path: str | Path, params: PolicyParams) -> None:
 
 
 def load_policy(path: str | Path) -> PolicyParams:
+    """Read a ``save_policy`` checkpoint; ValueError unless it holds exactly the
+    policy's parameters and every array has the shape its dims imply."""
     tensors, meta = load_checkpoint(path)
     dims = PolicyDims(
         n_x=meta["n_x"], n_u=meta["n_u"], n_c=meta["n_c"],
@@ -390,7 +358,22 @@ def load_policy(path: str | Path) -> PolicyParams:
         obs_center=np.array(meta["obs_center"]),
         obs_scale=np.array(meta["obs_scale"]),
     )
-    for name, p in params.named().items():
+    named = params.named()
+    missing, extra = sorted(set(named) - set(tensors)), sorted(set(tensors) - set(named))
+    if missing or extra:
+        raise ValueError(f"{path}: checkpoint lacks parameters {missing}, has unexpected {extra}")
+    n = len(params.agent_ids)
+    arrays = {name: (t.value, named[name].value.shape) for name, t in tensors.items()}
+    arrays.update(
+        u_max=(params.u_max, (n, dims.n_u)),
+        cap_matrix=(params.cap_matrix, (n, dims.n_cap)),
+        obs_center=(params.obs_center, (dims.n_x,)),
+        obs_scale=(params.obs_scale, (dims.n_x,)),
+    )
+    for name, (value, shape) in arrays.items():
+        if value.shape != shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {value.shape}, want {shape}")
+    for name, p in named.items():
         p.value = tensors[name].value
     return params
 

@@ -112,12 +112,7 @@ def effective_gamma(cfg: TrainConfig, scenario: Scenario) -> float:
 
 def control_cost(res: RolloutResult) -> Tensor:
     """Sum over agents and time of ||u||^2, per batch element: (B,)."""
-    total = None
-    for u in res.controls:
-        s = ad.sum_(ad.square(u), axis=-1)  # (B*J,)
-        total = s if total is None else total + s
-    per_agent = ad.reshape(total, (res.batch, res.n_agents))
-    return ad.sum_(per_agent, axis=1)
+    return ad.sum_(ad.square(res.controls), axis=(1, 2, 3))
 
 
 def robustness_objective(
@@ -303,12 +298,8 @@ def imitation_loss(
     for i, entry in enumerate(entries):
         perm = match_identical_agents(roll_np[i], entry.states, groups)
         targets[i] = entry.states[perm]
-    total = None
-    for j in range(res.n_agents):
-        diff = res.agent_states(j) - Tensor(targets[:, j])
-        term = ad.sum_(ad.square(diff), axis=(1, 2))  # (B,)
-        total = term if total is None else total + term
-    return ad.mean(total)
+    per_agent = ad.sum_(ad.square(res.states - Tensor(targets)), axis=(2, 3))  # (B, J)
+    return ad.mean(ad.sum_(per_agent, axis=1))
 
 
 # -- success metric ------------------------------------------------------------------
@@ -506,7 +497,7 @@ def build_gate_dataset(
             j, t = divmod(int(k), length)
             drop = eta_full - float(etas[1 + k])
             label = int(drop > eps)
-            thought = res.thoughts[t].value[j].copy()  # row 0, agent j
+            thought = res.thoughts.value[0, j, t].copy()
             data.samples.append(GateSample(thought, label, j, t, float(drop)))
             total += 1
             for rel in sweep_rels:

@@ -17,12 +17,25 @@ import numpy as np
 DYNAMICS_TOL = 1e-9
 
 
+class NonFiniteError(ValueError):
+    """States or controls hold NaN or infinite coordinates."""
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        raise NonFiniteError(
+            f"{name} hold {len(bad)} non-finite values, first at (t, coordinate) "
+            f"{tuple(int(i) for i in bad[0])}"
+        )
+
+
 @dataclass
 class IndividualTrajectory:
     """States x(0..H) in the plane; optional controls u(0..H-1).
 
-    When controls are present the single-integrator update
-    x(t+1) = x(t) + u(t) must hold to within 1e-9.
+    Every coordinate must be finite. When controls are present the
+    single-integrator update x(t+1) = x(t) + u(t) must hold to within 1e-9.
     """
 
     states: np.ndarray
@@ -32,12 +45,14 @@ class IndividualTrajectory:
         self.states = np.asarray(self.states, dtype=np.float64)
         if self.states.ndim != 2 or self.states.shape[1] != 2:
             raise ValueError(f"states must be (H+1, 2), got {self.states.shape}")
+        _check_finite("states", self.states)
         if self.controls is not None:
             self.controls = np.asarray(self.controls, dtype=np.float64)
             if self.controls.shape != (len(self.states) - 1, 2):
                 raise ValueError(
                     f"controls must be (H, 2)={len(self.states) - 1, 2}, got {self.controls.shape}"
                 )
+            _check_finite("controls", self.controls)
             err = np.abs(self.states[1:] - self.states[:-1] - self.controls).max()
             if err > DYNAMICS_TOL:
                 raise ValueError(f"controls violate x(t+1)=x(t)+u(t) by {err:.3e}")

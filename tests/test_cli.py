@@ -69,3 +69,20 @@ def test_monitor_exit_code_follows_satisfaction(path, code, satisfied, rho, tmp_
     report = json.loads(capsys.readouterr().out)
     assert report["satisfied"] is satisfied
     assert report["robustness"] == pytest.approx(rho)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    save_team_csv(team, tmp_path / "t.csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[4].startswith("3,1,")
+    lines[4] = f"3,1,{value},1.5"
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+    args = ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(tmp_path / "t.csv")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "non-finite" in captured.err

@@ -1,5 +1,8 @@
 """Policy model: gating, channel, control bounds, rollouts, gradients."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,21 +13,19 @@ from catl.geometry import Region
 from catl.monitor import RobustnessConfig, outer_rho_tensor
 from catl.nn import Dense, RecurrentCell
 from catl.policy import (
-    AgentRuntime,
     PolicyDims,
     PolicyParams,
     act,
     channel,
     create_policy,
     create_policy_raw,
-    encode,
     gate,
-    init_runtime,
     load_policy,
     rollout,
     save_policy,
 )
 from catl.scenario import case_study, toy_benchmark, triple_toy
+from catl.train import control_cost
 
 from oracles import finite_difference
 
@@ -116,20 +117,15 @@ class TestEncode:
     def test_identical_histories_identical_thoughts(self):
         params = small_policy(seed=7, n_agents=2)
         params.cap_matrix = np.array([[1.0, 0.0], [1.0, 0.0]])  # same capabilities
-        xs = np.random.default_rng(7).normal(size=(4, 2))
-        r1 = init_runtime(params, params.cap_matrix[0])
-        r2 = init_runtime(params, params.cap_matrix[1])
-        for x in xs:
-            t1 = encode(params, r1, x)
-            t2 = encode(params, r2, x)
-        assert np.array_equal(t1.value, t2.value)
+        x0 = np.tile(np.random.default_rng(7).normal(size=(1, 2)), (2, 1))
+        thoughts = rollout(params, x0, 4, "none").thoughts.value
+        assert np.array_equal(thoughts[:, 0], thoughts[:, 1])
 
     def test_case_study_thought_dimension(self):
         scenario, _ = case_study()
         params = create_policy(np.random.default_rng(0), scenario, n_c=8)
-        runtime = init_runtime(params, params.cap_matrix[0])
-        thought = encode(params, runtime, np.zeros(2))
-        assert thought.value.shape == (1, 8)
+        res = rollout(params, np.zeros((6, 2)), scenario.horizon)
+        assert res.thoughts.shape == (1, 6, scenario.horizon, 8)
 
 
 class TestRollout:
@@ -147,16 +143,29 @@ class TestRollout:
         assert rollout(params, x0, 4, "full").comm_mask.all()
         assert not rollout(params, x0, 4, "none").comm_mask.any()
 
+    def test_zero_length_rejected(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            rollout(small_policy(), np.zeros((2, 2)), 0)
+
     def test_dynamics_consistency_and_bounds(self):
         params = small_policy(seed=9, u_max=1.2)
         x0 = np.random.default_rng(9).normal(size=(3, 2, 2))
         res = rollout(params, x0, 6)
+        assert res.states.shape == (3, 2, 7, 2)
+        assert res.controls.shape == (3, 2, 6, 2)
+        assert res.thoughts.shape == (3, 2, 6, 4)
         states = res.states_numpy()
-        controls = res.controls_numpy()
+        controls = res.controls.value
         assert np.allclose(states[:, :, 1:], states[:, :, :-1] + controls, atol=0)
         assert np.all(np.abs(controls) < 1.2)
         teams = res.to_teams() if res.member_caps else None
         assert teams is None  # caps not provided here
+        assert np.array_equal(control_cost(res).value, (controls ** 2).sum(axis=(1, 2, 3)))
+        with_caps = rollout(params, x0, 6, member_caps=CAPS2)
+        for b, team in enumerate(with_caps.to_teams()):
+            for j, member in enumerate(team.members):
+                assert np.array_equal(res.states.value[b, j], member.trajectory.states)
+                assert np.array_equal(controls[b, j], member.trajectory.controls)
 
     def test_rollout_deterministic(self):
         params = small_policy(seed=10)
@@ -211,7 +220,7 @@ class TestRollout:
             h_nc, c_nc = nocomm.encoder.step(
                 nocomm.normalize_obs(Tensor(states[t : t + 1])), h_nc, c_nc)
         want = act(nocomm, h_nc, Tensor(np.zeros((1, nocomm.dims.n_c))), params.u_max[j])
-        assert np.allclose(res.controls_numpy()[1, j, t_cut], want.value[0],
+        assert np.allclose(res.controls.value[1, j, t_cut], want.value[0],
                            rtol=0, atol=1e-12)
         assert res.comm_mask[1, j, t_cut] == 0
         assert res.comm_mask.sum() == res.comm_mask.size - 1
@@ -227,6 +236,22 @@ class TestRollout:
         with pytest.raises(ValueError, match="shape"):
             rollout(params, x0, 6, cut=np.zeros((1, 2, 5), dtype=bool),
                     nocomm_params=small_policy(seed=12))
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: doc["dims"].update(hidden=16), "'cap.b1' has shape (8,), want (16,)"),
+        (lambda doc: doc["dims"].update(n_c=6), "'cap.b2' has shape (4,), want (6,)"),
+        (lambda doc: doc["dims"]["u_max"].append([1.0, 1.0]),
+         "'u_max' has shape (3, 2), want (2, 2)"),
+        (lambda doc: doc["params"].pop("enc.b"), "lacks parameters ['enc.b'], has unexpected []"),
+    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor"])
+    def test_tampered_checkpoint_rejected(self, tmp_path, tamper, message):
+        path = tmp_path / "p.json"
+        save_policy(path, small_policy(seed=13))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_policy(path)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         params = small_policy(seed=13)

@@ -208,9 +208,9 @@ class TestDataset:
 
         def tied_rollout(params, x0, length, gate_mode="full", member_caps=None, **kw):
             return RolloutResult(
-                states=[Tensor(x[None]) for x in path],
-                controls=[Tensor((b - a)[None]) for a, b in zip(path[:-1], path[1:])],
-                thoughts=[], comm_mask=np.ones((1, 1, length)), batch=1, n_agents=1,
+                states=Tensor(path[None, None]),
+                controls=Tensor((path[1:] - path[:-1])[None, None]),
+                thoughts=Tensor(np.zeros((1, 1, length, 0))), comm_mask=np.ones((1, 1, length)),
                 agent_ids=[1], member_caps=member_caps,
             )
 
@@ -334,7 +334,7 @@ class TestGate:
         drops = np.array([s.drop for s in data.samples])
         assert np.abs(drops - np.array([w[2] for w in want])).max() <= 1e-12
         for s in data.samples:
-            assert np.allclose(s.thought, base.thoughts[s.time].value[s.agent_index],
+            assert np.allclose(s.thought, base.thoughts.value[0, s.agent_index, s.time],
                                rtol=0, atol=1e-12)
 
 

@@ -1,9 +1,12 @@
 """Trajectory file formats."""
 
 import numpy as np
+import pytest
 
+from catl import monitor
 from catl.trajectories import (
     IndividualTrajectory,
+    NonFiniteError,
     TeamMember,
     TeamTrajectory,
     load_team_csv,
@@ -28,3 +31,20 @@ def test_team_csv_round_trip_is_bitwise_exact(tmp_path):
         assert after.capabilities == before.capabilities
         assert after.trajectory.states.tobytes() == before.trajectory.states.tobytes()
         assert after.trajectory.controls.tobytes() == before.trajectory.controls.tobytes()
+
+
+def test_non_finite_states_and_controls_are_rejected():
+    assert monitor.NonFiniteError is NonFiniteError
+    states = np.zeros((4, 2))
+    bad_states = states.copy()
+    bad_states[2, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=r"states hold 1 non-finite.*\(2, 1\)"):
+        IndividualTrajectory(bad_states)
+    bad_states[2, 1] = np.inf
+    with pytest.raises(NonFiniteError, match="states"):
+        IndividualTrajectory(bad_states)
+    # NaN controls once passed the dynamics check, since NaN > tol is False
+    bad_controls = np.zeros((3, 2))
+    bad_controls[1, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"controls hold 1 non-finite.*\(1, 0\)"):
+        IndividualTrajectory(states, bad_controls)
