@@ -312,38 +312,33 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 
-def softmax_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
-    """Smooth maximum: (1/tau) * log sum exp(tau * x) along ``axis``.
-
-    Computed stably (shift by the max); the gradient is the softmax weights.
-    Satisfies max(x) <= out <= max(x) + log(n)/tau.
-    """
+def _lse(a: Tensor, tau: float, axis: int, sign: int) -> Tensor:
+    """(sign/tau) * log sum exp(sign * tau * x) along ``axis``, shifted by the
+    extremum for stability; the gradient is the softmax weights."""
     av = a.value
-    m = av.max(axis=axis, keepdims=True)
-    e = np.exp(tau * (av - m))
+    m = (av.max if sign > 0 else av.min)(axis=axis, keepdims=True)
+    e = np.exp(sign * tau * (av - m))
     s = e.sum(axis=axis, keepdims=True)
-    out = (m + np.log(s) / tau).squeeze(axis=axis)
+    out = (m + sign * (np.log(s) / tau)).squeeze(axis=axis)
     w = e / s
 
     def bwd(g):
         return (np.expand_dims(g, axis) * w,)
 
     return Tensor(out, (a,), bwd)
+
+
+def softmax_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
+    """Smooth maximum: (1/tau) * log sum exp(tau * x) along ``axis``.
+
+    Satisfies max(x) <= out <= max(x) + log(n)/tau.
+    """
+    return _lse(a, tau, axis, 1)
 
 
 def softmin_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
     """Smooth minimum: -softmax_lse(-x). min(x) - log(n)/tau <= out <= min(x)."""
-    av = a.value
-    m = av.min(axis=axis, keepdims=True)
-    e = np.exp(-tau * (av - m))
-    s = e.sum(axis=axis, keepdims=True)
-    out = (m - np.log(s) / tau).squeeze(axis=axis)
-    w = e / s
-
-    def bwd(g):
-        return (np.expand_dims(g, axis) * w,)
-
-    return Tensor(out, (a,), bwd)
+    return _lse(a, tau, axis, -1)
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:

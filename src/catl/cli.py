@@ -19,7 +19,7 @@ from .formulas import SpecError, horizon, print_formula
 from .monitor import RobustnessConfig, outer_rho, outer_sat
 from .parsing import parse_inner, parse_spec
 from .plots import emit_plots
-from .policy import load_policy, rollout, save_policy
+from .policy import load_policy
 from .repair import RepairBudget, repair
 from .scenario import BUILTIN_SCENARIOS, Scenario, builtin, load_scenario, save_scenario
 from .synth import SynthesisRequest, synthesize
@@ -125,7 +125,7 @@ def cmd_synth(args) -> int:
     res = synthesize(req)
     print(json.dumps({"success": res.success, "robustness": res.robustness}))
     if args.out:
-        from .trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
+        from .trajectories import TeamMember, TeamTrajectory
 
         team = TeamTrajectory([TeamMember(agent.agent_id, res.trajectory,
                                           agent.capabilities)])

@@ -25,7 +25,6 @@ from .formulas import (
     SpecError,
     Task,
     TimedTask,
-    horizon,
     print_formula,
 )
 

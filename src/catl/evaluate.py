@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .formulas import OuterFormula
-from .monitor import RobustnessConfig, outer_rho_batch
+from .monitor import outer_rho_batch
 from .policy import PolicyParams, rollout
 from .scenario import Scenario
 
@@ -59,14 +59,12 @@ def evaluate(
     trials: int,
     seed: int = 0,
     gate_mode: str = "full",
-    r_top: float = 1e6,
 ) -> EvalReport:
     """Independent seeded rollouts; success is classical robustness >= 0."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng([seed, 97])
     member_caps = scenario.member_caps()
-    cfg = RobustnessConfig("classical", top=r_top)
     etas: list[np.ndarray] = []
     comms: list[np.ndarray] = []
     t0 = time.perf_counter()
@@ -80,7 +78,7 @@ def evaluate(
                           member_caps=member_caps)
         states = res.states_numpy()
         members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
-        etas.append(outer_rho_batch(members, phi, cfg))
+        etas.append(outer_rho_batch(members, phi))
         comms.append(res.comm_counts())
     elapsed = time.perf_counter() - t0
     eta = np.concatenate(etas)

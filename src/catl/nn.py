@@ -8,14 +8,19 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, matmul, sigmoid, stack, tanh
+from .autodiff import Tensor, matmul, sigmoid, tanh
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Adam's moment decay rates and denominator guard, as Kingma and Ba (2015) recommend
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -93,11 +98,11 @@ def bidirectional_scan(
     fwd: RecurrentCell,
     bwd: RecurrentCell,
     inputs: list[Tensor],
-    masks: list[np.ndarray] | None = None,
+    masks: list[np.ndarray],
 ) -> list[Tensor]:
     """Run two directional cells over ``inputs`` and sum their hidden states.
 
-    inputs[i] has shape (B, n). ``masks``, when given, holds constant (B, 1)
+    inputs[i] has shape (B, n). ``masks`` holds constant (B, 1)
     arrays in {0,1}: a masked-out element does not update the running state
     (it is skipped, as if absent from the sequence) and its output is the
     state the cell would have produced had it participated - callers zero
@@ -115,13 +120,10 @@ def bidirectional_scan(
         for i in order:
             h_new, c_new = cell.step(inputs[i], h, c)
             outs[i] = h_new
-            if masks is None:
-                h, c = h_new, c_new
-            else:
-                m = Tensor(masks[i])
-                keep = Tensor(1.0 - masks[i])
-                h = m * h_new + keep * h
-                c = m * c_new + keep * c
+            m = Tensor(masks[i])
+            keep = Tensor(1.0 - masks[i])
+            h = m * h_new + keep * h
+            c = m * c_new + keep * c
         return outs
 
     f_out = directional(fwd, range(n))
@@ -135,17 +137,11 @@ class Adam:
 
     params: dict[str, Tensor]
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, p in self.params.items():
-            self.m[name] = np.zeros_like(p.value)
-            self.v[name] = np.zeros_like(p.value)
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.value) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p.value) for name, p in self.params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -159,11 +155,11 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1 ** t)
-            v_hat = self.v[name] / (1 - self.beta2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = _BETA1 * self.m[name] + (1 - _BETA1) * g
+            self.v[name] = _BETA2 * self.v[name] + (1 - _BETA2) * g * g
+            m_hat = self.m[name] / (1 - _BETA1 ** t)
+            v_hat = self.v[name] / (1 - _BETA2 ** t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 # -- checkpoints ----------------------------------------------------------

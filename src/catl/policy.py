@@ -15,7 +15,7 @@ the flat row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,8 @@ from .trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
 
 GATE_MODES = ("full", "none", "learned")
 COMM_CLASS = 0  # first gate logit = "communicate"
+# what save_policy writes under "dims" besides the PolicyDims fields
+_EXTRA_DIMS_KEYS = ("u_max", "cap_matrix", "agent_ids", "obs_center", "obs_scale")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
 def channel(
     params: PolicyParams,
     thoughts: list[Tensor],
-    masks: list[np.ndarray] | None = None,
+    masks: list[np.ndarray],
 ) -> list[Tensor]:
     """Integrated thoughts for a sequence ordered by agent id.
 
@@ -174,9 +176,7 @@ def channel(
     contribute to or update the scan and receive the zero vector.
     """
     outs = bidirectional_scan(params.chan_fwd, params.chan_bwd, thoughts, masks)
-    if masks is not None:
-        outs = [Tensor(m) * o for m, o in zip(masks, outs)]
-    return outs
+    return [Tensor(m) * o for m, o in zip(masks, outs)]
 
 
 def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
@@ -328,13 +328,8 @@ def rollout(
 
 
 def save_policy(path: str | Path, params: PolicyParams) -> None:
-    dims = params.dims
     meta = {
-        "n_x": dims.n_x,
-        "n_u": dims.n_u,
-        "n_c": dims.n_c,
-        "n_cap": dims.n_cap,
-        "hidden": dims.hidden,
+        **asdict(params.dims),
         "u_max": params.u_max.tolist(),
         "cap_matrix": params.cap_matrix.tolist(),
         "agent_ids": params.agent_ids,
@@ -345,13 +340,15 @@ def save_policy(path: str | Path, params: PolicyParams) -> None:
 
 
 def load_policy(path: str | Path) -> PolicyParams:
-    """Read a ``save_policy`` checkpoint; ValueError unless it holds exactly the
-    policy's parameters and every array has the shape its dims imply."""
+    """Read a ``save_policy`` checkpoint; ValueError unless its dims hold every
+    key save_policy writes, it holds exactly the policy's parameters and every
+    array has the shape its dims imply."""
     tensors, meta = load_checkpoint(path)
-    dims = PolicyDims(
-        n_x=meta["n_x"], n_u=meta["n_u"], n_c=meta["n_c"],
-        n_cap=meta["n_cap"], hidden=meta["hidden"],
-    )
+    dim_names = [f.name for f in fields(PolicyDims)]
+    missing = [key for key in (*dim_names, *_EXTRA_DIMS_KEYS) if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint dims lack {missing}")
+    dims = PolicyDims(**{name: meta[name] for name in dim_names})
     params = create_policy_raw(
         np.random.default_rng(0), dims,
         np.array(meta["u_max"]), np.array(meta["cap_matrix"]), list(meta["agent_ids"]),

@@ -33,13 +33,11 @@ def sort_desc(values) -> list[int]:
 
 @dataclass
 class RepairBudget:
+    """Per-synthesis iterations and restarts, and the base synthesis seed."""
+
     synth_iterations: int = 300
     synth_restarts: int = 4
-    synth_lr: float = 0.05
     seed: int = 0
-    clause_cap: int = 10_000
-    max_clauses: int | None = None
-    warm_start: bool = True
 
 
 @dataclass
@@ -57,7 +55,6 @@ class RepairState:
 
     assignments: dict[int, set[int]]
     flags: dict[int, bool]
-    clause_index: int
     working: TeamTrajectory
 
 
@@ -100,14 +97,12 @@ def repair(
     budget = budget or RepairBudget()
     phi = scenario.bind_spec(Phi)
     if dnf is None:
-        dnf = to_dnf(phi, scenario.jc_sizes(), budget.clause_cap)
+        dnf = to_dnf(phi, scenario.jc_sizes())
     horizon_steps = X.last_time
     u_max = {a.agent_id: np.asarray(a.u_max) for a in scenario.agents}
 
     clause_rhos = [outer_rho(X, clause_formula(c), 0) for c in dnf.clauses]
     order = sort_desc(clause_rhos)
-    if budget.max_clauses is not None:
-        order = order[: budget.max_clauses]
 
     syntheses: list[SynthLog] = []
     count_trace: list[dict] = []
@@ -118,7 +113,6 @@ def repair(
         state = RepairState(
             assignments={m.agent_id: set() for m in X.members},
             flags={m.agent_id: False for m in X.members},
-            clause_index=k,
             working=X.copy(),
         )
         _assign_tasks(state, clause)
@@ -130,14 +124,12 @@ def repair(
             member = state.working.member(j)
             pins = [(clause[i].time, clause[i].task.inner)
                     for i in sorted(state.assignments[j])]
-            w_init = None
-            if budget.warm_start:
-                w_init = warm_start_weights(
-                    member.trajectory.controls
-                    if member.trajectory.controls is not None
-                    else member.trajectory.controls_from_states(),
-                    u_max[j],
-                )
+            w_init = warm_start_weights(
+                member.trajectory.controls
+                if member.trajectory.controls is not None
+                else member.trajectory.controls_from_states(),
+                u_max[j],
+            )
             counts_before = [count(state.working, a.task.cap, a.task.inner, a.time)
                              for a in clause]
             res = synthesize_conjunction(
@@ -147,7 +139,6 @@ def repair(
                 u_max[j],
                 iterations=budget.synth_iterations,
                 restarts=budget.synth_restarts,
-                learning_rate=budget.synth_lr,
                 seed=budget.seed + 1000 * k + j,
                 w_init=w_init,
             )

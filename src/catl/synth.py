@@ -1,10 +1,12 @@
 """Gradient-based single-agent synthesis under integrator dynamics.
 
 Controls are parameterized as u(t) = u_max * tanh(w(t)), which keeps every
-control strictly inside its box; w is optimized with Adam to maximize the
-smooth robustness of the target formula at time 0, under a temperature
-schedule that starts soft and sharpens. Restarts are seeded and sequential;
-the first restart that clears the success margin wins.
+control strictly inside its box; w is optimized with Adam (learning rate
+0.05) to maximize the smooth robustness of the target formula at time 0.
+The temperature starts soft and sharpens: tau = 2 at iteration 0, doubling
+every 100 iterations up to 32. Every 20 iterations, and at the last one,
+the classical robustness is checked. Restarts are seeded and sequential;
+the first restart whose check exceeds the success margin 1e-3 wins.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .formulas import IAnd, IEventually, InnerFormula, ITrue, SpecError, horizon
-from .monitor import RobustnessConfig, inner_rho, inner_rho_tensor
+from .monitor import SMOOTH, RobustnessConfig, inner_rho, inner_rho_tensor
 from .nn import Adam
 from .trajectories import IndividualTrajectory
 
@@ -29,14 +31,7 @@ class SynthesisRequest:
     target: InnerFormula
     iterations: int = 500
     restarts: int = 8
-    learning_rate: float = 0.05
     seed: int = 0
-    tau_start: float = 2.0
-    tau_max: float = 32.0
-    tau_double_every: int = 100
-    top: float = 1e6
-    success_margin: float = 1e-3
-    check_every: int = 20
     w_init: np.ndarray | None = None  # warm start for the first restart
 
     def __post_init__(self):
@@ -84,7 +79,7 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
     if isinstance(req.target, ITrue):
         u = np.zeros((req.horizon, 2))
         states = np.tile(req.x0, (req.horizon + 1, 1))
-        return SynthResult(IndividualTrajectory(states, u), u, req.top, True)
+        return SynthResult(IndividualTrajectory(states, u), u, SMOOTH.top, True)
 
     best_w: np.ndarray | None = None
     best_rho = -np.inf
@@ -98,12 +93,12 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
             w = Tensor(req.w_init.copy())
         else:
             w = Tensor(rng.uniform(-1.0, 1.0, size=(req.horizon, 2)))
-        opt = Adam({"w": w}, lr=req.learning_rate)
+        opt = Adam({"w": w}, lr=0.05)
         best_smooth = -np.inf
         stop = False
         for it in range(req.iterations):
-            tau = min(req.tau_start * (2.0 ** (it // req.tau_double_every)), req.tau_max)
-            cfg = RobustnessConfig("smooth", tau=tau, top=req.top)
+            tau = min(2.0 * (2.0 ** (it // 100)), 32.0)
+            cfg = RobustnessConfig("smooth", tau=tau)
             opt.zero_grad()
             states, _ = _unroll(req.x0, w, req.u_max)
             rho_s = inner_rho_tensor(states, req.target, cfg)
@@ -112,13 +107,13 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
                 history.append(best_smooth)
             (-rho_s).backward()
             opt.step()
-            if it % req.check_every == req.check_every - 1 or it == req.iterations - 1:
+            if it % 20 == 19 or it == req.iterations - 1:
                 states_np, _ = _states_numpy(req.x0, w.value, req.u_max)
                 rho_c = inner_rho(states_np, req.target, 0)
                 if rho_c > best_rho:
                     best_rho = rho_c
                     best_w = w.value.copy()
-                if rho_c > req.success_margin:
+                if rho_c > 1e-3:
                     stop = True
                     break
         if stop:

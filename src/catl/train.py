@@ -348,14 +348,13 @@ def train_policy(
     rng: np.random.Generator,
     dataset: Dataset | None = None,
     init_params: PolicyParams | None = None,
-    lr: float | None = None,
 ) -> StageResult:
     """Adam ascent on the (optionally imitation-mixed) objective; returns the
     checkpoint with the best validation success rate."""
     params = init_params.copy() if init_params is not None else create_policy(
         rng, scenario, n_c=cfg.n_c, hidden=cfg.hidden
     )
-    opt = Adam(params.policy_named(), lr=lr if lr is not None else cfg.lr)
+    opt = Adam(params.policy_named(), lr=cfg.lr)
     gamma = effective_gamma(cfg, scenario)
 
     train_idx: list[int] = []

@@ -86,6 +86,22 @@ def test_primitive_gradients(op, extra):
     assert rel_err(x.grad, fd) < 1e-6
 
 
+def test_softmin_is_negated_softmax_of_negation_bitwise():
+    # softmin_lse(x) == -softmax_lse(-x) in value and gradient, ties included
+    rng = np.random.default_rng(21)
+    x0 = rng.integers(-2, 3, size=(5, 7)) * 0.5
+    x0[:, :3] += rng.normal(size=(5, 3))
+    for axis in (0, -1):
+        a, b = Tensor(x0.copy()), Tensor(x0.copy())
+        lo = ad.softmin_lse(a, tau=4.0, axis=axis)
+        neg_hi = -ad.softmax_lse(-b, tau=4.0, axis=axis)
+        weights = Tensor(rng.normal(size=lo.shape))
+        ad.sum_(lo * weights).backward()
+        ad.sum_(neg_hi * weights).backward()
+        assert np.array_equal(lo.value, neg_hi.value)
+        assert np.array_equal(a.grad, b.grad)
+
+
 def test_softmax_lse_bound():
     # max <= smooth max <= max + log(n)/tau
     val = ad.softmax_lse(Tensor(np.array([1.0, 0.0])), tau=10.0).item()
@@ -139,7 +155,7 @@ def test_bidirectional_single_element():
     fwd = RecurrentCell.create(rng, 3, 3)
     bwd = RecurrentCell.create(rng, 3, 3)
     x = Tensor(rng.normal(size=(1, 3)))
-    (out,) = bidirectional_scan(fwd, bwd, [x])
+    (out,) = bidirectional_scan(fwd, bwd, [x], [np.ones((1, 1))])
     hf, _ = fwd.step(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
     hb, _ = bwd.step(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
     assert np.allclose(out.value, hf.value + hb.value)
@@ -149,9 +165,10 @@ def test_bidirectional_reversal_symmetry():
     rng = np.random.default_rng(6)
     fwd = RecurrentCell.create(rng, 3, 3)
     bwd = RecurrentCell.create(rng, 3, 3)
-    xs = [Tensor(rng.normal(size=(1, 3))) for _ in range(4)]
-    outs = bidirectional_scan(fwd, bwd, xs)
-    swapped = bidirectional_scan(bwd, fwd, xs[::-1])
+    xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
+    masks = [np.array([[1.0], [b]]) for b in (0.0, 1.0, 0.0, 1.0)]
+    outs = bidirectional_scan(fwd, bwd, xs, masks)
+    swapped = bidirectional_scan(bwd, fwd, xs[::-1], masks[::-1])
     for a, b in zip(outs, swapped[::-1]):
         assert np.allclose(a.value, b.value)
 
@@ -160,16 +177,20 @@ def test_bidirectional_gradient():
     rng = np.random.default_rng(8)
     fwd = RecurrentCell.create(rng, 2, 3)
     bwd = RecurrentCell.create(rng, 2, 3)
-    xs = rng.normal(size=(4, 1, 2))
+    xs = rng.normal(size=(4, 2, 2))
+    # row 0 skips element 1, so the backward scan carries a state that
+    # depends on w_h across it; row 1 skips element 0
+    masks = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
+             np.array([[1.0], [1.0]]), np.array([[1.0], [1.0]])]
     w0 = bwd.w_h.value.copy()
 
     def run(w: np.ndarray) -> float:
         bwd.w_h = Tensor(w)
-        outs = bidirectional_scan(fwd, bwd, [Tensor(x) for x in xs])
+        outs = bidirectional_scan(fwd, bwd, [Tensor(x) for x in xs], masks)
         return ad.sum_(ad.stack([ad.square(o) for o in outs], axis=0)).item()
 
     bwd.w_h = leaf = Tensor(w0.copy())
-    outs = bidirectional_scan(fwd, bwd, [Tensor(x) for x in xs])
+    outs = bidirectional_scan(fwd, bwd, [Tensor(x) for x in xs], masks)
     ad.sum_(ad.stack([ad.square(o) for o in outs], axis=0)).backward()
     fd = finite_difference(run, w0.copy())
     assert rel_err(leaf.grad, fd) < 1e-6
@@ -179,7 +200,7 @@ def test_bidirectional_empty_sequence_rejected():
     rng = np.random.default_rng(0)
     cell = RecurrentCell.create(rng, 2, 2)
     with pytest.raises(ValueError):
-        bidirectional_scan(cell, cell, [])
+        bidirectional_scan(cell, cell, [], [])
 
 
 def test_adam_zero_gradient_keeps_parameters():

@@ -91,8 +91,9 @@ class TestChannel:
         params = small_policy(seed=5)
         rng = np.random.default_rng(5)
         hs = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
-        a = [o.value.copy() for o in channel(params, hs)]
-        b = [o.value.copy() for o in channel(params, hs)]
+        masks = [np.ones((1, 1))] * 3
+        a = [o.value.copy() for o in channel(params, hs, masks)]
+        b = [o.value.copy() for o in channel(params, hs, masks)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -243,7 +244,8 @@ class TestRollout:
         (lambda doc: doc["dims"]["u_max"].append([1.0, 1.0]),
          "'u_max' has shape (3, 2), want (2, 2)"),
         (lambda doc: doc["params"].pop("enc.b"), "lacks parameters ['enc.b'], has unexpected []"),
-    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor"])
+        (lambda doc: doc["dims"].pop("hidden"), "checkpoint dims lack ['hidden']"),
+    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor", "missing_dims_key"])
     def test_tampered_checkpoint_rejected(self, tmp_path, tamper, message):
         path = tmp_path / "p.json"
         save_policy(path, small_policy(seed=13))
