@@ -18,6 +18,14 @@ One signal recursion (``_signal``) serves three backends:
 
 Until semantics: a witness time t' in [t+a, t+b] for the right operand, with
 the left operand required on the half-open prefix [t, t').
+
+Within one call of an entry point, each distinct predicate (and each negated
+predicate) is evaluated once per states array, over all its states, and
+every pin and window that reads it slices that one signal. An F/G window of
+width W is one sliding-window view reduced along its last axis, not W
+slices stacked; a width-1 window is a plain slice. On the smooth backend a
+rectangle-union margin is one fused node, so the graph holds one node per
+distinct predicate and per window.
 """
 
 from __future__ import annotations
@@ -92,12 +100,26 @@ def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> int:
 
 
 class _Backend:
-    """Mode settings and the batch shape of the signals being combined."""
+    """Mode settings and the batch shape of the signals being combined.
+
+    Subclasses give the leaf signals (``const``, ``margins``), ``stack``
+    (signals along a new last axis), ``windows`` (sliding windows of one
+    signal along a new last axis) and ``min``, ``max`` and ``kth``
+    reductions of that last axis."""
 
     def __init__(self, cfg: RobustnessConfig, batch_shape: tuple):
         self.top = cfg.top
         self.tau = cfg.tau
         self.batch_shape = batch_shape
+
+    def reduce_min(self, sigs):
+        return sigs[0] if len(sigs) == 1 else self.min(self.stack(sigs))
+
+    def reduce_max(self, sigs):
+        return sigs[0] if len(sigs) == 1 else self.max(self.stack(sigs))
+
+    def kth_largest(self, sigs, k: int):
+        return sigs[0] if len(sigs) == 1 else self.kth(self.stack(sigs), k)
 
 
 class _ClassicalBackend(_Backend):
@@ -107,17 +129,21 @@ class _ClassicalBackend(_Backend):
     def margins(self, states, fn):
         return fn.evaluate(states)
 
-    def reduce_min(self, sigs):
-        return sigs[0] if len(sigs) == 1 else np.min(np.stack(sigs, axis=-1), axis=-1)
+    def stack(self, sigs):
+        return np.stack(sigs, axis=-1)
 
-    def reduce_max(self, sigs):
-        return sigs[0] if len(sigs) == 1 else np.max(np.stack(sigs, axis=-1), axis=-1)
+    def windows(self, sig, start: int, count: int, width: int):
+        view = sig[..., start : start + count + width - 1]
+        return np.lib.stride_tricks.sliding_window_view(view, width, axis=-1)
 
-    def kth_largest(self, sigs, k: int):
-        if len(sigs) == 1:
-            return sigs[0]
-        stacked = np.sort(np.stack(sigs, axis=-1), axis=-1)
-        return stacked[..., len(sigs) - k]
+    def min(self, stacked):
+        return stacked.min(axis=-1)
+
+    def max(self, stacked):
+        return stacked.max(axis=-1)
+
+    def kth(self, stacked, k: int):
+        return np.sort(stacked, axis=-1)[..., stacked.shape[-1] - k]
 
 
 class _SmoothBackend(_Backend):
@@ -125,34 +151,26 @@ class _SmoothBackend(_Backend):
         return Tensor(np.full(self.batch_shape + (length,), value))
 
     def margins(self, states: Tensor, fn):
-        x0 = states[..., 0]
-        x1 = states[..., 1]
         if isinstance(fn, HalfPlane):
-            return fn.offset - (x0 * fn.normal[0] + x1 * fn.normal[1])
+            return fn.offset - (states[..., 0] * fn.normal[0] + states[..., 1] * fn.normal[1])
         # Exact (hard) min over faces / max over rectangles: the margin is the
         # predicate itself, not a semantic min/max, so it is not smoothed.
-        rect_margins = []
-        for lo, hi in fn.geometry().rects:
-            faces = ad.stack([x0 - lo[0], x1 - lo[1], hi[0] - x0, hi[1] - x1], axis=-1)
-            rect_margins.append(ad.kth_largest(faces, k=4, axis=-1))
-        if len(rect_margins) == 1:
-            return rect_margins[0]
-        return ad.kth_largest(ad.stack(rect_margins, axis=-1), k=1, axis=-1)
+        return ad.region_margin(states, fn.geometry().rects)
 
-    def reduce_min(self, sigs):
-        if len(sigs) == 1:
-            return sigs[0]
-        return ad.softmin_lse(ad.stack(sigs, axis=-1), tau=self.tau, axis=-1)
+    def stack(self, sigs):
+        return ad.stack(sigs, axis=-1)
 
-    def reduce_max(self, sigs):
-        if len(sigs) == 1:
-            return sigs[0]
-        return ad.softmax_lse(ad.stack(sigs, axis=-1), tau=self.tau, axis=-1)
+    def windows(self, sig, start: int, count: int, width: int):
+        return ad.windows(sig, start, count, width)
 
-    def kth_largest(self, sigs, k: int):
-        if len(sigs) == 1:
-            return sigs[0]
-        return ad.kth_largest(ad.stack(sigs, axis=-1), k=k, axis=-1)
+    def min(self, stacked):
+        return ad.softmin_lse(stacked, tau=self.tau, axis=-1)
+
+    def max(self, stacked):
+        return ad.softmax_lse(stacked, tau=self.tau, axis=-1)
+
+    def kth(self, stacked, k: int):
+        return ad.kth_largest(stacked, k=k, axis=-1)
 
 
 class _BooleanBackend(_ClassicalBackend):
@@ -173,41 +191,72 @@ def _backend(cfg: RobustnessConfig, batch_shape: tuple) -> _Backend:
 
 
 def _slice_t(sig, start: int, length: int):
+    if start == 0 and sig.shape[-1] == length:
+        return sig
     return sig[..., start : start + length]
 
 
-def _signal(x, phi, length: int, be):
-    """Robustness signal of phi for start times 0..length-1.
+def _common(sigs: list) -> list:
+    """Signals cut to the shortest one's length, so they combine pointwise."""
+    length = min(s.shape[-1] for s in sigs)
+    return [_slice_t(s, 0, length) for s in sigs]
+
+
+def _at0(x, phi, be):
+    """Robustness (or truth) of phi at time 0: one entry into _signal, with a
+    margin memo that lives only as long as this call."""
+    return _signal(x, phi, 1, be, {})[..., 0]
+
+
+def _memoized(memo: dict, key: tuple, make):
+    sig = memo.get(key)
+    if sig is None:
+        sig = memo[key] = make()
+    return sig
+
+
+def _signal(x, phi, length: int, be, memo: dict):
+    """Robustness signal of phi for start times 0..length-1 and perhaps later.
 
     x holds one agent's states (..., T, 2) below a task and, above it, the
-    team as a list of (states, capability set) members.
+    team as a list of (states, capability set) members. A signal may run past
+    ``length``: a predicate's covers every state of x, and operators that
+    combine signals pointwise cut them to a common length first. memo maps
+    (predicate fn, id(states)) to that margin signal, and ("not", fn,
+    id(states)) to its negation, so each distinct predicate and negated
+    predicate is one signal per states array in one entry call.
     """
     match phi:
         case _True():
             return be.const(be.top, length)
         case Predicate(fn=fn):
-            return _slice_t(be.margins(x, fn), 0, length)
+            return _memoized(memo, (fn, id(x)), lambda: be.margins(x, fn))
         case Task(inner=inner, cap=cap, count=m):
             holders = [s for s, caps in x if cap.name in caps]
             if m > len(holders):
                 raise ValueError(
                     f"task needs {m} agents with {cap.name!r}, team has {len(holders)}"
                 )
-            return be.kth_largest([_signal(s, inner, length, be) for s in holders], m)
+            sigs = [_signal(s, inner, length, be, memo) for s in holders]
+            return be.kth_largest(_common(sigs), m)
         case TimedTask(task=task, time=offset):
-            return _slice_t(_signal(x, task, length + offset, be), offset, length)
+            return _slice_t(_signal(x, task, length + offset, be, memo), offset, length)
+        case _Not(child=Predicate(fn=fn) as c):
+            return _memoized(memo, ("not", fn, id(x)), lambda: -_signal(x, c, length, be, memo))
         case _Not(child=c):
-            return -_signal(x, c, length, be)
+            return -_signal(x, c, length, be, memo)
         case _NAry(children=cs):
             reduce = be.reduce_min if isinstance(phi, _And) else be.reduce_max
-            return reduce([_signal(x, c, length, be) for c in cs])
+            return reduce(_common([_signal(x, c, length, be, memo) for c in cs]))
         case _Window(child=c, a=a, b=b):
-            reduce = be.reduce_min if isinstance(phi, _Always) else be.reduce_max
-            sig = _signal(x, c, length + b, be)
-            return reduce([_slice_t(sig, a + k, length) for k in range(b - a + 1)])
+            sig = _signal(x, c, length + b, be, memo)
+            if a == b:
+                return _slice_t(sig, a, length)
+            reduce = be.min if isinstance(phi, _Always) else be.max
+            return reduce(be.windows(sig, a, length, b - a + 1))
         case _Until(left=l, right=r, a=a, b=b):
-            sig1 = _signal(x, l, length + b, be)
-            sig2 = _signal(x, r, length + b, be)
+            sig1 = _signal(x, l, length + b, be, memo)
+            sig2 = _signal(x, r, length + b, be, memo)
             return _until_signal(sig1, sig2, a, b, length, be)
         case _:
             raise TypeError(f"not a formula: {phi!r}")
@@ -229,13 +278,13 @@ def _rho0(x, phi, cfg: RobustnessConfig, batch_shape: tuple = ()) -> np.ndarray:
     """Robustness values at time 0 over states or members x, without a graph."""
     be = _backend(cfg, batch_shape)
     if cfg.mode == "classical":
-        return _signal(x, phi, 1, be)[..., 0]
+        return _at0(x, phi, be)
     if isinstance(phi, InnerFormula):
         x = Tensor(x)
     else:
         x = [(Tensor(s), caps) for s, caps in x]
     with ad.no_grad():
-        return _signal(x, phi, 1, be).value[..., 0]
+        return _at0(x, phi, be).value
 
 
 # -- public entry points -------------------------------------------------------
@@ -256,7 +305,7 @@ def _team_from(X: TeamTrajectory, Phi: OuterFormula, t: int) -> list:
 
 def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> bool:
     """Bounded STL satisfaction of one agent's trajectory at time t."""
-    return bool(_signal(_agent_from(x, phi, t), phi, 1, _BOOLEAN)[0] > 0)
+    return bool(_at0(_agent_from(x, phi, t), phi, _BOOLEAN) > 0)
 
 
 def count(X: TeamTrajectory, cap: Capability | str, phi: InnerFormula, t: int) -> int:
@@ -267,7 +316,7 @@ def count(X: TeamTrajectory, cap: Capability | str, phi: InnerFormula, t: int) -
 
 def outer_sat(X: TeamTrajectory, Phi: OuterFormula, t: int) -> bool:
     """Team-level satisfaction at time t."""
-    return bool(_signal(_team_from(X, Phi, t), Phi, 1, _BOOLEAN)[0] > 0)
+    return bool(_at0(_team_from(X, Phi, t), Phi, _BOOLEAN) > 0)
 
 
 def inner_rho(
@@ -282,7 +331,7 @@ def inner_rho(
 
 def inner_rho_tensor(states: Tensor, phi: InnerFormula, cfg: RobustnessConfig) -> Tensor:
     """Smooth robustness at time 0 as a graph node; states is (..., T, 2)."""
-    return _signal(states, phi, 1, _backend(cfg, states.shape[:-2]))[..., 0]
+    return _at0(states, phi, _backend(cfg, states.shape[:-2]))
 
 
 def task_rho(
@@ -335,7 +384,7 @@ def outer_rho_tensor(
     cfg: RobustnessConfig,
 ) -> Tensor:
     """Robustness at time 0 as a graph node; member states are (..., T, 2)."""
-    return _signal(members, Phi, 1, _backend(cfg, _batch_shape(members, Phi)))[..., 0]
+    return _at0(members, Phi, _backend(cfg, _batch_shape(members, Phi)))
 
 
 # -- smooth-vs-classical error bound -------------------------------------------

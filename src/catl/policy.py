@@ -341,13 +341,17 @@ def save_policy(path: str | Path, params: PolicyParams) -> None:
 
 def load_policy(path: str | Path) -> PolicyParams:
     """Read a ``save_policy`` checkpoint; ValueError unless its dims hold every
-    key save_policy writes, it holds exactly the policy's parameters and every
-    array has the shape its dims imply."""
+    key save_policy writes, its integer dims are integers, it holds exactly the
+    policy's parameters and every array has the shape its dims imply."""
     tensors, meta = load_checkpoint(path)
     dim_names = [f.name for f in fields(PolicyDims)]
     missing = [key for key in (*dim_names, *_EXTRA_DIMS_KEYS) if key not in meta]
     if missing:
         raise ValueError(f"{path}: checkpoint dims lack {missing}")
+    for name in dim_names:
+        value = meta[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path}: checkpoint dim {name!r} is {value!r}, want an integer")
     dims = PolicyDims(**{name: meta[name] for name in dim_names})
     params = create_policy_raw(
         np.random.default_rng(0), dims,

@@ -7,6 +7,9 @@ The temperature starts soft and sharpens: tau = 2 at iteration 0, doubling
 every 100 iterations up to 32. Every 20 iterations, and at the last one,
 the classical robustness is checked. Restarts are seeded and sequential;
 the first restart whose check exceeds the success margin 1e-3 wins.
+
+The states are one running sum over [x0, u0, u1, ...], added in that order,
+so the unrolled dynamics are a single graph node.
 """
 
 from __future__ import annotations
@@ -56,12 +59,10 @@ class SynthResult:
 
 
 def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tensor]:
-    """States (H+1, 2) and controls (H, 2) from the unconstrained weights."""
+    """States (H+1, 2) and controls (H, 2) from the unconstrained weights; state
+    t is ((x0 + u0) + u1) + ... + u(t-1), one running-sum node."""
     u = ad.tanh(w) * Tensor(u_max)
-    rows = [Tensor(x0.reshape(1, 2))]
-    for t in range(w.shape[0]):
-        rows.append(rows[-1] + u[t : t + 1])
-    return ad.concat(rows, axis=0), u
+    return ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0), u
 
 
 def _states_numpy(x0: np.ndarray, w_val: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

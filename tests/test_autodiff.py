@@ -62,6 +62,8 @@ def test_composite_graph_matches_finite_differences():
     ("kth", {"k": 2}),
     ("stack_slice", {}),
     ("relu", {}),
+    ("windows", {}),
+    ("cumsum", {}),
 ])
 def test_primitive_gradients(op, extra):
     rng = np.random.default_rng(hash(op) % 2**31)
@@ -77,6 +79,10 @@ def test_primitive_gradients(op, extra):
         if op == "stack_slice":
             parts = [x[..., i : i + 2] for i in range(3)]
             return ad.sum_(ad.square(ad.stack(parts, axis=-1)))
+        if op == "windows":  # three overlapping windows of width 3
+            return ad.sum_(ad.square(ad.windows(x, start=1, count=3, width=3)))
+        if op == "cumsum":
+            return ad.sum_(ad.square(ad.cumsum(x, axis=0)))
         return ad.sum_(ad.relu(x - 0.1))
 
     x = Tensor(x0.copy())
@@ -100,6 +106,92 @@ def test_softmin_is_negated_softmax_of_negation_bitwise():
         ad.sum_(neg_hi * weights).backward()
         assert np.array_equal(lo.value, neg_hi.value)
         assert np.array_equal(a.grad, b.grad)
+
+
+# two rectangles of the case study's river R, with a gap at 4.4 < x < 5.6
+BOX = (((0.0, 0.0), (2.0, 1.0)),)
+RIVER = (((0.0, 4.5), (4.4, 6.0)), ((5.6, 4.5), (10.0, 6.0)))
+SHARED = (((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (2.0, 1.0)))
+
+
+def composed_region_margin(states: Tensor, rects) -> Tensor:
+    """The region margin as separate nodes: the four faces stacked, their 4th
+    largest per rectangle, the largest rectangle."""
+    x, y = states[..., 0], states[..., 1]
+    rect_margins = [
+        ad.kth_largest(ad.stack([x - lo[0], y - lo[1], hi[0] - x, hi[1] - y], axis=-1), k=4)
+        for lo, hi in rects
+    ]
+    if len(rect_margins) == 1:
+        return rect_margins[0]
+    return ad.kth_largest(ad.stack(rect_margins, axis=-1), k=1)
+
+
+@pytest.mark.parametrize("rects", [BOX, RIVER], ids=["box", "two_rects"])
+def test_region_margin_gradient(rects):
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-1.0, 11.0, size=(3, 7, 2))
+    weights = Tensor(rng.normal(size=(3, 7)))
+
+    def build(x: Tensor) -> Tensor:
+        return ad.sum_(ad.region_margin(x, rects) * weights)
+
+    x = Tensor(x0.copy())
+    build(x).backward()
+    fd = finite_difference(lambda xv: build(Tensor(xv)).item(), x0.copy())
+    assert rel_err(x.grad, fd) < 1e-6
+
+
+@pytest.mark.parametrize("rects, point", [
+    (BOX, (2.0, 1.0)),  # corner: the faces hi_x - x and hi_y - y tie at 0
+    (RIVER, (5.0, 5.0)),  # gap of R: both rectangles' margins are -0.6
+    (SHARED, (1.0, 0.5)),  # on the face both rectangles share: both margins 0
+], ids=["box_corner", "river_gap", "shared_face"])
+def test_region_margin_ties_match_composition_bitwise(rects, point):
+    # fused and composed margins pick the same face and rectangle at a tie
+    states = np.array([point, (point[0] + 0.25, point[1]), (point[0], point[1] - 0.25)])
+    weights = Tensor(np.array([1.5, -0.5, 2.0]))
+    fused, composed = Tensor(states.copy()), Tensor(states.copy())
+    a = ad.region_margin(fused, rects)
+    b = composed_region_margin(composed, rects)
+    ad.sum_(a * weights).backward()
+    ad.sum_(b * weights).backward()
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(fused.grad, composed.grad)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_windows_match_stacked_slices_bitwise(count):
+    # one window node sums its gradient in the order W stacked slices did
+    rng = np.random.default_rng(count)
+    x0 = rng.normal(size=(3, 12))
+    start, width = 2, 4
+    fused, stacked = Tensor(x0.copy()), Tensor(x0.copy())
+    a = ad.softmin_lse(ad.windows(fused, start, count, width), tau=3.0)
+    b = ad.softmin_lse(ad.stack([stacked[..., start + k : start + k + count]
+                                 for k in range(width)], axis=-1), tau=3.0)
+    weights = Tensor(rng.normal(size=a.shape))
+    ad.sum_(a * weights).backward()
+    ad.sum_(b * weights).backward()
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(fused.grad, stacked.grad)
+
+
+def test_cumsum_matches_chained_adds_bitwise():
+    # ((x0 + u0) + u1) + ..., the rows a loop of adds builds, and the same gradient
+    rng = np.random.default_rng(8)
+    rows0 = rng.normal(size=(9, 2))
+    fused, chained = Tensor(rows0.copy()), Tensor(rows0.copy())
+    a = ad.cumsum(fused, axis=0)
+    acc = [chained[0:1]]
+    for t in range(1, 9):
+        acc.append(acc[-1] + chained[t : t + 1])
+    b = ad.concat(acc, axis=0)
+    weights = Tensor(rng.normal(size=(9, 2)))
+    ad.sum_(a * weights).backward()
+    ad.sum_(b * weights).backward()
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(fused.grad, chained.grad)
 
 
 def test_softmax_lse_bound():

@@ -8,6 +8,7 @@ from catl.autodiff import Tensor
 from catl.formulas import (
     Capability,
     IAlways,
+    IAnd,
     IEventually,
     INot,
     InRegion,
@@ -36,6 +37,8 @@ from catl.monitor import (
     smoothness_bound,
     task_rho,
 )
+from catl.scenario import builtin
+from catl.synth import pinned_conjunction
 from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
 
 from generators import (
@@ -337,6 +340,42 @@ class TestBatchEntryPoints:
         states[1, 2, 3, 0] = np.inf
         with pytest.raises(NonFiniteError):
             self.rho(entry, states)
+
+
+class TestMarginMemo:
+    def test_memo_does_not_outlive_its_call(self):
+        # Each loop frees its states, so the next fresh array often takes the
+        # freed address: a memo keyed by id() that outlived its call would
+        # hand back an earlier call's margins.
+        box = Region.box("A", (0.0, 0.0), (1.0, 1.0))
+        phi = IAnd((IEventually(in_region(box), 1, 1), IEventually(INot(in_region(box)), 2, 2)))
+        rng = np.random.default_rng(66)
+        for _ in range(60):
+            states = rng.uniform(-0.5, 1.5, size=(3, 2))
+            want_sat = box.margin(states[1]) >= 0 and box.margin(states[2]) < 0
+            assert inner_sat(states, phi, 0) == want_sat
+            with ad.no_grad():
+                rho = inner_rho_tensor(Tensor(states), phi, SMOOTH10).item()
+            fresh = inner_rho_tensor(Tensor(states.copy()), phi, SMOOTH10).item()
+            assert rho == fresh
+            assert rho == ad.softmin_lse(
+                Tensor(np.array([box.margin(states[1]), -box.margin(states[2])])), tau=10.0
+            ).item()
+            del states
+
+    def test_pinned_conjunction_tape_size(self):
+        # Repair's typical target on the reduced scenario: in(M) and !in(R)
+        # pinned at each of the 26 steps, plus F[0,8] in(C). The graph holds one
+        # node per distinct (negated) predicate, per pin and per window: 62
+        # nodes with the states leaf, where per-pin margin graphs took 1,095.
+        sc, _, _ = builtin("reduced")
+        pred = {name: in_region(region) for name, region in sc.regions.items()}
+        pins = [(0, IEventually(pred["C"], 0, 8))]
+        pins += [(t, pred["M"]) for t in range(26)]
+        pins += [(t, INot(pred["R"])) for t in range(26)]
+        states = Tensor(np.random.default_rng(67).uniform(0.0, 10.0, size=(26, 2)))
+        rho = inner_rho_tensor(states, pinned_conjunction(pins), SMOOTH10)
+        assert len(ad._toposort(rho)) <= 62
 
 
 class TestSmoothGradients:

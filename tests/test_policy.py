@@ -245,7 +245,8 @@ class TestRollout:
          "'u_max' has shape (3, 2), want (2, 2)"),
         (lambda doc: doc["params"].pop("enc.b"), "lacks parameters ['enc.b'], has unexpected []"),
         (lambda doc: doc["dims"].pop("hidden"), "checkpoint dims lack ['hidden']"),
-    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor", "missing_dims_key"])
+        (lambda doc: doc["dims"].update(hidden="16"), "checkpoint dim 'hidden' is '16', want an integer"),
+    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor", "missing_dims_key", "dims_wrong_type"])
     def test_tampered_checkpoint_rejected(self, tmp_path, tamper, message):
         path = tmp_path / "p.json"
         save_policy(path, small_policy(seed=13))
