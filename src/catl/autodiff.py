@@ -302,28 +302,26 @@ def cumsum(a: Tensor, axis: int = 0) -> Tensor:
     return Tensor(np.cumsum(a.value, axis=axis), (a,), bwd)
 
 
-def windows(a: Tensor, start: int, count: int, width: int) -> Tensor:
+def window_view(a: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
     """Sliding windows along the last axis: out[..., i, k] = a[..., start + i + k]
-    for i < count and k < width, a read-only view of shape (..., count, width).
-    The backward adds g back one offset k at a time, in the order ``width``
-    stacked slices would. With at most two windows no element gets more than
-    two terms, which sum alike in either order, so it adds whole windows."""
-    shape = a.value.shape
-    out = np.lib.stride_tricks.sliding_window_view(
-        a.value[..., start : start + count + width - 1], width, axis=-1
+    for i < count and k < width, a read-only view of shape (..., count, width)."""
+    return np.lib.stride_tricks.sliding_window_view(
+        a[..., start : start + count + width - 1], width, axis=-1
     )
+
+
+def windows(a: Tensor, start: int, count: int, width: int) -> Tensor:
+    """``window_view`` as one node. The backward adds g back one offset k at a
+    time, in the order ``width`` stacked slices would."""
+    shape = a.value.shape
 
     def bwd(g):
         full = np.zeros(shape)
-        if count <= 2:
-            for i in range(count):
-                full[..., start + i : start + i + width] += g[..., i, :]
-        else:
-            for k in range(width):
-                full[..., start + k : start + k + count] += g[..., k]
+        for k in range(width):
+            full[..., start + k : start + k + count] += g[..., k]
         return (full,)
 
-    return Tensor(out, (a,), bwd)
+    return Tensor(window_view(a.value, start, count, width), (a,), bwd)
 
 
 def region_margin(states: Tensor, rects) -> Tensor:

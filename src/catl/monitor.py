@@ -133,8 +133,7 @@ class _ClassicalBackend(_Backend):
         return np.stack(sigs, axis=-1)
 
     def windows(self, sig, start: int, count: int, width: int):
-        view = sig[..., start : start + count + width - 1]
-        return np.lib.stride_tricks.sliding_window_view(view, width, axis=-1)
+        return ad.window_view(sig, start, count, width)
 
     def min(self, stacked):
         return stacked.min(axis=-1)
