@@ -1,7 +1,10 @@
 """Layers and optimization on top of the autodiff engine.
 
 Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan,
-bias-corrected Adam, and the JSON checkpoint format.
+bias-corrected Adam, and the JSON checkpoint format. A cell step is one
+``lstm_step`` node plus two slices, and a masked scan step adds one
+``masked_carry`` node per state, so the tape grows by a handful of nodes per
+recurrent step.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, sigmoid, tanh
+from .autodiff import Tensor, lstm_step, masked_carry, matmul, tanh
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -62,6 +65,9 @@ class RecurrentCell:
 
     Gate pre-activations are computed as one fused affine map
     x @ w_x + h @ w_h + b, split into [input, forget, output, candidate].
+    A step is one ``lstm_step`` tape node, whose value holds [h', c'] as a
+    contiguous (2, B, n) array with a hand-written backward, and the two
+    slices that read h' and c' from it.
     """
 
     w_x: Tensor
@@ -80,15 +86,8 @@ class RecurrentCell:
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """One recurrent update; returns (h', c'). Batch-shaped (B, dim)."""
-        n = self.hidden_dim
-        z = matmul(x, self.w_x) + matmul(h, self.w_h) + self.b
-        gi = sigmoid(z[..., 0 * n : 1 * n])
-        gf = sigmoid(z[..., 1 * n : 2 * n])
-        go = sigmoid(z[..., 2 * n : 3 * n])
-        cand = tanh(z[..., 3 * n : 4 * n])
-        c_next = gf * c + gi * cand
-        h_next = go * tanh(c_next)
-        return h_next, c_next
+        state = lstm_step(x, h, c, self.w_x, self.w_h, self.b)
+        return state[0], state[1]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w_x": self.w_x, f"{prefix}.w_h": self.w_h, f"{prefix}.b": self.b}
@@ -120,10 +119,8 @@ def bidirectional_scan(
         for i in order:
             h_new, c_new = cell.step(inputs[i], h, c)
             outs[i] = h_new
-            m = Tensor(masks[i])
-            keep = Tensor(1.0 - masks[i])
-            h = m * h_new + keep * h
-            c = m * c_new + keep * c
+            h = masked_carry(masks[i], h_new, h)
+            c = masked_carry(masks[i], c_new, c)
         return outs
 
     f_out = directional(fwd, range(n))

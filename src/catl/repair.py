@@ -115,7 +115,10 @@ def repair(
             flags={m.agent_id: False for m in X.members},
             working=X.copy(),
         )
-        _assign_tasks(state, clause)
+        # holder counts of every atom on the current working team; it changes
+        # only when a synthesis replaces a member
+        counts = _counts(state.working, clause)
+        _assign_tasks(state, clause, counts)
         flagged = sorted(j for j, f in state.flags.items() if f)
 
         repaired_controls: dict[int, np.ndarray] = {}
@@ -130,8 +133,6 @@ def repair(
                 else member.trajectory.controls_from_states(),
                 u_max[j],
             )
-            counts_before = [count(state.working, a.task.cap, a.task.inner, a.time)
-                             for a in clause]
             res = synthesize_conjunction(
                 member.trajectory.states[0],
                 pins,
@@ -148,12 +149,10 @@ def repair(
                 break
             state.working = state.working.replace(j, res.trajectory)
             repaired_controls[j] = res.controls
-            counts_after = [count(state.working, a.task.cap, a.task.inner, a.time)
-                            for a in clause]
-            count_trace.append(
-                {"clause": k, "agent": j, "before": counts_before, "after": counts_after}
-            )
-            _reassign_exact(state, clause)
+            counts_after = _counts(state.working, clause)
+            count_trace.append({"clause": k, "agent": j, "before": counts, "after": counts_after})
+            counts = counts_after
+            _reassign_exact(state, clause, counts)
 
         final_rho = outer_rho(state.working, phi, 0)
         if clause_ok and outer_sat(state.working, phi, 0):
@@ -186,11 +185,17 @@ def repair(
     )
 
 
-def _assign_tasks(state: RepairState, clause: tuple[TimedTask, ...]) -> None:
-    """Assign every not-just-satisfied task to its top holders, flagging violators."""
+def _counts(team: TeamTrajectory, clause: tuple[TimedTask, ...]) -> list[int]:
+    """Holder count of every atom of the clause on the team."""
+    return [count(team, a.task.cap, a.task.inner, a.time) for a in clause]
+
+
+def _assign_tasks(state: RepairState, clause: tuple[TimedTask, ...], counts: list[int]) -> None:
+    """Assign every not-just-satisfied task to its top holders, flagging violators.
+    ``counts`` holds the clause's holder counts on ``state.working``."""
     for i, atom in enumerate(clause):
         task, t = atom.task, atom.time
-        if count(state.working, task.cap, task.inner, t) > task.count:
+        if counts[i] > task.count:
             continue
         holders = state.working.with_capability(task.cap.name)
         rhos = [inner_rho(m.trajectory, task.inner, t) for m in holders]
@@ -205,11 +210,12 @@ def _assign_tasks(state: RepairState, clause: tuple[TimedTask, ...]) -> None:
                 break
 
 
-def _reassign_exact(state: RepairState, clause: tuple[TimedTask, ...]) -> None:
-    """After one agent's repair, pin tasks now satisfied by exactly their count."""
+def _reassign_exact(state: RepairState, clause: tuple[TimedTask, ...], counts: list[int]) -> None:
+    """After one agent's repair, pin tasks now satisfied by exactly their count.
+    ``counts`` holds the clause's holder counts on ``state.working``."""
     for i, atom in enumerate(clause):
         task, t = atom.task, atom.time
-        if count(state.working, task.cap, task.inner, t) != task.count:
+        if counts[i] != task.count:
             continue
         for member in state.working.with_capability(task.cap.name):
             if inner_sat(member.trajectory, task.inner, t):

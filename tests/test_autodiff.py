@@ -194,6 +194,103 @@ def test_cumsum_matches_chained_adds_bitwise():
     assert np.array_equal(fused.grad, chained.grad)
 
 
+def composed_lstm_step(x, h, c, w_x, w_h, b) -> tuple[Tensor, Tensor]:
+    """The recurrent update as separate nodes, as the cell built it before
+    the fused step: one affine map, three sigmoid gates and a tanh candidate."""
+    n = h.shape[-1]
+    z = ad.matmul(x, w_x) + ad.matmul(h, w_h) + b
+    gi, gf, go = (ad.sigmoid(z[..., k * n : (k + 1) * n]) for k in range(3))
+    c_next = gf * c + gi * ad.tanh(z[..., 3 * n :])
+    return go * ad.tanh(c_next), c_next
+
+
+def lstm_inputs(rng, batch=3, n_in=4, n=5) -> list[np.ndarray]:
+    return [rng.normal(size=(batch, n_in)), rng.normal(size=(batch, n)),
+            rng.normal(size=(batch, n)), rng.normal(size=(n_in, 4 * n)),
+            rng.normal(size=(n, 4 * n)), rng.normal(size=4 * n)]
+
+
+@pytest.mark.parametrize("wrt", ["x", "h", "c", "w_x", "w_h", "b"])
+def test_lstm_step_gradient(wrt):
+    rng = np.random.default_rng(12)
+    values = lstm_inputs(rng)
+    weights = Tensor(rng.normal(size=(2, 3, 5)))  # on [h', c'], so both halves get g
+    k = ["x", "h", "c", "w_x", "w_h", "b"].index(wrt)
+
+    def build(v: np.ndarray) -> tuple[Tensor, Tensor]:
+        inputs = [Tensor(a) for a in values]
+        inputs[k] = Tensor(v)
+        return inputs[k], ad.sum_(ad.lstm_step(*inputs) * weights)
+
+    leaf, out = build(values[k].copy())
+    out.backward()
+    fd = finite_difference(lambda v: build(v)[1].item(), values[k].copy())
+    assert rel_err(leaf.grad, fd) < 1e-6
+
+
+def test_lstm_step_forward_matches_composition_bitwise():
+    rng = np.random.default_rng(13)
+    values = lstm_inputs(rng, batch=7, n_in=3, n=6)
+    state = ad.lstm_step(*[Tensor(a) for a in values])
+    h_next, c_next = composed_lstm_step(*[Tensor(a) for a in values])
+    assert state.shape == (2, 7, 6)
+    assert state.value[0].flags.c_contiguous and state.value[1].flags.c_contiguous
+    assert np.array_equal(state.value[0], h_next.value)
+    assert np.array_equal(state.value[1], c_next.value)
+
+
+def test_masked_carry_gradient():
+    rng = np.random.default_rng(14)
+    mask = np.array([[1.0], [0.0], [1.0], [0.0]])
+    new0, old0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    weights = Tensor(rng.normal(size=(4, 3)))
+
+    def build(new: Tensor, old: Tensor) -> Tensor:
+        return ad.sum_(ad.square(ad.masked_carry(mask, new, old)) * weights)
+
+    new, old = Tensor(new0.copy()), Tensor(old0.copy())
+    out = ad.masked_carry(mask, new, old)
+    assert np.array_equal(out.value, np.where(mask == 1.0, new0, old0))
+    build(new, old).backward()
+    assert rel_err(new.grad, finite_difference(
+        lambda v: build(Tensor(v), Tensor(old0)).item(), new0.copy())) < 1e-6
+    assert rel_err(old.grad, finite_difference(
+        lambda v: build(Tensor(new0), Tensor(v)).item(), old0.copy())) < 1e-6
+    assert np.all(new.grad[[1, 3]] == 0.0) and np.all(old.grad[[0, 2]] == 0.0)
+
+
+def test_backward_does_not_mutate_consumed_gradients():
+    # y feeds an add, whose backward hands both parents the same array g, and
+    # a reshape, whose backward hands back a view of g: a first contribution
+    # stored without a copy would alias them, and the later += would change
+    # z's gradient and the add's own
+    rng = np.random.default_rng(15)
+    x0, w0 = rng.normal(size=(2, 3)), rng.normal(size=6)
+
+    def build(x: Tensor, w: Tensor) -> Tensor:
+        y = ad.tanh(x)
+        s = y + ad.sigmoid(x)
+        return ad.sum_(ad.square(s)) + ad.sum_(ad.reshape(y, (6,)) * w)
+
+    x, w = Tensor(x0.copy()), Tensor(w0.copy())
+    out = build(x, w)
+    consumed: list[tuple[np.ndarray, np.ndarray]] = []
+    for node in ad._toposort(out):
+        if node._backward is not None:
+            def spy(g, bwd=node._backward):
+                consumed.append((g, g.copy()))
+                return bwd(g)
+            node._backward = spy
+    out.backward()
+    assert len(consumed) == 9
+    for g, at_use in consumed:
+        assert np.array_equal(g, at_use)
+    fd_x = finite_difference(lambda v: build(Tensor(v), Tensor(w0)).item(), x0.copy())
+    fd_w = finite_difference(lambda v: build(Tensor(x0), Tensor(v)).item(), w0.copy())
+    assert rel_err(x.grad, fd_x) < 1e-6
+    assert rel_err(w.grad, fd_w) < 1e-6
+
+
 def test_softmax_lse_bound():
     # max <= smooth max <= max + log(n)/tau
     val = ad.softmax_lse(Tensor(np.array([1.0, 0.0])), tau=10.0).item()
