@@ -66,9 +66,10 @@ def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tenso
 
 
 def _states_numpy(x0: np.ndarray, w_val: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_unroll`` in numpy: the same running sum ((x0 + u0) + u1) + ..., so
+    states[t + 1] == states[t] + u[t] exactly."""
     u = np.tanh(w_val) * u_max
-    states = np.vstack([x0[None], x0[None] + np.cumsum(u, axis=0)])
-    return states, u
+    return np.cumsum(np.vstack([x0[None], u]), axis=0), u
 
 
 def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResult:
