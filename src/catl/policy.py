@@ -190,14 +190,15 @@ def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
 
 @dataclass
 class RolloutResult:
-    """Differentiable rollout trace: tensors stay on the tape.
+    """Rollout trace: states and controls stay on the tape, thoughts and the
+    channel mask are values only.
 
-    Each trace is one tensor indexed (batch row b, roster index j, time, .).
+    Each trace is indexed (batch row b, roster index j, time, .).
     """
 
     states: Tensor  # (B, J, H+1, n_x)
     controls: Tensor  # (B, J, H, n_u)
-    thoughts: Tensor  # (B, J, H, n_c)
+    thoughts: np.ndarray  # (B, J, H, n_c)
     comm_mask: np.ndarray  # (B, J, H) in {0,1}
     agent_ids: list[int]
     member_caps: list[frozenset[str]] | None = None
@@ -276,12 +277,14 @@ def rollout(
 
     states = [x]
     controls: list[Tensor] = []
-    thoughts: list[Tensor] = []
+    # copied out each step: h is a view of the cell's [h', c'] array, and
+    # holding it would keep c' alive too
+    thoughts = np.empty((bj, length, params.dims.n_c))
     comm_mask = np.zeros((batch, n_agents, length))
 
     for t in range(length):
         h, c = params.encoder.step(params.normalize_obs(x), h, c)
-        thoughts.append(h)
+        thoughts[:, t] = h.value
 
         mask = gate(h, params, gate_mode).astype(np.float64).reshape(batch, n_agents)
         if cut is not None:
@@ -317,7 +320,7 @@ def rollout(
     return RolloutResult(
         states=trace(states),
         controls=trace(controls),
-        thoughts=trace(thoughts),
+        thoughts=thoughts.reshape(batch, n_agents, length, -1),
         comm_mask=comm_mask,
         agent_ids=list(params.agent_ids),
         member_caps=member_caps,

@@ -496,7 +496,7 @@ def build_gate_dataset(
             j, t = divmod(int(k), length)
             drop = eta_full - float(etas[1 + k])
             label = int(drop > eps)
-            thought = res.thoughts.value[0, j, t].copy()
+            thought = res.thoughts[0, j, t].copy()
             data.samples.append(GateSample(thought, label, j, t, float(drop)))
             total += 1
             for rel in sweep_rels:

@@ -119,7 +119,7 @@ class TestEncode:
         params = small_policy(seed=7, n_agents=2)
         params.cap_matrix = np.array([[1.0, 0.0], [1.0, 0.0]])  # same capabilities
         x0 = np.tile(np.random.default_rng(7).normal(size=(1, 2)), (2, 1))
-        thoughts = rollout(params, x0, 4, "none").thoughts.value
+        thoughts = rollout(params, x0, 4, "none").thoughts
         assert np.array_equal(thoughts[:, 0], thoughts[:, 1])
 
     def test_case_study_thought_dimension(self):

@@ -210,7 +210,7 @@ class TestDataset:
             return RolloutResult(
                 states=Tensor(path[None, None]),
                 controls=Tensor((path[1:] - path[:-1])[None, None]),
-                thoughts=Tensor(np.zeros((1, 1, length, 0))), comm_mask=np.ones((1, 1, length)),
+                thoughts=np.zeros((1, 1, length, 0)), comm_mask=np.ones((1, 1, length)),
                 agent_ids=[1], member_caps=member_caps,
             )
 
@@ -334,7 +334,7 @@ class TestGate:
         drops = np.array([s.drop for s in data.samples])
         assert np.abs(drops - np.array([w[2] for w in want])).max() <= 1e-12
         for s in data.samples:
-            assert np.allclose(s.thought, base.thoughts.value[0, s.agent_index, s.time],
+            assert np.allclose(s.thought, base.thoughts[0, s.agent_index, s.time],
                                rtol=0, atol=1e-12)
 
 
