@@ -2,9 +2,9 @@
 
 Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan,
 bias-corrected Adam, and the JSON checkpoint format. A cell step is one
-``lstm_step`` node plus two slices, and a masked scan step adds one
-``masked_carry`` node per state, so the tape grows by a handful of nodes per
-recurrent step.
+fused ``lstm_step`` node plus two slices, and the scan's masked state update
+is one ``masked_carry`` node per state, so each recurrent step adds a handful
+of tape nodes.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ class RecurrentCell:
 
     Gate pre-activations are computed as one fused affine map
     x @ w_x + h @ w_h + b, split into [input, forget, output, candidate].
-    A step is one ``lstm_step`` tape node, whose value holds [h', c'] as a
-    contiguous (2, B, n) array with a hand-written backward, and the two
-    slices that read h' and c' from it.
+    A step records three tape nodes: one ``lstm_step`` (hand-written
+    backward; its value is [h', c'] as one contiguous (2, B, n) array) and
+    the two slices that read h' and c' from it.
     """
 
     w_x: Tensor
