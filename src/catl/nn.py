@@ -1,10 +1,10 @@
 """Layers and optimization on top of the autodiff engine.
 
-Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan,
-bias-corrected Adam, and the JSON checkpoint format. A cell step is one
-fused ``lstm_step`` node plus two slices, and the scan's masked state update
-is one ``masked_carry`` node per state, so each recurrent step adds a handful
-of tape nodes.
+Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan over
+axis 1 of a (B, J, n) tensor, bias-corrected Adam, and the JSON checkpoint
+format. A cell step is one fused ``lstm_step`` node plus two slices, and the
+scan's masked state update is one ``masked_carry`` node per state, so each
+recurrent step adds a handful of tape nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, lstm_step, masked_carry, matmul, tanh
+from .autodiff import Tensor, lstm_step, masked_carry, matmul, stack, tanh
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -96,36 +96,36 @@ class RecurrentCell:
 def bidirectional_scan(
     fwd: RecurrentCell,
     bwd: RecurrentCell,
-    inputs: list[Tensor],
-    masks: list[np.ndarray],
-) -> list[Tensor]:
-    """Run two directional cells over ``inputs`` and sum their hidden states.
+    inputs: Tensor,
+    mask: np.ndarray,
+) -> Tensor:
+    """Run two directional cells along axis 1 of ``inputs`` and sum their
+    hidden states.
 
-    inputs[i] has shape (B, n). ``masks`` holds constant (B, 1)
-    arrays in {0,1}: a masked-out element does not update the running state
-    (it is skipped, as if absent from the sequence) and its output is the
-    state the cell would have produced had it participated - callers zero
-    out non-participant outputs themselves.
+    ``inputs`` is (B, J, n), ``mask`` a constant (B, J) array in {0,1}; the
+    result is (B, J, hidden). A masked-out element does not update the
+    running state (it is skipped, as if absent from the sequence) and its
+    output is the state the cell would have produced had it participated -
+    callers zero out non-participant outputs themselves.
     """
-    if not inputs:
+    n = inputs.shape[1]
+    if n == 0:
         raise ValueError("bidirectional_scan needs a nonempty sequence")
-    n = len(inputs)
+    elements = [inputs[:, i] for i in range(n)]
+    carries = [mask[:, i : i + 1] for i in range(n)]
 
-    def directional(cell: RecurrentCell, order: range) -> dict[int, Tensor]:
-        batch = inputs[0].value.shape[:-1]
-        h = Tensor(np.zeros(batch + (cell.hidden_dim,)))
-        c = Tensor(np.zeros(batch + (cell.hidden_dim,)))
-        outs: dict[int, Tensor] = {}
+    def directional(cell: RecurrentCell, order: range) -> Tensor:
+        h = Tensor(np.zeros(inputs.shape[:1] + (cell.hidden_dim,)))
+        c = Tensor(np.zeros(inputs.shape[:1] + (cell.hidden_dim,)))
+        outs: list[Tensor] = [None] * n
         for i in order:
-            h_new, c_new = cell.step(inputs[i], h, c)
+            h_new, c_new = cell.step(elements[i], h, c)
             outs[i] = h_new
-            h = masked_carry(masks[i], h_new, h)
-            c = masked_carry(masks[i], c_new, c)
-        return outs
+            h = masked_carry(carries[i], h_new, h)
+            c = masked_carry(carries[i], c_new, c)
+        return stack(outs, axis=1)
 
-    f_out = directional(fwd, range(n))
-    b_out = directional(bwd, range(n - 1, -1, -1))
-    return [f_out[i] + b_out[i] for i in range(n)]
+    return directional(fwd, range(n)) + directional(bwd, range(n - 1, -1, -1))
 
 
 @dataclass

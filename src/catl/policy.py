@@ -8,9 +8,9 @@ the output network maps [thought, integrated thought] to a control squashed
 into the agent's box bounds. One parameter set serves any number of agents.
 
 ``rollout`` simulates B teams of J agents at once. Its loop computes on flat
-(B*J, n) rows, row b*J + j holding agent j of team b, and it returns every
-trace as one tensor indexed (b, j, time, .), so no other module needs to know
-the flat row order.
+(B*J, n) rows, row b*J + j holding agent j of team b; the channel reads the
+same rows as one (B, J, n_c) tensor. It returns every trace as one tensor
+indexed (b, j, time, .), so no other module needs to know the flat row order.
 """
 
 from __future__ import annotations
@@ -165,18 +165,15 @@ def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
     raise ValueError(f"unknown gate mode {mode!r} (have: {GATE_MODES})")
 
 
-def channel(
-    params: PolicyParams,
-    thoughts: list[Tensor],
-    masks: list[np.ndarray],
-) -> list[Tensor]:
-    """Integrated thoughts for a sequence ordered by agent id.
+def channel(params: PolicyParams, thoughts: Tensor, mask: np.ndarray) -> Tensor:
+    """Integrated thoughts of B teams, each a sequence ordered by agent id.
 
-    ``masks[i]`` is a constant (B, 1) 0/1 array; masked-out agents do not
-    contribute to or update the scan and receive the zero vector.
+    ``thoughts`` is (B, J, n_c) and ``mask`` a constant (B, J) 0/1 array;
+    masked-out agents do not contribute to or update the scan and receive
+    the zero vector.
     """
-    outs = bidirectional_scan(params.chan_fwd, params.chan_bwd, thoughts, masks)
-    return [Tensor(m) * o for m, o in zip(masks, outs)]
+    outs = bidirectional_scan(params.chan_fwd, params.chan_bwd, thoughts, mask)
+    return Tensor(mask[..., None]) * outs
 
 
 def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
@@ -291,13 +288,8 @@ def rollout(
             mask[cut[:, :, t]] = 0.0
         comm_mask[:, :, t] = mask
 
-        hr = ad.reshape(h, (batch, n_agents, params.dims.n_c))
-        agent_thoughts = [hr[:, j, :] for j in range(n_agents)]
-        masks = [mask[:, j : j + 1] for j in range(n_agents)]
-        integrated = channel(params, agent_thoughts, masks)
-        h_tilde = ad.reshape(ad.stack(integrated, axis=1), (bj, params.dims.n_c))
-
-        u = act(params, h, h_tilde, umax_tiled)
+        h_tilde = channel(params, ad.reshape(h, (batch, n_agents, params.dims.n_c)), mask)
+        u = act(params, h, ad.reshape(h_tilde, (bj, params.dims.n_c)), umax_tiled)
 
         if cut is not None:
             h_nc, c_nc = nocomm_params.encoder.step(

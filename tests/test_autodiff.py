@@ -344,43 +344,42 @@ def test_bidirectional_single_element():
     fwd = RecurrentCell.create(rng, 3, 3)
     bwd = RecurrentCell.create(rng, 3, 3)
     x = Tensor(rng.normal(size=(1, 3)))
-    (out,) = bidirectional_scan(fwd, bwd, [x], [np.ones((1, 1))])
+    out = bidirectional_scan(fwd, bwd, ad.reshape(x, (1, 1, 3)), np.ones((1, 1)))
     hf, _ = fwd.step(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
     hb, _ = bwd.step(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-    assert np.allclose(out.value, hf.value + hb.value)
+    assert out.shape == (1, 1, 3)
+    assert np.allclose(out.value[:, 0], hf.value + hb.value)
 
 
 def test_bidirectional_reversal_symmetry():
     rng = np.random.default_rng(6)
     fwd = RecurrentCell.create(rng, 3, 3)
     bwd = RecurrentCell.create(rng, 3, 3)
-    xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
-    masks = [np.array([[1.0], [b]]) for b in (0.0, 1.0, 0.0, 1.0)]
-    outs = bidirectional_scan(fwd, bwd, xs, masks)
-    swapped = bidirectional_scan(bwd, fwd, xs[::-1], masks[::-1])
-    for a, b in zip(outs, swapped[::-1]):
-        assert np.allclose(a.value, b.value)
+    xs = rng.normal(size=(2, 4, 3))
+    # row 0 takes part everywhere, row 1 only at elements 1 and 3
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    outs = bidirectional_scan(fwd, bwd, Tensor(xs), mask)
+    swapped = bidirectional_scan(bwd, fwd, Tensor(xs[:, ::-1]), mask[:, ::-1])
+    for i in range(4):
+        assert np.allclose(outs.value[:, i], swapped.value[:, 3 - i])
 
 
 def test_bidirectional_gradient():
     rng = np.random.default_rng(8)
     fwd = RecurrentCell.create(rng, 2, 3)
     bwd = RecurrentCell.create(rng, 2, 3)
-    xs = rng.normal(size=(4, 2, 2))
+    xs = rng.normal(size=(4, 2, 2)).transpose(1, 0, 2)  # (B, J, n)
     # row 0 skips element 1, so the backward scan carries a state that
     # depends on w_h across it; row 1 skips element 0
-    masks = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
-             np.array([[1.0], [1.0]]), np.array([[1.0], [1.0]])]
+    mask = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
     w0 = bwd.w_h.value.copy()
 
     def run(w: np.ndarray) -> float:
         bwd.w_h = Tensor(w)
-        outs = bidirectional_scan(fwd, bwd, [Tensor(x) for x in xs], masks)
-        return ad.sum_(ad.stack([ad.square(o) for o in outs], axis=0)).item()
+        return ad.sum_(ad.square(bidirectional_scan(fwd, bwd, Tensor(xs), mask))).item()
 
     bwd.w_h = leaf = Tensor(w0.copy())
-    outs = bidirectional_scan(fwd, bwd, [Tensor(x) for x in xs], masks)
-    ad.sum_(ad.stack([ad.square(o) for o in outs], axis=0)).backward()
+    ad.sum_(ad.square(bidirectional_scan(fwd, bwd, Tensor(xs), mask))).backward()
     fd = finite_difference(run, w0.copy())
     assert rel_err(leaf.grad, fd) < 1e-6
 
@@ -389,7 +388,7 @@ def test_bidirectional_empty_sequence_rejected():
     rng = np.random.default_rng(0)
     cell = RecurrentCell.create(rng, 2, 2)
     with pytest.raises(ValueError):
-        bidirectional_scan(cell, cell, [], [])
+        bidirectional_scan(cell, cell, Tensor(np.zeros((1, 0, 2))), np.zeros((1, 0)))
 
 
 def test_adam_zero_gradient_keeps_parameters():

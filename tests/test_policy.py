@@ -77,25 +77,24 @@ class TestChannel:
     def test_single_participant_sees_only_itself(self):
         params = small_policy(seed=4)
         rng = np.random.default_rng(4)
-        h0 = Tensor(rng.normal(size=(1, 4)))
-        other_a = Tensor(rng.normal(size=(1, 4)))
-        other_b = Tensor(rng.normal(size=(1, 4)))
-        masks = [np.ones((1, 1)), np.zeros((1, 1))]
-        out_a = channel(params, [h0, other_a], masks)[0]
-        out_b = channel(params, [h0, other_b], masks)[0]
-        assert np.allclose(out_a.value, out_b.value)
+        h0 = rng.normal(size=(1, 1, 4))
+        other_a = rng.normal(size=(1, 1, 4))
+        other_b = rng.normal(size=(1, 1, 4))
+        mask = np.array([[1.0, 0.0]])
+        out_a = channel(params, Tensor(np.concatenate([h0, other_a], axis=1)), mask)
+        out_b = channel(params, Tensor(np.concatenate([h0, other_b], axis=1)), mask)
+        assert np.allclose(out_a.value[:, 0], out_b.value[:, 0])
         # non-participant receives the zero vector
-        assert np.all(channel(params, [h0, other_a], masks)[1].value == 0.0)
+        assert np.all(out_a.value[:, 1] == 0.0)
 
     def test_deterministic_given_order(self):
         params = small_policy(seed=5)
         rng = np.random.default_rng(5)
-        hs = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
-        masks = [np.ones((1, 1))] * 3
-        a = [o.value.copy() for o in channel(params, hs, masks)]
-        b = [o.value.copy() for o in channel(params, hs, masks)]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        hs = Tensor(rng.normal(size=(1, 3, 4)))
+        mask = np.ones((1, 3))
+        a = channel(params, hs, mask).value.copy()
+        b = channel(params, hs, mask).value.copy()
+        assert np.array_equal(a, b)
 
 
 class TestAct:
