@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import Region, halfplane_margin
+from .geometry import Region
 
 
 class SpecError(Exception):
@@ -67,8 +67,10 @@ class HalfPlane:
     normal: tuple[float, float]
     offset: float
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return halfplane_margin(x, np.array(self.normal), self.offset)
+    def evaluate(self, x):
+        """Margin of states x (..., 2), an ndarray or a Tensor: one expression
+        for both, so every monitor backend computes the same bits."""
+        return self.offset - (x[..., 0] * self.normal[0] + x[..., 1] * self.normal[1])
 
     def bound(self, regions: dict[str, Region]) -> "HalfPlane":
         return self

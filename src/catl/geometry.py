@@ -54,8 +54,3 @@ class Region:
     def box(name: str, lo, hi) -> "Region":
         return Region(name, (((float(lo[0]), float(lo[1])), (float(hi[0]), float(hi[1]))),))
 
-
-def halfplane_margin(x: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Signed margin of {x : normal . x <= offset}: f(x) = offset - normal . x."""
-    x = np.asarray(x, dtype=np.float64)
-    return offset - x @ np.asarray(normal, dtype=np.float64)

@@ -151,7 +151,7 @@ class _SmoothBackend(_Backend):
 
     def margins(self, states: Tensor, fn):
         if isinstance(fn, HalfPlane):
-            return fn.offset - (states[..., 0] * fn.normal[0] + states[..., 1] * fn.normal[1])
+            return fn.evaluate(states)
         # Exact (hard) min over faces / max over rectangles: the margin is the
         # predicate itself, not a semantic min/max, so it is not smoothed.
         return ad.region_margin(states, fn.geometry().rects)

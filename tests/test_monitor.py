@@ -7,6 +7,7 @@ from catl import autodiff as ad
 from catl.autodiff import Tensor
 from catl.formulas import (
     Capability,
+    HalfPlane,
     IAlways,
     IAnd,
     IEventually,
@@ -46,6 +47,7 @@ from generators import (
     TEAM_CAPS,
     random_inner,
     random_outer,
+    random_predicate,
     random_states,
     random_team,
 )
@@ -139,6 +141,19 @@ class TestInnerRho:
                 rho_s = inner_rho(states, phi, 0, cfg)
                 slack = 128 * np.spacing(max(1.0, abs(rho_c)))  # float rounding at R_TOP scale
                 assert abs(rho_s - rho_c) <= smoothness_bound(phi, tau) + slack
+
+    def test_halfplane_margin_bitwise_equal_in_both_modes(self):
+        # a predicate is not smoothed, so its smooth robustness is the
+        # classical one exactly (smoothness_bound of a predicate is 0)
+        rng = np.random.default_rng(57)
+        planes = [p for p in (random_predicate(rng) for _ in range(400))
+                  if isinstance(p.fn, HalfPlane)]
+        assert len(planes) > 150
+        for phi in planes:
+            states = random_states(rng, 10)
+            for t in range(10):
+                assert inner_rho(states, phi, t) == inner_rho(states, phi, t, SMOOTH10)
+        assert smoothness_bound(planes[0], 10.0) == 0.0
 
     def test_true_gets_top_constant(self):
         states = random_states(np.random.default_rng(1), 3)
