@@ -52,6 +52,24 @@ class EvalReport:
         Path(path).write_text(json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n")
 
 
+def scored_rollouts(
+    params: PolicyParams,
+    scenario: Scenario,
+    phi: OuterFormula,
+    x0: np.ndarray,
+    gate_mode: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """No-grad rollouts of the teams x0 (B, J, n_x): per team its classical
+    robustness, its success and its channel accesses, each (B,). This is the
+    one place success is decided: classical robustness >= 0."""
+    member_caps = scenario.member_caps()
+    with ad.no_grad():
+        res = rollout(params, x0, scenario.horizon, gate_mode, member_caps=member_caps)
+    states = res.states_numpy()
+    eta = outer_rho_batch([(states[:, j], caps) for j, caps in enumerate(member_caps)], phi)
+    return eta, eta >= 0, res.comm_counts()
+
+
 def evaluate(
     params: PolicyParams,
     scenario: Scenario,
@@ -60,30 +78,21 @@ def evaluate(
     seed: int = 0,
     gate_mode: str = "full",
 ) -> EvalReport:
-    """Independent seeded rollouts; success is classical robustness >= 0."""
+    """Independent seeded rollouts, scored by ``scored_rollouts``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng([seed, 97])
-    member_caps = scenario.member_caps()
-    etas: list[np.ndarray] = []
-    comms: list[np.ndarray] = []
+    scores: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     t0 = time.perf_counter()
     remaining = trials
     while remaining > 0:
         batch = min(_CHUNK, remaining)
         remaining -= batch
         x0 = scenario.sample_initial_batch(rng, batch)
-        with ad.no_grad():
-            res = rollout(params, x0, scenario.horizon, gate_mode,
-                          member_caps=member_caps)
-        states = res.states_numpy()
-        members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
-        etas.append(outer_rho_batch(members, phi))
-        comms.append(res.comm_counts())
+        scores.append(scored_rollouts(params, scenario, phi, x0, gate_mode))
     elapsed = time.perf_counter() - t0
-    eta = np.concatenate(etas)
-    comm = np.concatenate(comms)
-    successes = int((eta >= 0).sum())
+    eta, success, comm = (np.concatenate(part) for part in zip(*scores))
+    successes = int(success.sum())
     return EvalReport(
         trials=trials,
         successes=successes,

@@ -21,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .evaluate import scored_rollouts
 from .formulas import OuterFormula
 from .monitor import (
     NonFiniteError,
@@ -311,16 +312,10 @@ def success_rate(
     phi: OuterFormula,
     x0_batch: np.ndarray,
     gate_mode: str,
-    r_top: float = 1e6,
 ) -> float:
-    member_caps = scenario.member_caps()
-    with ad.no_grad():
-        res = rollout(params, x0_batch, scenario.horizon, gate_mode,
-                      member_caps=member_caps)
-    states = res.states_numpy()
-    members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
-    etas = outer_rho_batch(members, phi, RobustnessConfig("classical", top=r_top))
-    return float((etas >= 0).mean())
+    """Share of the teams x0_batch that succeed, scored as ``evaluate`` scores them."""
+    _, success, _ = scored_rollouts(params, scenario, phi, x0_batch, gate_mode)
+    return float(success.mean())
 
 
 # -- policy training engine ------------------------------------------------------------
@@ -398,7 +393,7 @@ def train_policy(
         opt.step()
 
         if (step + 1) % cfg.eval_every == 0 or step == steps - 1:
-            sr = success_rate(params, scenario, phi, val_x0, gate_mode, cfg.r_top)
+            sr = success_rate(params, scenario, phi, val_x0, gate_mode)
             log.append(
                 {
                     "stage": stage,
