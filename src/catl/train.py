@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,14 @@ class TrainConfig:
 
     @staticmethod
     def from_json(path: str | Path) -> "TrainConfig":
-        return TrainConfig(**json.loads(Path(path).read_text()))
+        """Read a ``to_json`` file; ValueError unless it is an object of config fields."""
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: config is {type(doc).__name__}, want a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
+        return TrainConfig(**doc)
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True) + "\n")

@@ -86,3 +86,19 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("doc, why", [
+    ({"steps_a": 1, "stepz_b": 1}, "unknown config keys ['stepz_b']"),
+    (5, "config is int, want a JSON object"),
+], ids=["unknown_key", "not_an_object"])
+def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    args = ["train", "--scenario", "toy", "--spec", text, "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: {why}\n"
