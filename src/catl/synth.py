@@ -65,13 +65,6 @@ def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tenso
     return ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0), u
 
 
-def _states_numpy(x0: np.ndarray, w_val: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_unroll`` in numpy: the same running sum ((x0 + u0) + u1) + ..., so
-    states[t + 1] == states[t] + u[t] exactly."""
-    u = np.tanh(w_val) * u_max
-    return np.cumsum(np.vstack([x0[None], u]), axis=0), u
-
-
 def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResult:
     """Best-effort trajectory maximizing the target's robustness from x0.
 
@@ -110,8 +103,9 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
             (-rho_s).backward()
             opt.step()
             if it % 20 == 19 or it == req.iterations - 1:
-                states_np, _ = _states_numpy(req.x0, w.value, req.u_max)
-                rho_c = inner_rho(states_np, req.target, 0)
+                with ad.no_grad():
+                    states, _ = _unroll(req.x0, w, req.u_max)
+                rho_c = inner_rho(states.value, req.target, 0)
                 if rho_c > best_rho:
                     best_rho = rho_c
                     best_w = w.value.copy()
@@ -122,11 +116,12 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
             break
 
     assert best_w is not None
-    states_np, u_np = _states_numpy(req.x0, best_w, req.u_max)
-    rho = inner_rho(states_np, req.target, 0)
+    with ad.no_grad():
+        states, u = _unroll(req.x0, Tensor(best_w), req.u_max)
+    rho = inner_rho(states.value, req.target, 0)
     return SynthResult(
-        trajectory=IndividualTrajectory(states_np, u_np),
-        controls=u_np,
+        trajectory=IndividualTrajectory(states.value, u.value),
+        controls=u.value,
         robustness=rho,
         success=rho > 0.0,
         restarts_used=restarts_used,

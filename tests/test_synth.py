@@ -7,7 +7,7 @@ from catl.formulas import IAlways, IEventually, INot, InRegion, ITrue, Predicate
 from catl.geometry import Region
 from catl.monitor import inner_sat
 from catl.autodiff import Tensor
-from catl.synth import SynthesisRequest, _states_numpy, _unroll, synthesize, synthesize_conjunction
+from catl.synth import SynthesisRequest, _unroll, synthesize, synthesize_conjunction
 
 C = Region.box("C", (2.5, -0.5), (3.5, 0.5))  # unit square centered (3, 0)
 FAR = Region.box("Far", (7.0, 7.0), (8.0, 8.0))
@@ -66,9 +66,8 @@ class TestSynthesize:
         u_max = np.array([0.7, 1.3])
         for _ in range(50):
             x0, w = rng.normal(size=2) * 5.0, rng.normal(size=(25, 2))
-            states, u = _states_numpy(x0, w, u_max)
+            states, u = (a.value for a in _unroll(x0, Tensor(w), u_max))
             assert np.array_equal(states[1:], states[:-1] + u)
-            assert np.array_equal(states, _unroll(x0, Tensor(w), u_max)[0].value)
 
     def test_best_so_far_smooth_nondecreasing(self):
         res = synthesize(reach_request(restarts=1, iterations=120), record_history=True)
