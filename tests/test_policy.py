@@ -245,7 +245,10 @@ class TestRollout:
         (lambda doc: doc["params"].pop("enc.b"), "lacks parameters ['enc.b'], has unexpected []"),
         (lambda doc: doc["dims"].pop("hidden"), "checkpoint dims lack ['hidden']"),
         (lambda doc: doc["dims"].update(hidden="16"), "checkpoint dim 'hidden' is '16', want an integer"),
-    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor", "missing_dims_key", "dims_wrong_type"])
+        (lambda doc: doc["dims"].update(hidden=0), "checkpoint dim 'hidden' is 0, want an integer >= 1"),
+        (lambda doc: doc["dims"].update(n_c=-3), "checkpoint dim 'n_c' is -3, want an integer >= 1"),
+    ], ids=["hidden", "n_c", "u_max_rows", "missing_tensor", "missing_dims_key", "dims_wrong_type",
+            "dims_zero", "dims_negative"])
     def test_tampered_checkpoint_rejected(self, tmp_path, tamper, message):
         path = tmp_path / "p.json"
         save_policy(path, small_policy(seed=13))
