@@ -18,7 +18,7 @@ from .evaluate import evaluate
 from .formulas import SpecError, horizon, print_formula
 from .monitor import RobustnessConfig, outer_rho, outer_sat
 from .parsing import parse_inner, parse_spec
-from .plots import emit_plots
+from .plots import emit_plots, load_comm_mask_csv
 from .policy import load_policy
 from .repair import RepairBudget, repair
 from .scenario import BUILTIN_SCENARIOS, Scenario, builtin, load_scenario, save_scenario
@@ -199,16 +199,7 @@ def cmd_plot(args) -> int:
     scenario = _load_scenario(args.scenario)
     team = _load_team(args.traj, args.caps) if args.traj else None
     overlay = _load_team(args.overlay, None) if args.overlay else None
-    mask = None
-    ids = None
-    if args.comm:
-        rows = [line.split(",") for line in
-                Path(args.comm).read_text().strip().splitlines()[1:]]
-        ids = sorted({int(r[1]) for r in rows})
-        length = max(int(r[0]) for r in rows) + 1
-        mask = np.zeros((len(ids), length))
-        for t, j, v in rows:
-            mask[ids.index(int(j)), int(t)] = int(v)
+    mask, ids = load_comm_mask_csv(args.comm) if args.comm else (None, None)
     written = emit_plots(args.out, scenario, team=team, comm_mask=mask,
                          agent_ids=ids, overlay=overlay)
     for path in written:
@@ -280,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--config", help="TrainConfig JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--stages", default="abcde")
+    p.add_argument("--stages", default="abcde",
+                   help="letters of the stages to run, from abcde; stage A always runs")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .scenario import Scenario
-from .trajectories import TeamTrajectory
+from .trajectories import TeamTrajectory, save_team_csv
 
 _REGION_FILL = {
     "R": "#9ecbff",
@@ -113,6 +113,27 @@ def comm_mask_svg(mask: np.ndarray, agent_ids: list[int], cell: float = 18.0) ->
     return "\n".join(parts) + "\n"
 
 
+def save_comm_mask_csv(mask: np.ndarray, agent_ids: list[int], path: str | Path) -> None:
+    """CSV ``t,agent,comm`` for one rollout's (J, H) mask."""
+    lines = ["t,agent,comm"]
+    n_agents, length = mask.shape
+    for t in range(length):
+        for j in range(n_agents):
+            lines.append(f"{t},{agent_ids[j]},{int(mask[j, t])}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_comm_mask_csv(path: str | Path) -> tuple[np.ndarray, list[int]]:
+    """The (J, H) mask of a ``t,agent,comm`` CSV and its agent ids, ascending."""
+    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()[1:]]
+    ids = sorted({int(r[1]) for r in rows})
+    length = max(int(r[0]) for r in rows) + 1
+    mask = np.zeros((len(ids), length))
+    for t, j, v in rows:
+        mask[ids.index(int(j)), int(t)] = int(v)
+    return mask, ids
+
+
 def emit_plots(
     out_dir: str | Path,
     scenario: Scenario,
@@ -136,8 +157,6 @@ def emit_plots(
     written.append(map_path)
 
     if team is not None:
-        from .trajectories import save_team_csv
-
         csv_path = out / "trajectory.csv"
         save_team_csv(team, csv_path)
         written.append(csv_path)
@@ -147,10 +166,8 @@ def emit_plots(
         comm_path = out / "comm.svg"
         comm_path.write_text(comm_mask_svg(np.asarray(comm_mask), ids))
         written.append(comm_path)
-        from .policy import export_comm_mask_csv
-
         comm_csv = out / "comm.csv"
-        export_comm_mask_csv(np.asarray(comm_mask), ids, comm_csv)
+        save_comm_mask_csv(np.asarray(comm_mask), ids, comm_csv)
         written.append(comm_csv)
 
     return written

@@ -374,12 +374,3 @@ def load_policy(path: str | Path) -> PolicyParams:
         p.value = tensors[name].value
     return params
 
-
-def export_comm_mask_csv(mask: np.ndarray, agent_ids: list[int], path: str | Path) -> None:
-    """CSV ``t,agent,comm`` for one rollout's (J, H) mask."""
-    lines = ["t,agent,comm"]
-    n_agents, length = mask.shape
-    for t in range(length):
-        for j in range(n_agents):
-            lines.append(f"{t},{agent_ids[j]},{int(mask[j, t])}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -9,6 +9,10 @@ After each single-agent repair, tasks whose holder count dropped to exactly
 the required count are re-assigned to their satisfying agents so later
 repairs cannot break them. A verdict of success additionally requires the
 full-formula monitor check to pass on the final trajectory.
+
+Each clause works on its own copy of the team, and a synthesis replaces the
+agent's member in it, so the working team carries the repaired controls; the
+outcome reads every agent's controls off the team it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .formulas import OuterFormula, TimedTask
 from .monitor import count, inner_rho, inner_sat, outer_rho, outer_sat
 from .scenario import Scenario
 from .synth import synthesize_conjunction, warm_start_weights
-from .trajectories import TeamTrajectory
+from .trajectories import TeamMember, TeamTrajectory
 
 
 def sort_desc(values) -> list[int]:
@@ -50,15 +54,6 @@ class SynthLog:
 
 
 @dataclass
-class RepairState:
-    """Per-clause working state (assignments index tasks of that clause)."""
-
-    assignments: dict[int, set[int]]
-    flags: dict[int, bool]
-    working: TeamTrajectory
-
-
-@dataclass
 class RepairOutcome:
     trajectory: TeamTrajectory
     controls: dict[int, np.ndarray]
@@ -74,113 +69,84 @@ class RepairOutcome:
         return self.verdict == "success"
 
 
-def _controls_of(team: TeamTrajectory, repaired: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    out = {}
-    for m in team.members:
-        if m.agent_id in repaired:
-            out[m.agent_id] = repaired[m.agent_id]
-        elif m.trajectory.controls is not None:
-            out[m.agent_id] = m.trajectory.controls
-        else:
-            out[m.agent_id] = m.trajectory.controls_from_states()
-    return out
+def _controls(member: TeamMember) -> np.ndarray:
+    """The member's controls, or its state differences when it has none."""
+    traj = member.trajectory
+    return traj.controls if traj.controls is not None else traj.controls_from_states()
 
 
 def repair(
     X: TeamTrajectory,
     Phi: OuterFormula,
     scenario: Scenario,
-    budget: RepairBudget | None = None,
+    budget: RepairBudget,
     dnf: DnfForm | None = None,
 ) -> RepairOutcome:
     """Attempt to repair X to satisfy Phi; sound but not complete."""
-    budget = budget or RepairBudget()
     phi = scenario.bind_spec(Phi)
     if dnf is None:
         dnf = to_dnf(phi, scenario.jc_sizes())
-    horizon_steps = X.last_time
     u_max = {a.agent_id: np.asarray(a.u_max) for a in scenario.agents}
 
     clause_rhos = [outer_rho(X, clause_formula(c), 0) for c in dnf.clauses]
-    order = sort_desc(clause_rhos)
 
     syntheses: list[SynthLog] = []
     count_trace: list[dict] = []
-    best: tuple[float, TeamTrajectory, dict, list[int]] | None = None
+    # (robustness, team, clause index on success, repaired agent ids)
+    best: tuple[float, TeamTrajectory, int | None, list[int]] | None = None
 
-    for k in order:
+    for k in sort_desc(clause_rhos):
         clause = dnf.clauses[k]
-        state = RepairState(
-            assignments={m.agent_id: set() for m in X.members},
-            flags={m.agent_id: False for m in X.members},
-            working=X.copy(),
-        )
-        # holder counts of every atom on the current working team; it changes
-        # only when a synthesis replaces a member
-        counts = _counts(state.working, clause)
-        _assign_tasks(state, clause, counts)
-        flagged = sorted(j for j, f in state.flags.items() if f)
+        working = X.copy()
+        # tasks of this clause assigned to each agent, by index into the clause
+        assignments: dict[int, set[int]] = {m.agent_id: set() for m in X.members}
+        # holder counts of every atom on the working team; they change only
+        # when a synthesis replaces a member
+        counts = _counts(working, clause)
+        flagged = _assign_tasks(working, clause, counts, assignments)
 
-        repaired_controls: dict[int, np.ndarray] = {}
-        clause_ok = True
+        repaired: list[int] = []
         for j in flagged:
-            member = state.working.member(j)
-            pins = [(clause[i].time, clause[i].task.inner)
-                    for i in sorted(state.assignments[j])]
-            w_init = warm_start_weights(
-                member.trajectory.controls
-                if member.trajectory.controls is not None
-                else member.trajectory.controls_from_states(),
-                u_max[j],
-            )
+            member = working.member(j)
+            pins = [(clause[i].time, clause[i].task.inner) for i in sorted(assignments[j])]
             res = synthesize_conjunction(
                 member.trajectory.states[0],
                 pins,
-                horizon_steps,
+                X.last_time,
                 u_max[j],
                 iterations=budget.synth_iterations,
                 restarts=budget.synth_restarts,
                 seed=budget.seed + 1000 * k + j,
-                w_init=w_init,
+                w_init=warm_start_weights(_controls(member), u_max[j]),
             )
             syntheses.append(SynthLog(k, j, len(pins), res.success, res.robustness))
             if not res.success:
-                clause_ok = False
                 break
-            state.working = state.working.replace(j, res.trajectory)
-            repaired_controls[j] = res.controls
-            counts_after = _counts(state.working, clause)
+            working = working.replace(j, res.trajectory)
+            repaired.append(j)
+            counts_after = _counts(working, clause)
             count_trace.append({"clause": k, "agent": j, "before": counts, "after": counts_after})
             counts = counts_after
-            _reassign_exact(state, clause, counts)
+            _reassign_exact(working, clause, counts, assignments)
 
-        final_rho = outer_rho(state.working, phi, 0)
-        if clause_ok and outer_sat(state.working, phi, 0):
-            return RepairOutcome(
-                trajectory=state.working,
-                controls=_controls_of(state.working, repaired_controls),
-                verdict="success",
-                clause=k,
-                robustness=final_rho,
-                syntheses=syntheses,
-                repaired_agents=sorted(repaired_controls),
-                count_trace=count_trace,
-            )
-        if best is None or final_rho > best[0]:
-            best = (final_rho, state.working, repaired_controls, sorted(repaired_controls))
+        rho = outer_rho(working, phi, 0)
+        if len(repaired) == len(flagged) and outer_sat(working, phi, 0):
+            best = (rho, working, k, repaired)
+            break
+        if best is None or rho > best[0]:
+            best = (rho, working, None, repaired)
 
     if best is None:  # empty DNF: nothing to try
-        return RepairOutcome(X.copy(), _controls_of(X, {}), "fail", None,
-                             outer_rho(X, phi, 0), syntheses, [], count_trace)
-    rho, working, repaired_controls, repaired_ids = best
+        best = (outer_rho(X, phi, 0), X.copy(), None, [])
+    rho, working, clause_index, repaired = best
     return RepairOutcome(
         trajectory=working,
-        controls=_controls_of(working, repaired_controls),
-        verdict="fail",
-        clause=None,
+        controls={m.agent_id: _controls(m) for m in working.members},
+        verdict="fail" if clause_index is None else "success",
+        clause=clause_index,
         robustness=rho,
         syntheses=syntheses,
-        repaired_agents=repaired_ids,
+        repaired_agents=repaired,
         count_trace=count_trace,
     )
 
@@ -190,33 +156,34 @@ def _counts(team: TeamTrajectory, clause: tuple[TimedTask, ...]) -> list[int]:
     return [count(team, a.task.cap, a.task.inner, a.time) for a in clause]
 
 
-def _assign_tasks(state: RepairState, clause: tuple[TimedTask, ...], counts: list[int]) -> None:
-    """Assign every not-just-satisfied task to its top holders, flagging violators.
-    ``counts`` holds the clause's holder counts on ``state.working``."""
+def _assign_tasks(working: TeamTrajectory, clause: tuple[TimedTask, ...], counts: list[int],
+                  assignments: dict[int, set[int]]) -> list[int]:
+    """Assign every not-just-satisfied task to its top holders; returns the ids
+    of the assigned agents that violate a task, ascending. ``counts`` holds the
+    clause's holder counts on ``working``."""
+    flagged: set[int] = set()
     for i, atom in enumerate(clause):
         task, t = atom.task, atom.time
         if counts[i] > task.count:
             continue
-        holders = state.working.with_capability(task.cap.name)
+        holders = working.with_capability(task.cap.name)
         rhos = [inner_rho(m.trajectory, task.inner, t) for m in holders]
-        assigned = 0
-        for idx in sort_desc(rhos):
+        for idx in sort_desc(rhos)[:task.count]:
             member = holders[idx]
-            state.assignments[member.agent_id].add(i)
+            assignments[member.agent_id].add(i)
             if not inner_sat(member.trajectory, task.inner, t):
-                state.flags[member.agent_id] = True
-            assigned += 1
-            if assigned == task.count:
-                break
+                flagged.add(member.agent_id)
+    return sorted(flagged)
 
 
-def _reassign_exact(state: RepairState, clause: tuple[TimedTask, ...], counts: list[int]) -> None:
+def _reassign_exact(working: TeamTrajectory, clause: tuple[TimedTask, ...], counts: list[int],
+                    assignments: dict[int, set[int]]) -> None:
     """After one agent's repair, pin tasks now satisfied by exactly their count.
-    ``counts`` holds the clause's holder counts on ``state.working``."""
+    ``counts`` holds the clause's holder counts on ``working``."""
     for i, atom in enumerate(clause):
         task, t = atom.task, atom.time
         if counts[i] != task.count:
             continue
-        for member in state.working.with_capability(task.cap.name):
+        for member in working.with_capability(task.cap.name):
             if inner_sat(member.trajectory, task.inner, t):
-                state.assignments[member.agent_id].add(i)
+                assignments[member.agent_id].add(i)

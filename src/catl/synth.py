@@ -5,8 +5,9 @@ control strictly inside its box; w is optimized with Adam (learning rate
 0.05) to maximize the smooth robustness of the target formula at time 0.
 The temperature starts soft and sharpens: tau = 2 at iteration 0, doubling
 every 100 iterations up to 32. Every 20 iterations, and at the last one,
-the classical robustness is checked. Restarts are seeded and sequential;
-the first restart whose check exceeds the success margin 1e-3 wins.
+the classical robustness is checked and the best-checked weights are kept.
+Restarts are seeded and sequential, a warm start replacing restart 0's
+random draw; the first check above the success margin 1e-3 ends the search.
 
 The states are one running sum over [x0, u0, u1, ...], added in that order,
 so the unrolled dynamics are a single graph node.
@@ -14,7 +15,7 @@ so the unrolled dynamics are a single graph node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class SynthesisRequest:
     w_init: np.ndarray | None = None  # warm start for the first restart
 
     def __post_init__(self):
+        for name in ("iterations", "restarts"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be at least 1, got {getattr(self, name)}")
         self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(2)
         self.u_max = np.asarray(self.u_max, dtype=np.float64).reshape(2)
         if np.any(self.u_max <= 0):
@@ -55,7 +59,6 @@ class SynthResult:
     robustness: float  # classical, at time 0
     success: bool
     restarts_used: int = 0
-    history: list[float] = field(default_factory=list)  # best-so-far smooth values
 
 
 def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -65,7 +68,7 @@ def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tenso
     return ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0), u
 
 
-def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResult:
+def synthesize(req: SynthesisRequest) -> SynthResult:
     """Best-effort trajectory maximizing the target's robustness from x0.
 
     Success means strictly positive classical robustness; on failure the
@@ -76,31 +79,20 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
         states = np.tile(req.x0, (req.horizon + 1, 1))
         return SynthResult(IndividualTrajectory(states, u), u, SMOOTH.top, True)
 
-    best_w: np.ndarray | None = None
     best_rho = -np.inf
-    history: list[float] = []
-    restarts_used = 0
-
     for restart in range(req.restarts):
-        restarts_used += 1
         rng = np.random.default_rng([req.seed, restart])
         if restart == 0 and req.w_init is not None:
             w = Tensor(req.w_init.copy())
         else:
             w = Tensor(rng.uniform(-1.0, 1.0, size=(req.horizon, 2)))
         opt = Adam({"w": w}, lr=0.05)
-        best_smooth = -np.inf
-        stop = False
         for it in range(req.iterations):
             tau = min(2.0 * (2.0 ** (it // 100)), 32.0)
             cfg = RobustnessConfig("smooth", tau=tau)
             opt.zero_grad()
             states, _ = _unroll(req.x0, w, req.u_max)
-            rho_s = inner_rho_tensor(states, req.target, cfg)
-            best_smooth = max(best_smooth, rho_s.item())
-            if record_history:
-                history.append(best_smooth)
-            (-rho_s).backward()
+            (-inner_rho_tensor(states, req.target, cfg)).backward()
             opt.step()
             if it % 20 == 19 or it == req.iterations - 1:
                 with ad.no_grad():
@@ -110,12 +102,11 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
                     best_rho = rho_c
                     best_w = w.value.copy()
                 if rho_c > 1e-3:
-                    stop = True
                     break
-        if stop:
+        # best_rho passes the margin exactly when a check did and ended the restart
+        if best_rho > 1e-3:
             break
 
-    assert best_w is not None
     with ad.no_grad():
         states, u = _unroll(req.x0, Tensor(best_w), req.u_max)
     rho = inner_rho(states.value, req.target, 0)
@@ -124,8 +115,7 @@ def synthesize(req: SynthesisRequest, record_history: bool = False) -> SynthResu
         controls=u.value,
         robustness=rho,
         success=rho > 0.0,
-        restarts_used=restarts_used,
-        history=history,
+        restarts_used=restart + 1,
     )
 
 
@@ -140,7 +130,6 @@ def synthesize_conjunction(
     pins: list[tuple[int, InnerFormula]],
     horizon_steps: int,
     u_max: np.ndarray,
-    record_history: bool = False,
     **budget,
 ) -> SynthResult:
     """Synthesis for a set of (time, formula) requirements on one agent."""
@@ -150,7 +139,7 @@ def synthesize_conjunction(
     req = SynthesisRequest(
         x0=x0, horizon=horizon_steps, u_max=u_max, target=pinned_conjunction(pins), **budget
     )
-    return synthesize(req, record_history=record_history)
+    return synthesize(req)
 
 
 def warm_start_weights(controls: np.ndarray, u_max: np.ndarray) -> np.ndarray:

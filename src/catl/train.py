@@ -37,6 +37,10 @@ from .scenario import Scenario
 from .trajectories import TeamTrajectory
 
 
+# JSON value types per TrainConfig field annotation; from_json rejects bools first
+_JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
+
+
 @dataclass
 class TrainConfig:
     # objective
@@ -91,13 +95,20 @@ class TrainConfig:
 
     @staticmethod
     def from_json(path: str | Path) -> "TrainConfig":
-        """Read a ``to_json`` file; ValueError unless it is an object of config fields."""
+        """Read a ``to_json`` file; ValueError unless it is an object of config
+        fields, each holding a value of its field's type."""
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config is {type(doc).__name__}, want a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(TrainConfig)})
+        types = {f.name: f.type for f in fields(TrainConfig)}
+        unknown = sorted(set(doc) - set(types))
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
+        for key, value in doc.items():
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
+                raise ValueError(
+                    f"{path}: config key {key!r} is {type(value).__name__}, want {types[key]}"
+                )
         return TrainConfig(**doc)
 
     def to_json(self, path: str | Path) -> None:
@@ -167,10 +178,15 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def add(self, entry: DatasetEntry, team: TeamTrajectory, phi: OuterFormula) -> None:
+    def add(self, team: TeamTrajectory, phi: OuterFormula, provenance: str,
+            round_index: int) -> None:
+        """Store the team's member states, stacked (J, H+1, 2) in agent-id order
+        (the roster order), with ``initial = states[:, 0]``; ValueError if the
+        team violates phi."""
         if not outer_sat(team, phi, 0):
             raise ValueError("refusing to insert a violating trajectory into the dataset")
-        self.entries.append(entry)
+        states = np.stack([m.trajectory.states for m in team.members])
+        self.entries.append(DatasetEntry(states[:, 0], states, provenance, round_index))
 
     def split(self, val_fraction: float) -> tuple[list[int], list[int]]:
         """Deterministic head/tail split by insertion order."""
@@ -212,37 +228,25 @@ def aggregate_dataset(
     dataset: Dataset,
     rng: np.random.Generator,
     round_index: int,
-    gate_mode: str = "full",
 ) -> dict:
-    """Roll out, repair violators, insert every satisfying trajectory."""
-    member_caps = scenario.member_caps()
+    """Roll out with full communication, repair violators, insert every
+    satisfying trajectory."""
     x0 = scenario.sample_initial_batch(rng, cfg.n_rollouts)
     with ad.no_grad():
-        res = rollout(params, x0, scenario.horizon, gate_mode, member_caps=member_caps)
-    teams = res.to_teams()
-    states_np = res.states_numpy()
+        res = rollout(params, x0, scenario.horizon, "full", member_caps=scenario.member_caps())
     stats = {"rollouts": cfg.n_rollouts, "satisfying": 0, "repaired": 0, "failed": 0}
     budget = cfg.repair_budget()
-    for i, team in enumerate(teams):
+    for i, team in enumerate(res.to_teams()):
         # the boolean monitor decides, as Dataset.add does: a rollout that
         # ties at robustness -0.0 can still violate
         if outer_sat(team, phi, 0):
             stats["satisfying"] += 1
-            dataset.add(
-                DatasetEntry(x0[i], states_np[i], "rollout", round_index),
-                team, phi,
-            )
+            dataset.add(team, phi, "rollout", round_index)
             continue
         outcome = repair(team, phi, scenario, replace(budget, seed=budget.seed + i))
         if outcome.success:
             stats["repaired"] += 1
-            states = np.stack(
-                [m.trajectory.states for m in outcome.trajectory.members]
-            )
-            dataset.add(
-                DatasetEntry(x0[i], states, "repaired", round_index),
-                outcome.trajectory, phi,
-            )
+            dataset.add(outcome.trajectory, phi, "repaired", round_index)
         else:
             stats["failed"] += 1
     stats["success_rate"] = stats["satisfying"] / cfg.n_rollouts
@@ -598,17 +602,21 @@ def run_pipeline(
     scenario: Scenario,
     phi: OuterFormula,
     cfg: TrainConfig,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     stages: str = "abcde",
 ) -> PipelineResult:
-    """Run the requested training stages in order; see the module docstring.
+    """Run the requested training stages in order, writing their checkpoints
+    and data to out_dir; see the module docstring. Stage A always runs, and
+    letters of ``stages`` outside "abcde" raise ValueError before any stage.
 
     The returned ``log`` ends with a ``done`` event carrying ``wall_clock_s``.
     That timing is in the returned log only: ``training_log.json`` is a
     deterministic artifact, so seeded runs write identical files."""
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    unknown = sorted(set(stages) - set("abcde"))
+    if unknown:
+        raise ValueError(f"unknown stages {''.join(unknown)!r}; stages are letters of 'abcde'")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     log: list[dict] = []
     stage_success: dict = {}
     t_start = time.perf_counter()
@@ -620,8 +628,7 @@ def run_pipeline(
     log += result_a.log
     stage_success["a"] = result_a.best_success
     params_full = result_a.params
-    if out is not None:
-        save_policy(out / "stage_a.json", params_full)
+    save_policy(out / "stage_a.json", params_full)
 
     dataset = Dataset()
     if "b" in stages:
@@ -646,9 +653,8 @@ def run_pipeline(
             if len(agg_rates) >= 2 and \
                     agg_rates[-1] - agg_rates[-2] < cfg.convergence_pp / 100.0:
                 break
-        if out is not None:
-            save_policy(out / "stage_b.json", params_full)
-            dataset.save(out / "dataset.json")
+        save_policy(out / "stage_b.json", params_full)
+        dataset.save(out / "dataset.json")
 
     params_nocomm = params_full
     if "c" in stages:
@@ -659,8 +665,7 @@ def run_pipeline(
         log += result_c.log
         params_nocomm = result_c.params
         stage_success["c"] = result_c.best_success
-        if out is not None:
-            save_policy(out / "stage_c_nocomm.json", params_nocomm)
+        save_policy(out / "stage_c_nocomm.json", params_nocomm)
 
     gate_data = None
     gate_report = None
@@ -682,8 +687,7 @@ def run_pipeline(
                 "threshold_sweep": gate_data.threshold_sweep,
             }
         )
-        if out is not None:
-            gate_data.save(out / "gate_dataset.json")
+        gate_data.save(out / "gate_dataset.json")
 
     params_final = params_full
     if "e" in stages:
@@ -696,17 +700,16 @@ def run_pipeline(
         params_final = result_e.params
         stage_success["e"] = result_e.best_success
 
-    if out is not None:
-        save_policy(out / "final.json", params_final)
-        log_doc = {
-            "config": asdict(cfg),
-            "stage_success": stage_success,
-            "dataset_size": len(dataset),
-            "events": log,
-        }
-        (out / "training_log.json").write_text(
-            json.dumps(log_doc, indent=1, sort_keys=True) + "\n"
-        )
+    save_policy(out / "final.json", params_final)
+    log_doc = {
+        "config": asdict(cfg),
+        "stage_success": stage_success,
+        "dataset_size": len(dataset),
+        "events": log,
+    }
+    (out / "training_log.json").write_text(
+        json.dumps(log_doc, indent=1, sort_keys=True) + "\n"
+    )
     log.append({"stage": "done", "wall_clock_s": time.perf_counter() - t_start})
 
     return PipelineResult(

@@ -91,7 +91,10 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
 @pytest.mark.parametrize("doc, why", [
     ({"steps_a": 1, "stepz_b": 1}, "unknown config keys ['stepz_b']"),
     (5, "config is int, want a JSON object"),
-], ids=["unknown_key", "not_an_object"])
+    ({"steps_a": "ten"}, "config key 'steps_a' is str, want int"),
+    ({"steps_b": True}, "config key 'steps_b' is bool, want int"),
+    ({"gamma": "1.0"}, "config key 'gamma' is str, want float | None"),
+], ids=["unknown_key", "not_an_object", "str_for_int", "bool_for_int", "str_for_gamma"])
 def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     _, _, text = builtin("toy")
     config = tmp_path / "cfg.json"
@@ -102,3 +105,27 @@ def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {config}: {why}\n"
+
+
+@pytest.mark.parametrize("field", ["restarts", "iterations"])
+def test_zero_synthesis_budget_exits_1(field, capsys):
+    args = ["synth", "--scenario", "toy", "--agent", "1", "--formula", "F[0,10] in(Goal)",
+            f"--{field}", "0"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and field in captured.err
+
+
+def test_unknown_stages_exit_1_before_training(tmp_path, capsys):
+    _, _, text = builtin("toy")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"steps_a": 2, "eval_every": 1, "val_states": 2}))
+    out = tmp_path / "out"
+    args = ["train", "--scenario", "toy", "--spec", text, "--config", str(config),
+            "--out", str(out), "--stages", "axyz"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'xyz'" in captured.err
+    assert not out.exists()

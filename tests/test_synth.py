@@ -69,12 +69,6 @@ class TestSynthesize:
             states, u = (a.value for a in _unroll(x0, Tensor(w), u_max))
             assert np.array_equal(states[1:], states[:-1] + u)
 
-    def test_best_so_far_smooth_nondecreasing(self):
-        res = synthesize(reach_request(restarts=1, iterations=120), record_history=True)
-        hist = np.array(res.history)
-        assert len(hist) > 0
-        assert np.all(np.diff(hist) >= 0)
-
     def test_deterministic_given_seed(self):
         a = synthesize(reach_request())
         b = synthesize(reach_request())

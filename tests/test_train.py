@@ -178,8 +178,22 @@ class TestDataset:
         ])
         ds = Dataset()
         with pytest.raises(ValueError):
-            ds.add(DatasetEntry(far[0], np.tile(far, (3, 1, 1)), "rollout", 0),
-                   team, TRIPLE_PHI)
+            ds.add(team, TRIPLE_PHI, "rollout", 0)
+        assert len(ds) == 0
+
+    def test_insert_stores_the_team_states(self):
+        from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
+
+        # goes around Obs to the goal, so it satisfies the toy spec
+        path = np.array([(1, 1), (2, 1), (3, 1), (4, 1.5), (4.5, 2.5), (5, 3.5), (5, 4.5),
+                         (5, 5), (5, 5), (5, 5), (5, 5)], dtype=float)
+        team = TeamTrajectory([TeamMember(1, IndividualTrajectory(path), {"Robot"})])
+        ds = Dataset()
+        ds.add(team, TOY_PHI, "repaired", 2)
+        (entry,) = ds.entries
+        assert np.array_equal(entry.states, path[None])
+        assert np.array_equal(entry.initial, path[None, 0])
+        assert (entry.provenance, entry.round_index) == ("repaired", 2)
 
     def test_aggregation_insert_paths(self, tmp_path):
         cfg = TrainConfig(seed=0, n_rollouts=6, repair_iterations=120, repair_restarts=2)
@@ -382,3 +396,8 @@ class TestTrainPolicy:
         cfg.to_json(tmp_path / "cfg.json")
         loaded = TrainConfig.from_json(tmp_path / "cfg.json")
         assert loaded == cfg
+
+    def test_config_json_takes_ints_for_floats_and_null_gamma(self, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"lr": 1, "gamma": null, "steps_a": 3}')
+        cfg = TrainConfig.from_json(tmp_path / "cfg.json")
+        assert (cfg.lr, cfg.gamma, cfg.steps_a) == (1, None, 3)
