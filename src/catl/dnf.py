@@ -1,10 +1,10 @@
 """Normalization of team formulas into negation-free DNF over timed tasks.
 
-Pipeline: expand bounded temporal operators into boolean combinations of
-timed tasks, push negations to the atoms and replace each negated task by
-its complement-counting form, then distribute conjunction over disjunction.
-A clause is a conjunction of timed tasks; satisfying any clause satisfies
-the source formula.
+Two steps. ``negation_free`` expands bounded temporal operators into boolean
+combinations of timed tasks, carrying negation down to the tasks and
+replacing each negated task by its complement-counting form; ``_distribute``
+then distributes conjunction over disjunction. A clause is a conjunction of
+timed tasks; satisfying any clause satisfies the source formula.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ DEFAULT_CLAUSE_CAP = 10_000
 
 
 class DnfSizeError(SpecError):
-    """Estimated clause count exceeds the configured cap."""
+    """Distribution crossed the clause cap; ``estimate`` is the clause count
+    at which it did, a lower bound on the full form's."""
 
     def __init__(self, estimate: int, cap: int):
-        super().__init__(f"DNF would have about {estimate} clauses (cap {cap})")
+        super().__init__(f"DNF would have at least {estimate} clauses (cap {cap})")
         self.estimate = estimate
         self.cap = cap
 
@@ -58,16 +59,6 @@ class DnfForm:
 
 
 # -- constant folding ---------------------------------------------------------
-
-
-def _fold_not(node: OuterFormula) -> OuterFormula:
-    if node == OTrue():
-        return FALSE
-    if node == FALSE:
-        return OTrue()
-    if isinstance(node, ONot):
-        return node.child
-    return ONot(node)
 
 
 def _fold_and(children: list[OuterFormula]) -> OuterFormula:
@@ -92,80 +83,59 @@ def _fold_or(children: list[OuterFormula]) -> OuterFormula:
     return OOr.of(kept, FALSE)
 
 
-# -- step 1: temporal expansion -------------------------------------------------
+# -- step 1: negation-free form ------------------------------------------------
 
 
-def expand_temporal(Phi: OuterFormula, offset: int = 0) -> OuterFormula:
-    """Rewrite bounded temporal operators into boolean combinations of
-    timed tasks anchored at absolute offsets."""
+def negation_free(
+    Phi: OuterFormula,
+    jc_sizes: Mapping[str, int],
+    offset: int = 0,
+    positive: bool = True,
+) -> OuterFormula:
+    """Phi (negated unless ``positive``) with its bounded temporal operators
+    expanded into timed tasks at absolute offsets and its negations removed.
+
+    Negation is carried down as the polarity, which swaps conjunction and
+    disjunction. A negated task <phi, c, m> becomes <!phi, c, |J_c|-m+1>:
+    "fewer than m holders satisfy phi" is "at least |J_c|-m+1 holders violate
+    phi". Tasks requiring more agents than the team has fold to constants (a
+    positive occurrence can never hold; its negation always does). The result
+    holds no ONot other than FALSE.
+    """
+    both, either = (_fold_and, _fold_or) if positive else (_fold_or, _fold_and)
+
+    def at(node: OuterFormula, time: int) -> OuterFormula:
+        return negation_free(node, jc_sizes, time, positive)
+
     match Phi:
         case OTrue():
-            return OTrue()
-        case Task():
-            return TimedTask(Phi, offset)
-        case TimedTask(task=task, time=t):
-            return TimedTask(task, offset + t)
-        case ONot(child=c):
-            return _fold_not(expand_temporal(c, offset))
-        case OAnd(children=cs):
-            return _fold_and([expand_temporal(c, offset) for c in cs])
-        case OOr(children=cs):
-            return _fold_or([expand_temporal(c, offset) for c in cs])
-        case OEventually(child=c, a=a, b=b):
-            return _fold_or([expand_temporal(c, offset + s) for s in range(a, b + 1)])
-        case OAlways(child=c, a=a, b=b):
-            return _fold_and([expand_temporal(c, offset + s) for s in range(a, b + 1)])
-        case OUntil(left=l, right=r, a=a, b=b):
-            terms = []
-            for s in range(a, b + 1):
-                parts = [expand_temporal(r, offset + s)]
-                parts += [expand_temporal(l, offset + k) for k in range(s)]
-                terms.append(_fold_and(parts))
-            return _fold_or(terms)
-        case _:
-            raise TypeError(f"not a team formula: {Phi!r}")
-
-
-# -- step 2: negation elimination ------------------------------------------------
-
-
-def eliminate_negation(node: OuterFormula, jc_sizes: Mapping[str, int]) -> OuterFormula:
-    """Push negations to the atoms of an expanded formula and remove them.
-
-    A negated task <phi, c, m> becomes <!phi, c, |J_c|-m+1>: "fewer than m
-    holders satisfy phi" is "at least |J_c|-m+1 holders violate phi". Tasks
-    requiring more agents than the team has fold to constants (a positive
-    occurrence can never hold; its negation always does).
-    """
-    match node:
-        case OTrue():
-            return OTrue()
-        case TimedTask(task=task, time=t):
-            if task.count > _jc(jc_sizes, task.cap.name):
-                return FALSE
-            return node
-        case ONot(child=TimedTask(task=task, time=t)):
+            return OTrue() if positive else FALSE
+        case Task() | TimedTask():
+            task, time = (Phi, offset) if isinstance(Phi, Task) else (Phi.task, offset + Phi.time)
             size = _jc(jc_sizes, task.cap.name)
             if task.count > size:
-                return OTrue()
-            complement = size - task.count + 1
-            negated_inner = task.inner.child if isinstance(task.inner, INot) \
-                else INot(task.inner)
-            return TimedTask(Task(negated_inner, task.cap, complement), t)
-        case ONot(child=ONot(child=inner)):
-            return eliminate_negation(inner, jc_sizes)
-        case ONot(child=OTrue()):
-            return FALSE
-        case ONot(child=OAnd(children=cs)):
-            return _fold_or([eliminate_negation(_fold_not(c), jc_sizes) for c in cs])
-        case ONot(child=OOr(children=cs)):
-            return _fold_and([eliminate_negation(_fold_not(c), jc_sizes) for c in cs])
+                return FALSE if positive else OTrue()
+            if positive:
+                return TimedTask(task, time)
+            inner = task.inner.child if isinstance(task.inner, INot) else INot(task.inner)
+            return TimedTask(Task(inner, task.cap, size - task.count + 1), time)
+        case ONot(child=c):
+            return negation_free(c, jc_sizes, offset, not positive)
         case OAnd(children=cs):
-            return _fold_and([eliminate_negation(c, jc_sizes) for c in cs])
+            return both([at(c, offset) for c in cs])
         case OOr(children=cs):
-            return _fold_or([eliminate_negation(c, jc_sizes) for c in cs])
+            return either([at(c, offset) for c in cs])
+        case OEventually(child=c, a=a, b=b):
+            return either([at(c, offset + s) for s in range(a, b + 1)])
+        case OAlways(child=c, a=a, b=b):
+            return both([at(c, offset + s) for s in range(a, b + 1)])
+        case OUntil(left=l, right=r, a=a, b=b):
+            return either([
+                both([at(r, offset + s)] + [at(l, offset + k) for k in range(s)])
+                for s in range(a, b + 1)
+            ])
         case _:
-            raise TypeError(f"unexpected node after expansion: {node!r}")
+            raise TypeError(f"not a team formula: {Phi!r}")
 
 
 def _jc(jc_sizes: Mapping[str, int], cap_name: str) -> int:
@@ -174,25 +144,7 @@ def _jc(jc_sizes: Mapping[str, int], cap_name: str) -> int:
     return jc_sizes[cap_name]
 
 
-# -- step 3: distribution ----------------------------------------------------------
-
-
-def estimate_clauses(node: OuterFormula) -> int:
-    """Clause count the distribution step would produce (before dedup)."""
-    match node:
-        case OTrue() | TimedTask():
-            return 1
-        case ONot(child=OTrue()):
-            return 0
-        case OAnd(children=cs):
-            est = 1
-            for c in cs:
-                est *= estimate_clauses(c)
-            return est
-        case OOr(children=cs):
-            return sum(estimate_clauses(c) for c in cs)
-        case _:
-            raise TypeError(f"unexpected node in negation-free form: {node!r}")
+# -- step 2: distribution ----------------------------------------------------------
 
 
 def _atom_key(atom: TimedTask):
@@ -218,9 +170,9 @@ def _distribute(node: OuterFormula, cap: int) -> list[frozenset[TimedTask]]:
             acc: list[frozenset[TimedTask]] = [frozenset()]
             for c in cs:
                 child_clauses = _distribute(c, cap)
+                if len(acc) * len(child_clauses) > cap:  # before the product is built
+                    raise DnfSizeError(len(acc) * len(child_clauses), cap)
                 acc = [a | b for a in acc for b in child_clauses]
-                if len(acc) > cap:
-                    raise DnfSizeError(len(acc), cap)
             return acc
         case _:
             raise TypeError(f"unexpected node in negation-free form: {node!r}")
@@ -237,12 +189,7 @@ def to_dnf(
     """Negation-free DNF equivalent to Phi for any team with the given
     per-capability holder counts. Deduplicates atoms and drops subsumed
     clauses; clause order is canonical for reproducibility."""
-    expanded = expand_temporal(Phi, 0)
-    negfree = eliminate_negation(expanded, jc_sizes)
-    estimate = estimate_clauses(negfree)
-    if estimate > clause_cap:
-        raise DnfSizeError(estimate, clause_cap)
-    clauses = set(_distribute(negfree, clause_cap))
+    clauses = set(_distribute(negation_free(Phi, jc_sizes), clause_cap))
     ordered = sorted(
         (tuple(sorted(c, key=_atom_key)) for c in clauses),
         key=lambda c: (len(c), [_atom_key(a) for a in c]),

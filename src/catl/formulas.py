@@ -21,10 +21,9 @@ class SpecError(Exception):
 
 @dataclass(frozen=True)
 class Capability:
-    """Named capability; ``index`` is its position in the scenario vocabulary."""
+    """Named capability; tasks compare capabilities by name alone."""
 
     name: str
-    index: int = -1
 
 
 def capability_vector(agent_caps: set[str] | frozenset[str], vocab: list[str]) -> np.ndarray:

@@ -286,13 +286,9 @@ class _Parser:
         self.expect(")")
         if m < 1:
             raise SpecSyntaxError(f"task count must be >= 1, got {m}", m_tok.line, m_tok.col)
-        index = -1
-        if self.capabilities is not None:
-            if cap_name not in self.capabilities:
-                raise SpecSyntaxError(f"unknown capability {cap_name!r}",
-                                      cap_tok.line, cap_tok.col)
-            index = self.capabilities.index(cap_name)
-        task = Task(inner, Capability(cap_name, index), m)
+        if self.capabilities is not None and cap_name not in self.capabilities:
+            raise SpecSyntaxError(f"unknown capability {cap_name!r}", cap_tok.line, cap_tok.col)
+        task = Task(inner, Capability(cap_name), m)
         if self.peek().kind == "@":
             self.next()
             t_tok = self.expect("INT")

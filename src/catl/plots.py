@@ -124,13 +124,28 @@ def save_comm_mask_csv(mask: np.ndarray, agent_ids: list[int], path: str | Path)
 
 
 def load_comm_mask_csv(path: str | Path) -> tuple[np.ndarray, list[int]]:
-    """The (J, H) mask of a ``t,agent,comm`` CSV and its agent ids, ascending."""
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()[1:]]
-    ids = sorted({int(r[1]) for r in rows})
-    length = max(int(r[0]) for r in rows) + 1
-    mask = np.zeros((len(ids), length))
+    """The (J, H) mask of a ``t,agent,comm`` CSV and its agent ids, ascending.
+    ValueError naming the file on another header, no rows or a row that is
+    not three integers with t >= 0 and comm 0 or 1."""
+    header, *lines = Path(path).read_text().strip().splitlines() or [""]
+    if header != "t,agent,comm":
+        raise ValueError(f"{path}: header is {header!r}, want 't,agent,comm'")
+    if not lines:
+        raise ValueError(f"{path}: no rows after the header")
+    rows = []
+    for number, line in enumerate(lines, start=2):
+        try:
+            t, j, v = (int(field) for field in line.split(","))
+        except ValueError:
+            t = v = -1  # reported below, with the rows out of range
+        if t < 0 or v not in (0, 1):
+            raise ValueError(f"{path}: line {number} is {line!r}, "
+                             "want integers t >= 0, agent and comm 0 or 1")
+        rows.append((t, j, v))
+    ids = sorted({j for _, j, _ in rows})
+    mask = np.zeros((len(ids), max(t for t, _, _ in rows) + 1))
     for t, j, v in rows:
-        mask[ids.index(int(j)), int(t)] = int(v)
+        mask[ids.index(j), t] = v
     return mask, ids
 
 

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -77,6 +76,11 @@ class TrainConfig:
     repair_restarts: int = 3
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("repair_iterations", "repair_restarts"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"config key {key!r} is {getattr(self, key)}, want at least 1")
+
     def smooth_cfg(self, step: int | None = None) -> RobustnessConfig:
         """Training temperature: anneals from tau_start, doubling every
         tau_anneal_every steps, capped at tau. step=None gives the final tau."""
@@ -96,7 +100,7 @@ class TrainConfig:
     @staticmethod
     def from_json(path: str | Path) -> "TrainConfig":
         """Read a ``to_json`` file; ValueError unless it is an object of config
-        fields, each holding a value of its field's type."""
+        fields, each holding a value of its field's type and range."""
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config is {type(doc).__name__}, want a JSON object")
@@ -109,7 +113,10 @@ class TrainConfig:
                 raise ValueError(
                     f"{path}: config key {key!r} is {type(value).__name__}, want {types[key]}"
                 )
-        return TrainConfig(**doc)
+        try:
+            return TrainConfig(**doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True) + "\n")
@@ -274,6 +281,8 @@ def match_identical_agents(
     roll_states/data_states are (J, T, 2); p[j] is the dataset roster index
     imitated by rollout agent j.
     """
+    from scipy.optimize import linear_sum_assignment  # imitation alone needs scipy
+
     n = roll_states.shape[0]
     if data_states.shape[0] != n:
         raise ValueError("mismatched rosters")

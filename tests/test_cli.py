@@ -1,10 +1,15 @@
 """Command-line entry points: exit codes and what they print."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catl
 from catl.cli import main
 from catl.formulas import horizon, print_formula
 from catl.scenario import BUILTIN_SCENARIOS, builtin
@@ -94,7 +99,10 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     ({"steps_a": "ten"}, "config key 'steps_a' is str, want int"),
     ({"steps_b": True}, "config key 'steps_b' is bool, want int"),
     ({"gamma": "1.0"}, "config key 'gamma' is str, want float | None"),
-], ids=["unknown_key", "not_an_object", "str_for_int", "bool_for_int", "str_for_gamma"])
+    ({"repair_restarts": 0}, "config key 'repair_restarts' is 0, want at least 1"),
+    ({"repair_iterations": 0}, "config key 'repair_iterations' is 0, want at least 1"),
+], ids=["unknown_key", "not_an_object", "str_for_int", "bool_for_int", "str_for_gamma",
+        "zero_repair_restarts", "zero_repair_iterations"])
 def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     _, _, text = builtin("toy")
     config = tmp_path / "cfg.json"
@@ -105,6 +113,7 @@ def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {config}: {why}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["restarts", "iterations"])
@@ -129,3 +138,12 @@ def test_unknown_stages_exit_1_before_training(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "'xyz'" in captured.err
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only imitation's agent matching needs scipy.optimize; it imports it lazily
+    code = "import sys, catl.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(catl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"

@@ -10,9 +10,8 @@ from catl.dnf import (
     DnfForm,
     DnfSizeError,
     dnf_to_formula,
-    eliminate_negation,
-    expand_temporal,
     jc_sizes_of,
+    negation_free,
     to_dnf,
 )
 from catl.formulas import (
@@ -35,6 +34,7 @@ from catl.formulas import (
 )
 from catl.geometry import Region
 from catl.monitor import outer_sat
+from catl.scenario import builtin
 from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
 
 from generators import TEAM_CAPS, random_outer, random_team
@@ -48,7 +48,7 @@ def atom(name="c", m=1, negate_inner=False):
     inner = Predicate(InRegion(BOX.name, BOX))
     if negate_inner:
         inner = INot(inner)
-    return Task(inner, Capability(name, 0), m)
+    return Task(inner, Capability(name), m)
 
 
 def pattern_team(bits, cap="c", length=1):
@@ -68,17 +68,17 @@ def pattern_team(bits, cap="c", length=1):
 class TestExpansion:
     def test_eventually_two_instants(self):
         t = atom()
-        out = expand_temporal(OEventually(t, 0, 1))
+        out = negation_free(OEventually(t, 0, 1), {"c": 1})
         assert out == OOr((TimedTask(t, 0), TimedTask(t, 1)))
 
     def test_always_two_instants(self):
         t = atom()
-        out = expand_temporal(OAlways(t, 0, 1))
+        out = negation_free(OAlways(t, 0, 1), {"c": 1})
         assert out == OAnd((TimedTask(t, 0), TimedTask(t, 1)))
 
     def test_until_structure(self):
         t1, t2 = atom(m=1), atom(m=2)
-        out = expand_temporal(OUntil(t1, t2, 1, 2))
+        out = negation_free(OUntil(t1, t2, 1, 2), {"c": 2})
         expected = OOr(
             (
                 OAnd((TimedTask(t2, 1), TimedTask(t1, 0))),
@@ -91,7 +91,7 @@ class TestExpansion:
         # two agents, horizon 2: enumerate every inside/outside pattern over time
         t1, t2 = atom(m=1), atom(m=2)
         phi = OUntil(t1, t2, 1, 2)
-        expanded = expand_temporal(phi)
+        expanded = negation_free(phi, {"c": 2})
         for pattern in itertools.product([0, 1], repeat=6):
             grid = np.array(pattern).reshape(2, 3)
             team = TeamTrajectory(
@@ -110,9 +110,10 @@ class TestExpansion:
 
     def test_timed_offsets_bounded_by_horizon(self):
         rng = np.random.default_rng(11)
+        sizes = jc_sizes_of(TEAM_CAPS)
         for _ in range(100):
             phi = random_outer(rng, depth=3, budget=5)
-            expanded = expand_temporal(phi)
+            expanded = negation_free(phi, sizes)
             hrz = horizon(phi)
 
             def max_offset(node):
@@ -130,32 +131,49 @@ class TestExpansion:
 class TestNegationElimination:
     def test_complement_count(self):
         neg = ONot(TimedTask(atom(m=2), 0))
-        out = eliminate_negation(neg, {"c": 4})
+        out = negation_free(neg, {"c": 4})
         assert out == TimedTask(atom(m=3, negate_inner=True), 0)
 
     def test_complement_equivalent_over_all_patterns(self):
         neg = ONot(TimedTask(atom(m=2), 0))
-        rewritten = eliminate_negation(neg, {"c": 4})
+        rewritten = negation_free(neg, {"c": 4})
         for bits in itertools.product([0, 1], repeat=4):
             team = pattern_team(bits)
             assert outer_sat(team, neg, 0) == outer_sat(team, rewritten, 0), bits
 
     def test_double_negation(self):
         t = TimedTask(atom(), 0)
-        assert eliminate_negation(ONot(ONot(t)), {"c": 2}) == t
+        assert negation_free(ONot(ONot(t)), {"c": 2}) == t
 
     def test_bridge_occupancy_rule(self):
         # no more than 1 of 4 ground agents on the bridge
-        bridge_task = Task(Predicate(InRegion("B", BOX)), Capability("Ground", 0), 2)
-        out = eliminate_negation(ONot(TimedTask(bridge_task, 3)), {"Ground": 4})
+        bridge_task = Task(Predicate(InRegion("B", BOX)), Capability("Ground"), 2)
+        out = negation_free(ONot(TimedTask(bridge_task, 3)), {"Ground": 4})
         assert out == TimedTask(
-            Task(INot(Predicate(InRegion("B", BOX))), Capability("Ground", 0), 3), 3
+            Task(INot(Predicate(InRegion("B", BOX))), Capability("Ground"), 3), 3
         )
 
     def test_unsatisfiable_task_folds(self):
         t = TimedTask(atom(m=5), 0)
-        assert eliminate_negation(t, {"c": 3}) == FALSE
-        assert eliminate_negation(ONot(t), {"c": 3}) == OTrue()
+        assert negation_free(t, {"c": 3}) == FALSE
+        assert negation_free(ONot(t), {"c": 3}) == OTrue()
+
+    def test_output_is_folded_and_negation_free(self):
+        # constants only at the root: to_dnf's clause cap relies on every
+        # proper subformula having at least one clause
+        rng = np.random.default_rng(12)
+        sizes = jc_sizes_of(TEAM_CAPS)
+        for _ in range(200):
+            out = negation_free(random_outer(rng, depth=3, budget=4), sizes)
+            if out in (OTrue(), FALSE):
+                continue
+            stack = [out]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (OAnd, OOr)):
+                    stack.extend(node.children)
+                else:
+                    assert isinstance(node, TimedTask), node
 
 
 class TestToDnf:
@@ -223,6 +241,14 @@ class TestToDnf:
                 frozenset(c) for c in second.clauses
             }
             done += 1
+
+    @pytest.mark.parametrize("name, clauses, atoms", [
+        ("case-study", 6, 507), ("reduced", 1, 55), ("toy", 1, 12), ("triple-toy", 1, 9),
+    ])
+    def test_builtin_sizes(self, name, clauses, atoms):
+        scenario, phi, _ = builtin(name)
+        dnf = to_dnf(phi, scenario.jc_sizes())
+        assert (dnf.clause_count, dnf.atom_count()) == (clauses, atoms)
 
     def test_subsumed_clause_dropped(self):
         t1, t2 = TimedTask(atom(m=1), 0), TimedTask(atom(m=2), 0)

@@ -33,8 +33,8 @@ from catl.parsing import SpecSyntaxError, parse_inner, parse_spec
 from generators import CAPS, REGIONS, random_inner, random_outer
 
 
-def task(inner, cap, m, index=-1):
-    return Task(inner, Capability(cap, index), m)
+def task(inner, cap, m):
+    return Task(inner, Capability(cap), m)
 
 
 class TestParsing:
@@ -90,6 +90,10 @@ class TestParsing:
     def test_unknown_capability_with_vocabulary(self):
         with pytest.raises(SpecSyntaxError, match="unknown capability"):
             parse_spec("task(true, Lifting, 1)", capabilities=["Delivery"])
+
+    def test_vocabulary_does_not_change_the_task(self):
+        bare = parse_spec("task(true, Delivery, 2)")
+        assert bare == parse_spec("task(true, Delivery, 2)", capabilities=["Lifting", "Delivery"])
 
     def test_unknown_region_with_table(self):
         with pytest.raises(SpecSyntaxError, match="unknown region"):

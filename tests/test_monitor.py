@@ -173,7 +173,7 @@ class TestCount:
 
     def test_empty_capability_group(self):
         team = random_team(np.random.default_rng(2), 5)
-        assert count(team, Capability("green", -1), ITrue(), 0) == 0
+        assert count(team, Capability("green"), ITrue(), 0) == 0
 
     def test_matches_per_agent_loop(self):
         rng = np.random.default_rng(57)
@@ -196,7 +196,7 @@ class TestTaskRho:
         team = make_team(states, [frozenset({"red"})] * 3)
         halfline = Predicate(InRegion("H", Region.box("H", (0.0, -5.0), (100.0, 5.0))))
         # margin in x: min(x, 100-x); y margin large enough not to bind
-        task = Task(halfline, Capability("red", 0), 2)
+        task = Task(halfline, Capability("red"), 2)
         assert task_rho(team, task, 0) == pytest.approx(1.0)
 
     def test_m_equals_one_is_max(self):
@@ -206,7 +206,7 @@ class TestTaskRho:
         rhos = [
             inner_rho(m.trajectory, phi, 0) for m in team.members if "red" in m.capabilities
         ]
-        task = Task(phi, Capability("red", 0), 1)
+        task = Task(phi, Capability("red"), 1)
         assert task_rho(team, task, 0) == pytest.approx(max(rhos))
 
     def test_sign_matches_counting(self):
@@ -218,7 +218,7 @@ class TestTaskRho:
             cap = "red" if rng.random() < 0.5 else "blue"
             holders = len(team.with_capability(cap))
             m = int(rng.integers(1, holders + 1))
-            task = Task(phi, Capability(cap, 0), m)
+            task = Task(phi, Capability(cap), m)
             rho = task_rho(team, task, 0)
             if abs(rho) <= 1e-9:
                 continue
@@ -228,7 +228,7 @@ class TestTaskRho:
 
     def test_too_many_required_raises(self):
         team = random_team(np.random.default_rng(3), 3)
-        task = Task(ITrue(), Capability("red", 0), 5)
+        task = Task(ITrue(), Capability("red"), 5)
         with pytest.raises(ValueError):
             task_rho(team, task, 0)
 
@@ -240,7 +240,7 @@ class TestOuterSemantics:
             for _ in range(6)
         ]
         team = make_team(states, [frozenset({"Delivery"})] * 6)
-        phi = Task(IEventually(in_region(C_REGION), 0, 8), Capability("Delivery", 0), 6)
+        phi = Task(IEventually(in_region(C_REGION), 0, 8), Capability("Delivery"), 6)
         assert outer_sat(team, phi, 0)
         assert outer_rho(team, phi, 0) > 0
 
@@ -327,7 +327,7 @@ class TestUnboundRegion:
 class TestBatchEntryPoints:
     """outer_rho_batch and outer_rho_tensor reject bad states at the boundary."""
 
-    PHI = Task(IEventually(in_region(C_REGION), 0, 4), Capability("red", 0), 1)
+    PHI = Task(IEventually(in_region(C_REGION), 0, 4), Capability("red"), 1)
 
     @staticmethod
     def rho(entry: str, states: np.ndarray):

@@ -273,8 +273,8 @@ GOAL = Region.box("Goal", (2.0, 2.0), (4.0, 4.0))
 OBS = Region.box("Obs", (-2.0, -2.0), (-1.0, -1.0))
 SPEC2 = OAnd(
     (
-        Task(IEventually(Predicate(InRegion("Goal", GOAL)), 0, 10), Capability("a", 0), 1),
-        Task(IAlways(INot(Predicate(InRegion("Obs", OBS))), 0, 10), Capability("b", 1), 1),
+        Task(IEventually(Predicate(InRegion("Goal", GOAL)), 0, 10), Capability("a"), 1),
+        Task(IAlways(INot(Predicate(InRegion("Obs", OBS))), 0, 10), Capability("b"), 1),
     )
 )
 CAPS2 = [frozenset({"a"}), frozenset({"b"})]
