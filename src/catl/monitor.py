@@ -268,7 +268,7 @@ def _until_signal(sig1, sig2, a: int, b: int, length: int, be):
         if s == 0:
             terms.append(witness)
         else:
-            prefix = be.reduce_min([_slice_t(sig1, k, length) for k in range(s)])
+            prefix = be.min(be.windows(sig1, 0, length, s))
             terms.append(be.reduce_min([witness, prefix]))
     return be.reduce_max(terms)
 

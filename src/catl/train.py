@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import dnf
 from .autodiff import Tensor
 from .evaluate import scored_rollouts
 from .formulas import OuterFormula
@@ -30,7 +31,7 @@ from .monitor import (
     outer_sat,
 )
 from .nn import Adam
-from .policy import PolicyParams, RolloutResult, create_policy, rollout, save_policy
+from .policy import COMM_CLASS, PolicyParams, RolloutResult, create_policy, rollout, save_policy
 from .repair import RepairBudget, repair
 from .scenario import Scenario
 from .trajectories import TeamTrajectory
@@ -77,9 +78,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("repair_iterations", "repair_restarts"):
+        for key in ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",
+                    "gate_states", "n_c", "hidden", "repair_iterations", "repair_restarts"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config key {key!r} is {getattr(self, key)}, want at least 1")
+        for key in ("tau", "tau_start"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"config key {key!r} is {getattr(self, key)}, want above 0")
 
     def smooth_cfg(self, step: int | None = None) -> RobustnessConfig:
         """Training temperature: anneals from tau_start, doubling every
@@ -195,11 +200,11 @@ class Dataset:
         states = np.stack([m.trajectory.states for m in team.members])
         self.entries.append(DatasetEntry(states[:, 0], states, provenance, round_index))
 
-    def split(self, val_fraction: float) -> tuple[list[int], list[int]]:
-        """Deterministic head/tail split by insertion order."""
+    def split(self, val_fraction: float) -> tuple[list[DatasetEntry], list[DatasetEntry]]:
+        """(train, validation) entries: validation is the head of the insertion
+        order, at least one entry unless the dataset is empty."""
         n_val = max(1, int(len(self.entries) * val_fraction)) if self.entries else 0
-        idx = list(range(len(self.entries)))
-        return idx[n_val:], idx[:n_val]
+        return self.entries[n_val:], self.entries[:n_val]
 
     def save(self, path: str | Path) -> None:
         doc = [
@@ -243,6 +248,7 @@ def aggregate_dataset(
         res = rollout(params, x0, scenario.horizon, "full", member_caps=scenario.member_caps())
     stats = {"rollouts": cfg.n_rollouts, "satisfying": 0, "repaired": 0, "failed": 0}
     budget = cfg.repair_budget()
+    form = dnf.to_dnf(phi, scenario.jc_sizes())  # one DNF for every violator
     for i, team in enumerate(res.to_teams()):
         # the boolean monitor decides, as Dataset.add does: a rollout that
         # ties at robustness -0.0 can still violate
@@ -250,7 +256,7 @@ def aggregate_dataset(
             stats["satisfying"] += 1
             dataset.add(team, phi, "rollout", round_index)
             continue
-        outcome = repair(team, phi, scenario, replace(budget, seed=budget.seed + i))
+        outcome = repair(team, phi, scenario, replace(budget, seed=budget.seed + i), dnf=form)
         if outcome.success:
             stats["repaired"] += 1
             dataset.add(outcome.trajectory, phi, "repaired", round_index)
@@ -372,22 +378,17 @@ def train_policy(
     opt = Adam(params.policy_named(), lr=cfg.lr)
     gamma = effective_gamma(cfg, scenario)
 
-    train_idx: list[int] = []
-    if dataset is not None and len(dataset) > 0 and cfg.beta > 0:
-        train_idx, val_idx = dataset.split(cfg.val_fraction)
-        val_x0 = np.stack([dataset.entries[i].initial for i in val_idx])
-        extra = cfg.val_states - len(val_x0)
-        if extra > 0:
-            val_x0 = np.concatenate(
-                [val_x0, scenario.sample_initial_batch(rng, extra)]
-            )
-    else:
-        val_x0 = scenario.sample_initial_batch(rng, cfg.val_states)
+    # validation starts from the held-out entries' initial states, topped up
+    # with sampled ones; imitation trains on the rest
+    imitate, held_out = dataset.split(cfg.val_fraction) if dataset and cfg.beta > 0 else ([], [])
+    val_x0 = [e.initial for e in held_out]
+    if cfg.val_states > len(held_out):
+        val_x0 += list(scenario.sample_initial_batch(rng, cfg.val_states - len(held_out)))
+    val_x0 = np.stack(val_x0)
 
     log: list[dict] = []
     best_sr = -1.0
     best_params = params.copy()
-    use_imitation = dataset is not None and len(train_idx) > 0 and cfg.beta > 0
 
     for step in range(steps):
         x0 = scenario.sample_initial_batch(rng, cfg.m_samples)
@@ -399,11 +400,9 @@ def train_policy(
             )
         except NonFiniteError as err:  # the rollout left the finite states
             raise DivergenceError(f"{diverged}: {err}") from err
-        if use_imitation:
-            k = min(cfg.m_samples, len(train_idx))
-            picks = rng.choice(len(train_idx), size=k, replace=False)
-            entries = [dataset.entries[train_idx[p]] for p in picks]
-            imit = imitation_loss(params, entries, scenario, gate_mode)
+        if imitate:
+            picks = rng.choice(len(imitate), size=min(cfg.m_samples, len(imitate)), replace=False)
+            imit = imitation_loss(params, [imitate[p] for p in picks], scenario, gate_mode)
             total = objective * (1.0 - cfg.beta) - imit * cfg.beta
         else:
             total = objective
@@ -458,16 +457,7 @@ class GateDataset:
     def save(self, path: str | Path) -> None:
         doc = {
             "threshold_sweep": self.threshold_sweep,
-            "samples": [
-                {
-                    "thought": s.thought.tolist(),
-                    "label": s.label,
-                    "agent_index": s.agent_index,
-                    "time": s.time,
-                    "drop": s.drop,
-                }
-                for s in self.samples
-            ],
+            "samples": [{**asdict(s), "thought": s.thought.tolist()} for s in self.samples],
         }
         Path(path).write_text(json.dumps(doc) + "\n")
 
@@ -491,11 +481,8 @@ def build_gate_dataset(
     data = GateDataset()
     sweep_rels = (0.01, 0.05, 0.1)
     sweep_counts = {rel: 0 for rel in sweep_rels}
-    total = 0
     n_agents, length = scenario.n_agents, scenario.horizon
-    cuts = np.arange(n_agents * length)
-    cut = np.zeros((1 + len(cuts), n_agents, length), dtype=bool)
-    cut[1 + cuts, cuts // length, cuts % length] = True
+    cut = np.eye(1 + n_agents * length, dtype=bool)[:, 1:].reshape(-1, n_agents, length)
 
     for _ in range(cfg.gate_states):
         x0 = scenario.sample_initial(rng)
@@ -505,24 +492,19 @@ def build_gate_dataset(
         states = res.states_numpy()
         members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
         etas = outer_rho_batch(members, phi, smooth)
-        eta_full = float(etas[0])
-        eps = cfg.gate_eps_rel * max(abs(eta_full), cfg.gate_eps_floor)
-        for k in cuts:
-            j, t = divmod(int(k), length)
-            drop = eta_full - float(etas[1 + k])
-            label = int(drop > eps)
-            thought = res.thoughts[0, j, t].copy()
-            data.samples.append(GateSample(thought, label, j, t, float(drop)))
-            total += 1
-            for rel in sweep_rels:
-                if drop > rel * max(abs(eta_full), cfg.gate_eps_floor):
-                    sweep_counts[rel] += 1
+        drops = etas[0] - etas[1:]  # cut k = j*H + t, so j outer and t inner
+        scale = max(abs(float(etas[0])), cfg.gate_eps_floor)
+        labels = drops > cfg.gate_eps_rel * scale
+        data.samples += [
+            GateSample(res.thoughts[0, j, t].copy(), int(label), j, t, float(drop))
+            for (j, t), label, drop in zip(np.ndindex(n_agents, length), labels, drops)
+        ]
+        for rel in sweep_rels:
+            sweep_counts[rel] += int(np.sum(drops > rel * scale))
 
     data.threshold_sweep = {
         "relative_thresholds": list(sweep_rels),
-        "positive_fraction": {
-            str(rel): (sweep_counts[rel] / total if total else 0.0) for rel in sweep_rels
-        },
+        "positive_fraction": {str(rel): sweep_counts[rel] / len(data) for rel in sweep_rels},
     }
     return data
 
@@ -531,12 +513,11 @@ def gate_cross_entropy(params: PolicyParams, thoughts: np.ndarray,
                        labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy of the gate over (thought, label) pairs.
 
-    Class 0 is "communicate" (label 1 selects it), class 1 is "stay silent".
+    Label 1 selects class COMM_CLASS ("communicate"), label 0 the other class
+    ("stay silent").
     """
     logits = params.gate_net(Tensor(thoughts))
-    onehot = np.zeros((len(labels), 2))
-    onehot[labels == 1, 0] = 1.0
-    onehot[labels == 0, 1] = 1.0
+    onehot = np.eye(2)[np.where(labels == 1, COMM_CLASS, 1 - COMM_CLASS)]
     lse = ad.logsumexp(logits, axis=-1)
     picked = ad.sum_(logits * Tensor(onehot), axis=-1)
     return ad.mean(lse - picked)
@@ -579,7 +560,7 @@ def train_gate(
     def accuracy(idx) -> float:
         with ad.no_grad():
             logits = params.gate_net(Tensor(thoughts[idx])).value
-        pred = (np.argmax(logits, axis=-1) == 0).astype(int)
+        pred = (np.argmax(logits, axis=-1) == COMM_CLASS).astype(int)
         return float((pred == labels[idx]).mean())
 
     return GateReport(
@@ -630,50 +611,38 @@ def run_pipeline(
     stage_success: dict = {}
     t_start = time.perf_counter()
 
-    rng_a = np.random.default_rng([cfg.seed, 1])
-    result_a = train_policy(
-        scenario, phi, cfg, gate_mode="full", steps=cfg.steps_a, stage="a", rng=rng_a
-    )
-    log += result_a.log
-    stage_success["a"] = result_a.best_success
-    params_full = result_a.params
+    def stage(name: str, gate_mode: str, steps: int, stream: tuple, **kwargs) -> PolicyParams:
+        """Train one policy stage on its own rng stream and record its log
+        and best validation success."""
+        result = train_policy(scenario, phi, cfg, gate_mode=gate_mode, steps=steps, stage=name,
+                              rng=np.random.default_rng([cfg.seed, *stream]), **kwargs)
+        log.extend(result.log)
+        stage_success[name] = result.best_success
+        return result.params
+
+    params_full = stage("a", "full", cfg.steps_a, (1,))
     save_policy(out / "stage_a.json", params_full)
 
     dataset = Dataset()
     if "b" in stages:
-        agg_rates: list[float] = []
+        prev_rate = float("-inf")  # rollout success rate of the previous round
         for round_index in range(1, cfg.rounds_b + 1):
-            rng_round = np.random.default_rng([cfg.seed, 2, round_index])
-            agg = aggregate_dataset(
-                params_full, scenario, phi, cfg, dataset, rng_round, round_index
-            )
-            agg_rates.append(agg["success_rate"])
+            agg = aggregate_dataset(params_full, scenario, phi, cfg, dataset,
+                                    np.random.default_rng([cfg.seed, 2, round_index]), round_index)
             log.append({"stage": "b-aggregate", "round": round_index, **agg})
-            result_b = train_policy(
-                scenario, phi, cfg, gate_mode="full", steps=cfg.steps_b,
-                stage=f"b{round_index}", rng=np.random.default_rng([cfg.seed, 3, round_index]),
-                dataset=dataset, init_params=params_full,
-            )
-            log += result_b.log
-            params_full = result_b.params
-            stage_success[f"b{round_index}"] = result_b.best_success
-            stage_success["b"] = result_b.best_success
+            params_full = stage(f"b{round_index}", "full", cfg.steps_b, (3, round_index),
+                                dataset=dataset, init_params=params_full)
+            stage_success["b"] = stage_success[f"b{round_index}"]
             # aggregation rounds stop once the rollout success rate plateaus
-            if len(agg_rates) >= 2 and \
-                    agg_rates[-1] - agg_rates[-2] < cfg.convergence_pp / 100.0:
+            if agg["success_rate"] - prev_rate < cfg.convergence_pp / 100.0:
                 break
+            prev_rate = agg["success_rate"]
         save_policy(out / "stage_b.json", params_full)
         dataset.save(out / "dataset.json")
 
     params_nocomm = params_full
     if "c" in stages:
-        result_c = train_policy(
-            scenario, phi, cfg, gate_mode="none", steps=cfg.steps_c, stage="c",
-            rng=np.random.default_rng([cfg.seed, 4]), dataset=dataset,
-        )
-        log += result_c.log
-        params_nocomm = result_c.params
-        stage_success["c"] = result_c.best_success
+        params_nocomm = stage("c", "none", cfg.steps_c, (4,), dataset=dataset)
         save_policy(out / "stage_c_nocomm.json", params_nocomm)
 
     gate_data = None
@@ -700,14 +669,8 @@ def run_pipeline(
 
     params_final = params_full
     if "e" in stages:
-        result_e = train_policy(
-            scenario, phi, cfg, gate_mode="learned", steps=cfg.steps_e, stage="e",
-            rng=np.random.default_rng([cfg.seed, 7]), dataset=dataset,
-            init_params=params_full,
-        )
-        log += result_e.log
-        params_final = result_e.params
-        stage_success["e"] = result_e.best_success
+        params_final = stage("e", "learned", cfg.steps_e, (7,), dataset=dataset,
+                             init_params=params_full)
 
     save_policy(out / "final.json", params_final)
     log_doc = {

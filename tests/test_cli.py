@@ -93,6 +93,11 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
+# counts that crash training at 0 (stack of nothing, division or overflow)
+ZERO_COUNTS = ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",
+               "gate_states", "n_c", "hidden")
+
+
 @pytest.mark.parametrize("doc, why", [
     ({"steps_a": 1, "stepz_b": 1}, "unknown config keys ['stepz_b']"),
     (5, "config is int, want a JSON object"),
@@ -101,8 +106,12 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     ({"gamma": "1.0"}, "config key 'gamma' is str, want float | None"),
     ({"repair_restarts": 0}, "config key 'repair_restarts' is 0, want at least 1"),
     ({"repair_iterations": 0}, "config key 'repair_iterations' is 0, want at least 1"),
+    *(({key: 0}, f"config key {key!r} is 0, want at least 1") for key in ZERO_COUNTS),
+    ({"tau": 0.0}, "config key 'tau' is 0.0, want above 0"),
+    ({"tau_start": -1.0}, "config key 'tau_start' is -1.0, want above 0"),
 ], ids=["unknown_key", "not_an_object", "str_for_int", "bool_for_int", "str_for_gamma",
-        "zero_repair_restarts", "zero_repair_iterations"])
+        "zero_repair_restarts", "zero_repair_iterations",
+        *(f"zero_{key}" for key in ZERO_COUNTS), "zero_tau", "negative_tau_start"])
 def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     _, _, text = builtin("toy")
     config = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Trainer: objectives, matching, dataset rules, gate labeling and fitting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from catl import autodiff as ad
 from catl import train
 from catl.autodiff import Tensor
 from catl.monitor import RobustnessConfig, outer_rho, outer_rho_batch, outer_sat
-from catl.policy import RolloutResult, create_policy, rollout
+from catl.policy import RolloutResult, create_policy, gate, rollout
 from catl.scenario import toy_benchmark, triple_toy
 from catl.train import (
     Dataset,
@@ -244,11 +246,14 @@ class TestDataset:
         ds = Dataset()
         for i in range(10):
             ds.entries.append(DatasetEntry(np.zeros((1, 2)), np.zeros((1, 2, 2)),
-                                           "rollout", 0))
+                                           "rollout", i))
         a = ds.split(0.2)
         b = ds.split(0.2)
         assert a == b
         assert len(a[1]) == 2
+        # validation is the head of the insertion order, training the tail
+        assert [e.round_index for e in a[1]] == [0, 1]
+        assert [e.round_index for e in a[0]] == list(range(2, 10))
 
 
 class TestGate:
@@ -275,6 +280,8 @@ class TestGate:
         report = train_gate(params, data, cfg, np.random.default_rng(13))
         assert report.heldout_accuracy >= 0.99
         assert not report.degenerate
+        # the rollout's learned gate opens the channel where label 1 says so
+        assert np.mean(gate(thoughts, params, "learned") == (labels == 1)) >= 0.99
 
     def test_uninformative_thoughts_bounded_by_label_entropy(self):
         params = toy_params(12)
@@ -401,3 +408,32 @@ class TestTrainPolicy:
         (tmp_path / "cfg.json").write_text('{"lr": 1, "gamma": null, "steps_a": 3}')
         cfg = TrainConfig.from_json(tmp_path / "cfg.json")
         assert (cfg.lr, cfg.gamma, cfg.steps_a) == (1, None, 3)
+
+
+class TestPipeline:
+    CFG = dict(steps_a=2, steps_b=1, rounds_b=2, n_rollouts=1, steps_c=1, steps_e=1,
+               gate_states=1, gate_steps=2, eval_every=1, val_states=2, m_samples=2,
+               n_c=4, hidden=8, repair_iterations=20, repair_restarts=1)
+
+    def run(self, out, stages):
+        result = train.run_pipeline(TOY_SC, TOY_PHI, TrainConfig(**self.CFG), out, stages)
+        doc = json.loads((out / "training_log.json").read_text())
+        return result, doc, [e["stage"] for e in doc["events"]]
+
+    def test_record_of_every_stage(self, tmp_path):
+        result, doc, stages = self.run(tmp_path, "abcde")
+        assert stages == ["a", "a", "b-aggregate", "b1", "b-aggregate", "b2", "c", "d", "e"]
+        assert [e["round"] for e in doc["events"] if e["stage"] == "b-aggregate"] == [1, 2]
+        assert set(doc["stage_success"]) == {"a", "b1", "b2", "b", "c", "e"}
+        assert doc["stage_success"]["b"] == doc["stage_success"]["b2"]
+        assert result.stage_success == doc["stage_success"]
+        assert doc["dataset_size"] == len(result.dataset)
+        assert result.log[-1]["stage"] == "done"
+
+    def test_stage_c_without_dataset_runs_to_the_end(self, tmp_path):
+        result, doc, stages = self.run(tmp_path, "acde")
+        assert stages == ["a", "a", "c", "d", "e"]
+        assert set(doc["stage_success"]) == {"a", "c", "e"}
+        assert doc["dataset_size"] == 0
+        assert not (tmp_path / "dataset.json").exists()
+        assert (tmp_path / "final.json").exists()
