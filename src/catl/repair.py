@@ -1,13 +1,17 @@
 """Team trajectory repair: make a violating trajectory satisfy the spec.
 
 Clauses of the negation-free DNF are attempted from most to least robust.
-Within a clause, every timed task not satisfied by a margin (holder count
-<= required count) is assigned to its top agents by inner robustness; agents
-violating an assigned task are flagged and re-synthesized one at a time, each
-synthesis targeting the conjunction of everything assigned to that agent.
-After each single-agent repair, tasks whose holder count dropped to exactly
-the required count are re-assigned to their satisfying agents so later
-repairs cannot break them. A verdict of success additionally requires the
+Each clause keeps a verdict table: whether each agent holds each timed
+task's capability and satisfies its inner formula at its time. It is filled
+with one ``inner_sat`` per (task, holder), and a synthesis recomputes only
+its agent's verdicts; holder counts, violation flags and pins all read it.
+Every timed task not satisfied by a margin (holder count <= required count)
+is assigned to its top holders by inner robustness; agents violating an
+assigned task are flagged and re-synthesized one at a time, each synthesis
+targeting the conjunction of everything assigned to that agent. After each
+single-agent repair, tasks whose holder count dropped to exactly the
+required count are re-assigned to their satisfying agents so later repairs
+cannot break them. A verdict of success additionally requires the
 full-formula monitor check to pass on the final trajectory.
 
 Each clause works on its own copy of the team, and a synthesis replaces the
@@ -23,7 +27,8 @@ import numpy as np
 
 from .dnf import DnfForm, clause_formula, to_dnf
 from .formulas import OuterFormula, TimedTask
-from .monitor import count, inner_rho, inner_sat, outer_rho, outer_sat
+# count is unused here but stays a module name: bench/tracing.py wraps repair.count
+from .monitor import count, inner_rho, inner_sat, outer_rho, outer_sat  # noqa: F401
 from .scenario import Scenario
 from .synth import synthesize_conjunction, warm_start_weights
 from .trajectories import TeamMember, TeamTrajectory
@@ -100,10 +105,10 @@ def repair(
         working = X.copy()
         # tasks of this clause assigned to each agent, by index into the clause
         assignments: dict[int, set[int]] = {m.agent_id: set() for m in X.members}
-        # holder counts of every atom on the working team; they change only
-        # when a synthesis replaces a member
-        counts = _counts(working, clause)
-        flagged = _assign_tasks(working, clause, counts, assignments)
+        # each agent's verdicts on the clause's atoms, and the holder counts
+        sat = {m.agent_id: _verdicts(m, clause) for m in working.members}
+        counts = np.sum(list(sat.values()), axis=0)
+        flagged = _assign_tasks(working, clause, sat, counts, assignments)
 
         repaired: list[int] = []
         for j in flagged:
@@ -124,10 +129,14 @@ def repair(
                 break
             working = working.replace(j, res.trajectory)
             repaired.append(j)
-            counts_after = _counts(working, clause)
-            count_trace.append({"clause": k, "agent": j, "before": counts, "after": counts_after})
-            counts = counts_after
-            _reassign_exact(working, clause, counts, assignments)
+            sat[j] = _verdicts(working.member(j), clause)
+            before, counts = counts, np.sum(list(sat.values()), axis=0)
+            count_trace.append({"clause": k, "agent": j, "before": before.tolist(),
+                                "after": counts.tolist()})
+            # pin tasks now satisfied by exactly their count to their satisfying agents
+            exact = counts == [a.task.count for a in clause]
+            for a, row in sat.items():
+                assignments[a].update(np.flatnonzero(row & exact).tolist())
 
         rho = outer_rho(working, phi, 0)
         if len(repaired) == len(flagged) and outer_sat(working, phi, 0):
@@ -151,16 +160,20 @@ def repair(
     )
 
 
-def _counts(team: TeamTrajectory, clause: tuple[TimedTask, ...]) -> list[int]:
-    """Holder count of every atom of the clause on the team."""
-    return [count(team, a.task.cap, a.task.inner, a.time) for a in clause]
+def _verdicts(member: TeamMember, clause: tuple[TimedTask, ...]) -> np.ndarray:
+    """Whether the member holds each atom's capability and satisfies its inner
+    formula at the atom's time."""
+    return np.array([a.task.cap.name in member.capabilities
+                     and inner_sat(member.trajectory, a.task.inner, a.time) for a in clause],
+                    dtype=bool)
 
 
-def _assign_tasks(working: TeamTrajectory, clause: tuple[TimedTask, ...], counts: list[int],
+def _assign_tasks(working: TeamTrajectory, clause: tuple[TimedTask, ...],
+                  sat: dict[int, np.ndarray], counts: np.ndarray,
                   assignments: dict[int, set[int]]) -> list[int]:
     """Assign every not-just-satisfied task to its top holders; returns the ids
-    of the assigned agents that violate a task, ascending. ``counts`` holds the
-    clause's holder counts on ``working``."""
+    of the assigned agents that violate a task, ascending. ``sat`` and
+    ``counts`` hold the clause's verdicts and holder counts on ``working``."""
     flagged: set[int] = set()
     for i, atom in enumerate(clause):
         task, t = atom.task, atom.time
@@ -169,21 +182,8 @@ def _assign_tasks(working: TeamTrajectory, clause: tuple[TimedTask, ...], counts
         holders = working.with_capability(task.cap.name)
         rhos = [inner_rho(m.trajectory, task.inner, t) for m in holders]
         for idx in sort_desc(rhos)[:task.count]:
-            member = holders[idx]
-            assignments[member.agent_id].add(i)
-            if not inner_sat(member.trajectory, task.inner, t):
-                flagged.add(member.agent_id)
+            j = holders[idx].agent_id
+            assignments[j].add(i)
+            if not sat[j][i]:
+                flagged.add(j)
     return sorted(flagged)
-
-
-def _reassign_exact(working: TeamTrajectory, clause: tuple[TimedTask, ...], counts: list[int],
-                    assignments: dict[int, set[int]]) -> None:
-    """After one agent's repair, pin tasks now satisfied by exactly their count.
-    ``counts`` holds the clause's holder counts on ``working``."""
-    for i, atom in enumerate(clause):
-        task, t = atom.task, atom.time
-        if counts[i] != task.count:
-            continue
-        for member in working.with_capability(task.cap.name):
-            if inner_sat(member.trajectory, task.inner, t):
-                assignments[member.agent_id].add(i)

@@ -79,22 +79,22 @@ class Scenario:
 
     def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
         """One uniform draw per agent from its initial region; (J, 2)."""
-        out = np.zeros((self.n_agents, 2))
-        for i, a in enumerate(self.agents):
-            region = self.regions[a.init_region]
-            rects = region.rects
-            if len(rects) == 1:
-                lo, hi = rects[0]
-            else:
-                areas = np.array([(hi[0] - lo[0]) * (hi[1] - lo[1]) for lo, hi in rects])
-                weights = areas / areas.sum() if areas.sum() > 0 else None
-                lo, hi = rects[rng.choice(len(rects), p=weights)]
-            out[i, 0] = rng.uniform(lo[0], hi[0])
-            out[i, 1] = rng.uniform(lo[1], hi[1])
-        return out
+        return self.sample_initial_batch(rng, 1)[0]
 
     def sample_initial_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.stack([self.sample_initial(rng) for _ in range(n)])
+        """n uniform draws per agent from its initial region; (n, J, 2). Where a
+        region has several rectangles, one is picked per draw, weighted by area,
+        before any coordinate is drawn."""
+        lo, hi = np.empty((n, self.n_agents, 2)), np.empty((n, self.n_agents, 2))
+        for i, a in enumerate(self.agents):
+            rects = np.array(self.regions[a.init_region].rects, dtype=np.float64)  # (R, 2, 2)
+            pick = 0
+            if len(rects) > 1:
+                areas = np.prod(rects[:, 1] - rects[:, 0], axis=1)
+                weights = areas / areas.sum() if areas.sum() > 0 else None
+                pick = rng.choice(len(rects), size=n, p=weights)
+            lo[:, i], hi[:, i] = rects[pick, 0], rects[pick, 1]
+        return rng.uniform(lo, hi)
 
     # -- spec binding --
 

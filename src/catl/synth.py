@@ -5,7 +5,7 @@ control strictly inside its box; w is optimized with Adam (learning rate
 0.05) to maximize the smooth robustness of the target formula at time 0.
 The temperature starts soft and sharpens: tau = 2 at iteration 0, doubling
 every 100 iterations up to 32. Every 20 iterations, and at the last one,
-the classical robustness is checked and the best-checked weights are kept.
+the classical robustness is checked and the best-checked trajectory is kept.
 Restarts are seeded and sequential, a warm start replacing restart 0's
 random draw; the first check above the success margin 1e-3 ends the search.
 
@@ -55,7 +55,6 @@ class SynthesisRequest:
 @dataclass
 class SynthResult:
     trajectory: IndividualTrajectory
-    controls: np.ndarray
     robustness: float  # classical, at time 0
     success: bool
     restarts_used: int = 0
@@ -77,7 +76,7 @@ def synthesize(req: SynthesisRequest) -> SynthResult:
     if isinstance(req.target, ITrue):
         u = np.zeros((req.horizon, 2))
         states = np.tile(req.x0, (req.horizon + 1, 1))
-        return SynthResult(IndividualTrajectory(states, u), u, SMOOTH.top, True)
+        return SynthResult(IndividualTrajectory(states, u), SMOOTH.top, True)
 
     best_rho = -np.inf
     for restart in range(req.restarts):
@@ -96,27 +95,17 @@ def synthesize(req: SynthesisRequest) -> SynthResult:
             opt.step()
             if it % 20 == 19 or it == req.iterations - 1:
                 with ad.no_grad():
-                    states, _ = _unroll(req.x0, w, req.u_max)
+                    states, u = _unroll(req.x0, w, req.u_max)
                 rho_c = inner_rho(states.value, req.target, 0)
                 if rho_c > best_rho:
-                    best_rho = rho_c
-                    best_w = w.value.copy()
+                    best_rho, best = rho_c, (states.value, u.value)
                 if rho_c > 1e-3:
                     break
         # best_rho passes the margin exactly when a check did and ended the restart
         if best_rho > 1e-3:
             break
 
-    with ad.no_grad():
-        states, u = _unroll(req.x0, Tensor(best_w), req.u_max)
-    rho = inner_rho(states.value, req.target, 0)
-    return SynthResult(
-        trajectory=IndividualTrajectory(states.value, u.value),
-        controls=u.value,
-        robustness=rho,
-        success=rho > 0.0,
-        restarts_used=restart + 1,
-    )
+    return SynthResult(IndividualTrajectory(*best), best_rho, best_rho > 0.0, restart + 1)
 
 
 def pinned_conjunction(pins: list[tuple[int, InnerFormula]]) -> InnerFormula:

@@ -79,7 +79,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for key in ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",
-                    "gate_states", "n_c", "hidden", "repair_iterations", "repair_restarts"):
+                    "gate_states", "n_c", "hidden", "repair_iterations", "repair_restarts",
+                    "steps_a", "steps_b", "steps_c", "steps_e"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config key {key!r} is {getattr(self, key)}, want at least 1")
         for key in ("tau", "tau_start"):

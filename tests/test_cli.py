@@ -93,9 +93,10 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
-# counts that crash training at 0 (stack of nothing, division or overflow)
+# counts that crash training at 0 (stack of nothing, division or overflow), and
+# stage lengths, which at 0 leave a stage untrained; --stages skips a stage
 ZERO_COUNTS = ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",
-               "gate_states", "n_c", "hidden")
+               "gate_states", "n_c", "hidden", "steps_a", "steps_b", "steps_c", "steps_e")
 
 
 @pytest.mark.parametrize("doc, why", [

@@ -5,7 +5,7 @@ import pytest
 
 from catl.dnf import to_dnf
 from catl.formulas import horizon
-from catl.monitor import outer_rho, outer_sat
+from catl.monitor import count, outer_rho, outer_sat
 from catl.repair import RepairBudget, repair, sort_desc
 from catl.scenario import triple_toy
 from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
@@ -42,6 +42,11 @@ def random_toy_team(rng, scenario, length):
         states = np.clip(states, 0.0, 6.0)
         members.append(TeamMember(a.agent_id, IndividualTrajectory(states), a.capabilities))
     return TeamTrajectory(members)
+
+
+def monitor_counts(team, clause):
+    """Holder count of every atom of the clause, from the monitor."""
+    return [count(team, a.task.cap, a.task.inner, a.time) for a in clause]
 
 
 def random_spec(rng, scenario):
@@ -131,6 +136,13 @@ class TestRepair:
                         - u
                     ).max()
                     assert err <= 1e-9
+            # each clause's recorded counts start on the input team and, in
+            # the clause that succeeded, end on the returned team
+            for k in {step["clause"] for step in outcome.count_trace}:
+                steps = [step for step in outcome.count_trace if step["clause"] == k]
+                assert steps[0]["before"] == monitor_counts(team, dnf.clauses[k])
+                if k == outcome.clause:
+                    assert steps[-1]["after"] == monitor_counts(outcome.trajectory, dnf.clauses[k])
             # one-at-a-time monotonicity: counts of oversatisfied tasks
             # drop by at most 1 per single-agent repair
             for step in outcome.count_trace:

@@ -42,7 +42,7 @@ class TestSynthesize:
     def test_true_target_is_immediate(self):
         res = synthesize(reach_request(target=ITrue()))
         assert res.success
-        assert np.all(res.controls == 0.0)
+        assert np.all(res.trajectory.controls == 0.0)
         assert res.robustness == 1e6
 
     def test_always_from_outside_is_infeasible(self):
@@ -52,7 +52,7 @@ class TestSynthesize:
 
     def test_dynamics_and_bounds_hold_exactly(self):
         res = synthesize(reach_request())
-        states, u = res.trajectory.states, res.controls
+        states, u = res.trajectory.states, res.trajectory.controls
         assert np.abs(states[1:] - states[:-1] - u).max() <= 1e-9
         assert np.all(np.abs(u) < 1.0)
 
@@ -60,7 +60,7 @@ class TestSynthesize:
         # x(t+1) = x(t) + u(t) with no rounding slack, and the states checked
         # and returned are the ones the smooth objective was ascended on
         res = synthesize(reach_request())
-        states, u = res.trajectory.states, res.controls
+        states, u = res.trajectory.states, res.trajectory.controls
         assert np.array_equal(states[1:], states[:-1] + u)
         rng = np.random.default_rng(16)
         u_max = np.array([0.7, 1.3])
@@ -96,7 +96,7 @@ class TestSynthesizeConjunction:
     def test_empty_pin_list_is_trivial_success(self):
         res = synthesize_conjunction(np.ones(2), [], 4, np.ones(2))
         assert res.success
-        assert np.all(res.controls == 0.0)
+        assert np.all(res.trajectory.controls == 0.0)
 
     def test_conflicting_pins_fail(self):
         west = Region.box("W", (-3.0, -0.5), (-2.0, 0.5))
