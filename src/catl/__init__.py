@@ -26,7 +26,6 @@ from .monitor import (  # noqa: F401
     inner_sat,
     outer_rho,
     outer_sat,
-    task_rho,
 )
 from .parsing import parse_inner, parse_spec  # noqa: F401
 from .trajectories import IndividualTrajectory, TeamMember, TeamTrajectory  # noqa: F401

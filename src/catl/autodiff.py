@@ -250,26 +250,33 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.value, 0.0), (a,), bwd)
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """One gated recurrent update as one node: z = x @ w_x + h @ w_h + b split
-    into [input, forget, output, candidate] pre-activations, c' = f * c + i * cand,
-    h' = o * tanh(c'). The value is [h', c'] stacked to shape (2, ..., n), so
-    each half is a contiguous slice. Forward values equal the composition of
-    ``matmul``, ``sigmoid``, ``tanh`` and ``mul`` bitwise."""
-    n = h.value.shape[-1]
-    xv, hv, cv, wxv, whv = x.value, h.value, c.value, w_x.value, w_h.value
+def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
+              carry: np.ndarray | None = None) -> Tensor:
+    """One gated recurrent update of the state [h, c], stacked to (2, ..., n),
+    as one node: z = x @ w_x + h @ w_h + b split into [input, forget, output,
+    candidate] pre-activations, c' = f * c + i * cand, h' = o * tanh(c'). The
+    value is carry * [h', c'] + (1 - carry) * state, stacked the same way, so
+    rows where the constant 0/1 ``carry`` (..., 1) is 0 keep their state; None
+    updates every row. Forward values equal the composition of ``matmul``,
+    ``sigmoid``, ``tanh`` and ``mul`` bitwise."""
+    sv, xv, wxv, whv = state.value, x.value, w_x.value, w_h.value
+    hv, cv = sv[0], sv[1]
+    n = hv.shape[-1]
     z = xv @ wxv + hv @ whv + b.value
     gates = 1.0 / (1.0 + np.exp(-z[..., : 3 * n]))
     gi, gf, go = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
     cand = np.tanh(z[..., 3 * n :])
-    out = np.empty((2,) + cv.shape)
+    out = np.empty(sv.shape)
     np.multiply(gf, cv, out=out[1])
     out[1] += gi * cand
     tc = np.tanh(out[1])
     np.multiply(go, tc, out=out[0])
+    if carry is not None:
+        keep = 1.0 - carry
+        out = carry * out + keep * sv
 
     def bwd(g):
-        gh, gc = g[0], g[1]
+        gh, gc = g if carry is None else carry * g  # what reaches [h', c']
         dc = gc + (gh * go) * (1.0 - tc * tc)
         dz = np.empty(z.shape)
         dz[..., :n] = (dc * cand) * gi * (1.0 - gi)
@@ -277,29 +284,18 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_x: Tensor, w_h: Tensor, b: Tens
         dz[..., 2 * n : 3 * n] = (gh * tc) * go * (1.0 - go)
         dz[..., 3 * n :] = (dc * gi) * (1.0 - cand * cand)
         flat = dz.reshape(-1, dz.shape[-1])
+        d_state = np.stack([dz @ whv.T, dc * gf])
+        if carry is not None:
+            d_state += keep * g
         return (
             dz @ wxv.T,
-            dz @ whv.T,
-            dc * gf,
+            d_state,
             xv.reshape(-1, xv.shape[-1]).T @ flat,
             hv.reshape(-1, hv.shape[-1]).T @ flat,
             _unbroadcast(dz, b.value.shape),
         )
 
-    return Tensor(out, (x, h, c, w_x, w_h, b), bwd)
-
-
-def masked_carry(mask: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
-    """mask * new + (1 - mask) * old as one node, for a constant 0/1 ``mask``
-    that broadcasts against both: where the mask is 1 the state updates,
-    where it is 0 the old state carries over."""
-    keep = 1.0 - mask
-    out = mask * new.value + keep * old.value
-
-    def bwd(g):
-        return _unbroadcast(g * mask, new.value.shape), _unbroadcast(g * keep, old.value.shape)
-
-    return Tensor(out, (new, old), bwd)
+    return Tensor(out, (x, state, w_x, w_h, b), bwd)
 
 
 def getitem(a: Tensor, key) -> Tensor:

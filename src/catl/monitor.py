@@ -333,16 +333,6 @@ def inner_rho_tensor(states: Tensor, phi: InnerFormula, cfg: RobustnessConfig) -
     return _at0(states, phi, _backend(cfg, states.shape[:-2]))
 
 
-def task_rho(
-    X: TeamTrajectory,
-    task: Task,
-    t: int,
-    cfg: RobustnessConfig = CLASSICAL,
-) -> float:
-    """m-th largest inner robustness over the capability holders."""
-    return outer_rho(X, task, t, cfg)
-
-
 def outer_rho(
     X: TeamTrajectory,
     Phi: OuterFormula,

@@ -2,9 +2,10 @@
 
 Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan over
 axis 1 of a (B, J, n) tensor, bias-corrected Adam, and the JSON checkpoint
-format. A cell step is one fused ``lstm_step`` node plus two slices, and the
-scan's masked state update is one ``masked_carry`` node per state, so each
-recurrent step adds a handful of tape nodes.
+format. A recurrent state is [h, c] as one (2, B, n) tensor, and a cell step
+is one fused ``lstm_step`` node that also applies the scan's participation
+mask. A scan element records its input slice once and, per direction, the
+step and the read of h.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, lstm_step, masked_carry, matmul, stack, tanh
+from .autodiff import Tensor, lstm_step, matmul, stack, tanh
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -65,9 +66,9 @@ class RecurrentCell:
 
     Gate pre-activations are computed as one fused affine map
     x @ w_x + h @ w_h + b, split into [input, forget, output, candidate].
-    A step records three tape nodes: one ``lstm_step`` (hand-written
-    backward; its value is [h', c'] as one contiguous (2, B, n) array) and
-    the two slices that read h' and c' from it.
+    The state is [h, c] stacked to one (2, B, n) tensor, and a step records
+    one ``lstm_step`` node (hand-written backward); callers read h as
+    ``state[0]``.
     """
 
     w_x: Tensor
@@ -84,10 +85,11 @@ class RecurrentCell:
             hidden_dim=hidden_dim,
         )
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """One recurrent update; returns (h', c'). Batch-shaped (B, dim)."""
-        state = lstm_step(x, h, c, self.w_x, self.w_h, self.b)
-        return state[0], state[1]
+    def step(self, x: Tensor, state: Tensor, carry: np.ndarray | None) -> Tensor:
+        """One recurrent update of ``state`` (2, B, dim) on input x (B, n_in);
+        rows where the constant 0/1 ``carry`` (B, 1) is 0 keep their state.
+        None updates every row."""
+        return lstm_step(x, state, self.w_x, self.w_h, self.b, carry)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w_x": self.w_x, f"{prefix}.w_h": self.w_h, f"{prefix}.b": self.b}
@@ -103,29 +105,25 @@ def bidirectional_scan(
     hidden states.
 
     ``inputs`` is (B, J, n), ``mask`` a constant (B, J) array in {0,1}; the
-    result is (B, J, hidden). A masked-out element does not update the
-    running state (it is skipped, as if absent from the sequence) and its
-    output is the state the cell would have produced had it participated -
-    callers zero out non-participant outputs themselves.
+    result is (B, J, hidden). Each direction carries one [h, c] state. A
+    masked-out element does not update it (it is skipped, as if absent from
+    the sequence) and its output is zero.
     """
     n = inputs.shape[1]
     if n == 0:
         raise ValueError("bidirectional_scan needs a nonempty sequence")
     elements = [inputs[:, i] for i in range(n)]
-    carries = [mask[:, i : i + 1] for i in range(n)]
 
     def directional(cell: RecurrentCell, order: range) -> Tensor:
-        h = Tensor(np.zeros(inputs.shape[:1] + (cell.hidden_dim,)))
-        c = Tensor(np.zeros(inputs.shape[:1] + (cell.hidden_dim,)))
+        state = Tensor(np.zeros((2,) + inputs.shape[:1] + (cell.hidden_dim,)))
         outs: list[Tensor] = [None] * n
         for i in order:
-            h_new, c_new = cell.step(elements[i], h, c)
-            outs[i] = h_new
-            h = masked_carry(carries[i], h_new, h)
-            c = masked_carry(carries[i], c_new, c)
+            state = cell.step(elements[i], state, mask[:, i : i + 1])
+            outs[i] = state[0]
         return stack(outs, axis=1)
 
-    return directional(fwd, range(n)) + directional(bwd, range(n - 1, -1, -1))
+    both = directional(fwd, range(n)) + directional(bwd, range(n - 1, -1, -1))
+    return Tensor(mask[..., None]) * both
 
 
 @dataclass
@@ -167,9 +165,16 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
 
 
-def _decode_array(block: dict) -> np.ndarray:
+def _decode_array(block) -> np.ndarray:
+    shape = block.get("shape") if isinstance(block, dict) else None
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError("has no 'shape' list of sizes")
+    if not isinstance(block.get("data"), str):
+        raise ValueError("has no base64 'data' text")
     raw = base64.b64decode(block["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(block["shape"]).copy()
+    if len(raw) != 8 * int(np.prod(shape)):
+        raise ValueError(f"data holds {len(raw)} bytes, not 8 per entry of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor], dims: dict) -> None:
@@ -183,8 +188,20 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor], dims: dict) -> 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
+    """Read a ``save_checkpoint`` file; ValueError naming the file and the
+    block unless ``dims`` and ``params`` are objects whose blocks fill their shapes."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint is a JSON {type(doc).__name__}, want an object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')}")
-    params = {name: Tensor(_decode_array(block)) for name, block in doc["params"].items()}
+        raise ValueError(f"{path}: unsupported checkpoint format: {doc.get('format_version')}")
+    for key in ("dims", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ValueError(f"{path}: checkpoint has no {key!r} object")
+    params = {}
+    for name, block in doc["params"].items():
+        try:
+            params[name] = Tensor(_decode_array(block))
+        except ValueError as exc:
+            raise ValueError(f"{path}: parameter {name!r}: {exc}") from None
     return params, doc["dims"]

@@ -165,17 +165,6 @@ def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
     raise ValueError(f"unknown gate mode {mode!r} (have: {GATE_MODES})")
 
 
-def channel(params: PolicyParams, thoughts: Tensor, mask: np.ndarray) -> Tensor:
-    """Integrated thoughts of B teams, each a sequence ordered by agent id.
-
-    ``thoughts`` is (B, J, n_c) and ``mask`` a constant (B, J) 0/1 array;
-    masked-out agents do not contribute to or update the scan and receive
-    the zero vector.
-    """
-    outs = bidirectional_scan(params.chan_fwd, params.chan_bwd, thoughts, mask)
-    return Tensor(mask[..., None]) * outs
-
-
 def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
     """Control from [thought, integrated thought], squashed into the box."""
     raw = params.out_net(ad.concat([h, h_tilde], axis=-1))
@@ -259,8 +248,8 @@ def rollout(
     caps_tiled = np.tile(params.cap_matrix, (batch, 1))
     umax_tiled = np.tile(params.u_max, (batch, 1))
     x = Tensor(x0.reshape(bj, n_x))
-    h = params.cap_net(Tensor(caps_tiled))
-    c = Tensor(np.zeros((bj, params.dims.n_c)))
+    zeros = Tensor(np.zeros((bj, params.dims.n_c)))
+    state = ad.stack([params.cap_net(Tensor(caps_tiled)), zeros], axis=0)
     if cut is not None:
         if nocomm_params is None:
             raise ValueError("cut needs nocomm_params")
@@ -268,19 +257,19 @@ def rollout(
         if cut.shape != (batch, n_agents, length):
             raise ValueError(f"cut has shape {cut.shape}, want {(batch, n_agents, length)}")
         cut_rows = cut.reshape(bj, length)  # flat row b*J + j, as x
-        h_nc = nocomm_params.cap_net(Tensor(caps_tiled))
-        c_nc = Tensor(np.zeros((bj, nocomm_params.dims.n_c)))
         no_talk = Tensor(np.zeros((bj, nocomm_params.dims.n_c)))
+        state_nc = ad.stack([nocomm_params.cap_net(Tensor(caps_tiled)), no_talk], axis=0)
 
     states = [x]
     controls: list[Tensor] = []
-    # copied out each step: h is a view of the cell's [h', c'] array, and
-    # holding it would keep c' alive too
+    # copied out each step: h is a view of the [h, c] state, and holding it
+    # would keep c alive too
     thoughts = np.empty((bj, length, params.dims.n_c))
     comm_mask = np.zeros((batch, n_agents, length))
 
     for t in range(length):
-        h, c = params.encoder.step(params.normalize_obs(x), h, c)
+        state = params.encoder.step(params.normalize_obs(x), state, None)
+        h = state[0]
         thoughts[:, t] = h.value
 
         mask = gate(h, params, gate_mode).astype(np.float64).reshape(batch, n_agents)
@@ -288,16 +277,17 @@ def rollout(
             mask[cut[:, :, t]] = 0.0
         comm_mask[:, :, t] = mask
 
-        h_tilde = channel(params, ad.reshape(h, (batch, n_agents, params.dims.n_c)), mask)
+        h_tilde = bidirectional_scan(params.chan_fwd, params.chan_bwd,
+                                     ad.reshape(h, (batch, n_agents, params.dims.n_c)), mask)
         u = act(params, h, ad.reshape(h_tilde, (bj, params.dims.n_c)), umax_tiled)
 
         if cut is not None:
-            h_nc, c_nc = nocomm_params.encoder.step(
-                nocomm_params.normalize_obs(Tensor(x.value)), h_nc, c_nc
+            state_nc = nocomm_params.encoder.step(
+                nocomm_params.normalize_obs(Tensor(x.value)), state_nc, None
             )
             # substitution is values-only: cutting is a labeling tool, never
             # a training path
-            u_nc = act(nocomm_params, h_nc, no_talk, umax_tiled).value
+            u_nc = act(nocomm_params, state_nc[0], no_talk, umax_tiled).value
             on = cut_rows[:, t : t + 1]
             u = u * Tensor(~on) + Tensor(np.where(on, u_nc, 0.0))
 

@@ -190,6 +190,8 @@ def load_team_csv(csv_path: str | Path, caps_path: str | Path | None = None) -> 
         us = None
         if j in controls:
             us = np.array([controls[j][t] for t in sorted(controls[j])])
+        if not isinstance(caps_doc, dict) or str(j) not in caps_doc:
+            raise ValueError(f"{caps_path}: no capabilities for agent {j}")
         members.append(TeamMember(j, IndividualTrajectory(xs, us),
                                   frozenset(caps_doc[str(j)])))
     return TeamTrajectory(members)
@@ -216,13 +218,17 @@ def save_team_json(team: TeamTrajectory, path: str | Path) -> None:
 
 def load_team_json(path: str | Path) -> TeamTrajectory:
     doc = json.loads(Path(path).read_text())
-    members = [
-        TeamMember(
-            entry["id"],
-            IndividualTrajectory(np.array(entry["states"]),
-                                 np.array(entry["controls"]) if "controls" in entry else None),
-            frozenset(entry["capabilities"]),
-        )
-        for entry in doc["agents"]
-    ]
+    agents = doc.get("agents") if isinstance(doc, dict) else None
+    if not isinstance(agents, list):
+        raise ValueError(f"{path}: want a JSON object with an 'agents' list")
+    members = []
+    for k, entry in enumerate(agents):
+        missing = [key for key in ("id", "capabilities", "states")
+                   if not isinstance(entry, dict) or key not in entry]
+        if missing:
+            raise ValueError(f"{path}: agents[{k}] lacks {missing}")
+        controls = np.array(entry["controls"]) if "controls" in entry else None
+        members.append(TeamMember(entry["id"],
+                                  IndividualTrajectory(np.array(entry["states"]), controls),
+                                  frozenset(entry["capabilities"])))
     return TeamTrajectory(members)

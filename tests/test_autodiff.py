@@ -205,22 +205,31 @@ def composed_lstm_step(x, h, c, w_x, w_h, b) -> tuple[Tensor, Tensor]:
 
 
 def lstm_inputs(rng, batch=3, n_in=4, n=5) -> list[np.ndarray]:
-    return [rng.normal(size=(batch, n_in)), rng.normal(size=(batch, n)),
-            rng.normal(size=(batch, n)), rng.normal(size=(n_in, 4 * n)),
-            rng.normal(size=(n, 4 * n)), rng.normal(size=4 * n)]
+    """x, the [h, c] state, w_x, w_h and b, in ``lstm_step``'s order."""
+    return [rng.normal(size=(batch, n_in)), rng.normal(size=(2, batch, n)),
+            rng.normal(size=(n_in, 4 * n)), rng.normal(size=(n, 4 * n)),
+            rng.normal(size=4 * n)]
 
 
-@pytest.mark.parametrize("wrt", ["x", "h", "c", "w_x", "w_h", "b"])
-def test_lstm_step_gradient(wrt):
+LSTM_ARGS = ["x", "state", "w_x", "w_h", "b"]
+MIXED_CARRY = np.array([[1.0], [0.0], [1.0]])
+
+
+@pytest.mark.parametrize(
+    "wrt, carry",
+    [(name, None) for name in LSTM_ARGS] + [(name, MIXED_CARRY) for name in LSTM_ARGS],
+    ids=LSTM_ARGS + [f"{name}-carry" for name in LSTM_ARGS],
+)
+def test_lstm_step_gradient(wrt, carry):
     rng = np.random.default_rng(12)
     values = lstm_inputs(rng)
     weights = Tensor(rng.normal(size=(2, 3, 5)))  # on [h', c'], so both halves get g
-    k = ["x", "h", "c", "w_x", "w_h", "b"].index(wrt)
+    k = LSTM_ARGS.index(wrt)
 
     def build(v: np.ndarray) -> tuple[Tensor, Tensor]:
         inputs = [Tensor(a) for a in values]
         inputs[k] = Tensor(v)
-        return inputs[k], ad.sum_(ad.lstm_step(*inputs) * weights)
+        return inputs[k], ad.sum_(ad.lstm_step(*inputs, carry) * weights)
 
     leaf, out = build(values[k].copy())
     out.backward()
@@ -230,33 +239,29 @@ def test_lstm_step_gradient(wrt):
 
 def test_lstm_step_forward_matches_composition_bitwise():
     rng = np.random.default_rng(13)
-    values = lstm_inputs(rng, batch=7, n_in=3, n=6)
-    state = ad.lstm_step(*[Tensor(a) for a in values])
-    h_next, c_next = composed_lstm_step(*[Tensor(a) for a in values])
+    x, hc, w_x, w_h, b = lstm_inputs(rng, batch=7, n_in=3, n=6)
+    state = ad.lstm_step(*[Tensor(a) for a in (x, hc, w_x, w_h, b)])
+    h_next, c_next = composed_lstm_step(*[Tensor(a) for a in (x, hc[0], hc[1], w_x, w_h, b)])
     assert state.shape == (2, 7, 6)
     assert state.value[0].flags.c_contiguous and state.value[1].flags.c_contiguous
     assert np.array_equal(state.value[0], h_next.value)
     assert np.array_equal(state.value[1], c_next.value)
 
 
-def test_masked_carry_gradient():
+def test_lstm_step_carry_keeps_masked_rows():
+    # rows 1 and 3 sit out: their state carries over bitwise and their input
+    # gets no gradient; rows 0 and 2 step exactly as without a carry
     rng = np.random.default_rng(14)
-    mask = np.array([[1.0], [0.0], [1.0], [0.0]])
-    new0, old0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    weights = Tensor(rng.normal(size=(4, 3)))
-
-    def build(new: Tensor, old: Tensor) -> Tensor:
-        return ad.sum_(ad.square(ad.masked_carry(mask, new, old)) * weights)
-
-    new, old = Tensor(new0.copy()), Tensor(old0.copy())
-    out = ad.masked_carry(mask, new, old)
-    assert np.array_equal(out.value, np.where(mask == 1.0, new0, old0))
-    build(new, old).backward()
-    assert rel_err(new.grad, finite_difference(
-        lambda v: build(Tensor(v), Tensor(old0)).item(), new0.copy())) < 1e-6
-    assert rel_err(old.grad, finite_difference(
-        lambda v: build(Tensor(new0), Tensor(v)).item(), old0.copy())) < 1e-6
-    assert np.all(new.grad[[1, 3]] == 0.0) and np.all(old.grad[[0, 2]] == 0.0)
+    values = lstm_inputs(rng, batch=4)
+    carry = np.array([[1.0], [0.0], [1.0], [0.0]])
+    inputs = [Tensor(a) for a in values]
+    out = ad.lstm_step(*inputs, carry)
+    free = ad.lstm_step(*[Tensor(a) for a in values])
+    assert np.array_equal(out.value[:, [1, 3]], values[1][:, [1, 3]])
+    assert np.array_equal(out.value[:, [0, 2]], free.value[:, [0, 2]])
+    ad.sum_(ad.square(out) * Tensor(rng.normal(size=(2, 4, 5)))).backward()
+    assert np.all(inputs[0].grad[[1, 3]] == 0.0)
+    assert np.all(inputs[0].grad[[0, 2]] != 0.0)
 
 
 def test_backward_does_not_mutate_consumed_gradients():
@@ -302,19 +307,19 @@ def test_recurrent_zero_parameters():
         w_x=Tensor(np.zeros((3, 8))), w_h=Tensor(np.zeros((2, 8))),
         b=Tensor(np.zeros(8)), hidden_dim=2,
     )
-    h, c = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
-    h2, c2 = cell.step(Tensor(np.ones((1, 3))), h, c)
-    assert np.all(h2.value == 0.0)  # output gate 0.5 * tanh(0)
-    assert np.all(c2.value == 0.0)
+    state = Tensor(np.zeros((2, 1, 2)))
+    h2, c2 = cell.step(Tensor(np.ones((1, 3))), state, None).value
+    assert np.all(h2 == 0.0)  # output gate 0.5 * tanh(0)
+    assert np.all(c2 == 0.0)
 
 
 def test_recurrent_zero_input_zero_bias_keeps_cell_zero():
     rng = np.random.default_rng(3)
     cell = RecurrentCell.create(rng, input_dim=3, hidden_dim=4)
     cell.b = Tensor(np.zeros(16))
-    h, c = Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))
-    _, c2 = cell.step(Tensor(np.zeros((1, 3))), h, c)
-    assert np.all(c2.value == 0.0)
+    state = Tensor(np.zeros((2, 1, 4)))
+    _, c2 = cell.step(Tensor(np.zeros((1, 3))), state, None).value
+    assert np.all(c2 == 0.0)
 
 
 def test_recurrent_gradient_through_unrolled_steps():
@@ -325,16 +330,16 @@ def test_recurrent_gradient_through_unrolled_steps():
 
     def run(w: np.ndarray) -> float:
         cell.w_x = Tensor(w)
-        h, c = Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3)))
+        state = Tensor(np.zeros((2, 1, 3)))
         for t in range(5):
-            h, c = cell.step(Tensor(xs[t]), h, c)
-        return ad.sum_(h).item()
+            state = cell.step(Tensor(xs[t]), state, None)
+        return ad.sum_(state[0]).item()
 
     cell.w_x = leaf = Tensor(w0.copy())
-    h, c = Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3)))
+    state = Tensor(np.zeros((2, 1, 3)))
     for t in range(5):
-        h, c = cell.step(Tensor(xs[t]), h, c)
-    ad.sum_(h).backward()
+        state = cell.step(Tensor(xs[t]), state, None)
+    ad.sum_(state[0]).backward()
     fd = finite_difference(run, w0.copy())
     assert rel_err(leaf.grad, fd) < 1e-6
 
@@ -345,10 +350,10 @@ def test_bidirectional_single_element():
     bwd = RecurrentCell.create(rng, 3, 3)
     x = Tensor(rng.normal(size=(1, 3)))
     out = bidirectional_scan(fwd, bwd, ad.reshape(x, (1, 1, 3)), np.ones((1, 1)))
-    hf, _ = fwd.step(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-    hb, _ = bwd.step(x, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+    hf, _ = fwd.step(x, Tensor(np.zeros((2, 1, 3))), None).value
+    hb, _ = bwd.step(x, Tensor(np.zeros((2, 1, 3))), None).value
     assert out.shape == (1, 1, 3)
-    assert np.allclose(out.value[:, 0], hf.value + hb.value)
+    assert np.allclose(out.value[:, 0], hf + hb)
 
 
 def test_bidirectional_reversal_symmetry():

@@ -13,7 +13,9 @@ import catl
 from catl.cli import main
 from catl.formulas import horizon, print_formula
 from catl.scenario import BUILTIN_SCENARIOS, builtin
-from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory, save_team_csv
+from catl.trajectories import (
+    IndividualTrajectory, TeamMember, TeamTrajectory, save_team_csv, save_team_json,
+)
 
 NAMES = sorted(BUILTIN_SCENARIOS)
 
@@ -91,6 +93,48 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "non-finite" in captured.err
+
+
+def test_eval_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
+    _, _, text = builtin("toy")
+    params = tmp_path / "p.json"
+    params.write_text("[1, 2]")
+    args = ["eval", "--scenario", "toy", "--spec", text, "--params", str(params), "--trials", "2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {params}: ")
+
+
+def test_monitor_names_caps_file_lacking_an_agent(tmp_path, capsys):
+    _, _, text = builtin("toy")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    save_team_csv(team, tmp_path / "t.csv")
+    caps = tmp_path / "t.caps.json"
+    caps.write_text(json.dumps({"2": ["Robot"]}))
+    args = ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(tmp_path / "t.csv"),
+            "--caps", str(caps)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {caps}: no capabilities for agent 1\n"
+
+
+def test_monitor_names_json_team_entry_lacking_states(tmp_path, capsys):
+    _, _, text = builtin("toy")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    path = tmp_path / "t.json"
+    save_team_json(team, path)
+    doc = json.loads(path.read_text())
+    del doc["agents"][0]["states"]
+    path.write_text(json.dumps(doc))
+    args = ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: agents[0] lacks ['states']\n"
 
 
 # counts that crash training at 0 (stack of nothing, division or overflow), and

@@ -36,7 +36,6 @@ from catl.monitor import (
     outer_rho_tensor,
     outer_sat,
     smoothness_bound,
-    task_rho,
 )
 from catl.scenario import builtin
 from catl.synth import pinned_conjunction
@@ -197,7 +196,7 @@ class TestTaskRho:
         halfline = Predicate(InRegion("H", Region.box("H", (0.0, -5.0), (100.0, 5.0))))
         # margin in x: min(x, 100-x); y margin large enough not to bind
         task = Task(halfline, Capability("red"), 2)
-        assert task_rho(team, task, 0) == pytest.approx(1.0)
+        assert outer_rho(team, task, 0) == pytest.approx(1.0)
 
     def test_m_equals_one_is_max(self):
         rng = np.random.default_rng(58)
@@ -207,7 +206,7 @@ class TestTaskRho:
             inner_rho(m.trajectory, phi, 0) for m in team.members if "red" in m.capabilities
         ]
         task = Task(phi, Capability("red"), 1)
-        assert task_rho(team, task, 0) == pytest.approx(max(rhos))
+        assert outer_rho(team, task, 0) == pytest.approx(max(rhos))
 
     def test_sign_matches_counting(self):
         rng = np.random.default_rng(59)
@@ -219,7 +218,7 @@ class TestTaskRho:
             holders = len(team.with_capability(cap))
             m = int(rng.integers(1, holders + 1))
             task = Task(phi, Capability(cap), m)
-            rho = task_rho(team, task, 0)
+            rho = outer_rho(team, task, 0)
             if abs(rho) <= 1e-9:
                 continue
             checked += 1
@@ -230,7 +229,7 @@ class TestTaskRho:
         team = random_team(np.random.default_rng(3), 3)
         task = Task(ITrue(), Capability("red"), 5)
         with pytest.raises(ValueError):
-            task_rho(team, task, 0)
+            outer_rho(team, task, 0)
 
 
 class TestOuterSemantics:

@@ -1,5 +1,6 @@
 """Policy model: gating, channel, control bounds, rollouts, gradients."""
 
+import base64
 import json
 import re
 
@@ -11,12 +12,11 @@ from catl.autodiff import Tensor
 from catl.formulas import Capability, IEventually, INot, IAlways, InRegion, Predicate, OAnd, Task
 from catl.geometry import Region
 from catl.monitor import RobustnessConfig, outer_rho_tensor
-from catl.nn import Dense, RecurrentCell
+from catl.nn import Dense, RecurrentCell, bidirectional_scan
 from catl.policy import (
     PolicyDims,
     PolicyParams,
     act,
-    channel,
     create_policy,
     create_policy_raw,
     gate,
@@ -28,6 +28,8 @@ from catl.scenario import case_study, toy_benchmark, triple_toy
 from catl.train import control_cost
 
 from oracles import finite_difference
+
+FOUR_ZEROS = base64.b64encode(bytes(32)).decode("ascii")  # four little-endian f64 zeros
 
 
 def small_policy(seed=0, n_agents=2, n_c=4, hidden=8, u_max=1.0) -> PolicyParams:
@@ -81,8 +83,9 @@ class TestChannel:
         other_a = rng.normal(size=(1, 1, 4))
         other_b = rng.normal(size=(1, 1, 4))
         mask = np.array([[1.0, 0.0]])
-        out_a = channel(params, Tensor(np.concatenate([h0, other_a], axis=1)), mask)
-        out_b = channel(params, Tensor(np.concatenate([h0, other_b], axis=1)), mask)
+        cells = params.chan_fwd, params.chan_bwd
+        out_a = bidirectional_scan(*cells, Tensor(np.concatenate([h0, other_a], axis=1)), mask)
+        out_b = bidirectional_scan(*cells, Tensor(np.concatenate([h0, other_b], axis=1)), mask)
         assert np.allclose(out_a.value[:, 0], out_b.value[:, 0])
         # non-participant receives the zero vector
         assert np.all(out_a.value[:, 1] == 0.0)
@@ -92,8 +95,9 @@ class TestChannel:
         rng = np.random.default_rng(5)
         hs = Tensor(rng.normal(size=(1, 3, 4)))
         mask = np.ones((1, 3))
-        a = channel(params, hs, mask).value.copy()
-        b = channel(params, hs, mask).value.copy()
+        cells = params.chan_fwd, params.chan_bwd
+        a = bidirectional_scan(*cells, hs, mask).value.copy()
+        b = bidirectional_scan(*cells, hs, mask).value.copy()
         assert np.array_equal(a, b)
 
 
@@ -214,12 +218,12 @@ class TestRollout:
         res = rollout(params, x0, 6, cut=cut, nocomm_params=nocomm)
         states = res.states_numpy()[1, j]
         # the no-comm encoder sees the row's own observed states from t = 0
-        h_nc = nocomm.cap_net(Tensor(params.cap_matrix[j : j + 1]))
-        c_nc = Tensor(np.zeros((1, nocomm.dims.n_c)))
+        zeros = Tensor(np.zeros((1, nocomm.dims.n_c)))
+        state_nc = ad.stack([nocomm.cap_net(Tensor(params.cap_matrix[j : j + 1])), zeros], axis=0)
         for t in range(t_cut + 1):
-            h_nc, c_nc = nocomm.encoder.step(
-                nocomm.normalize_obs(Tensor(states[t : t + 1])), h_nc, c_nc)
-        want = act(nocomm, h_nc, Tensor(np.zeros((1, nocomm.dims.n_c))), params.u_max[j])
+            state_nc = nocomm.encoder.step(
+                nocomm.normalize_obs(Tensor(states[t : t + 1])), state_nc, None)
+        want = act(nocomm, state_nc[0], zeros, params.u_max[j])
         assert np.allclose(res.controls.value[1, j, t_cut], want.value[0],
                            rtol=0, atol=1e-12)
         assert res.comm_mask[1, j, t_cut] == 0
@@ -256,6 +260,28 @@ class TestRollout:
         tamper(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_policy(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "checkpoint is a JSON list, want an object"),
+        ('{"format_version": 1, "dims": {}}', "checkpoint has no 'params' object"),
+        ('{"format_version": 1, "dims": {}, "params": [1]}', "checkpoint has no 'params' object"),
+        ('{"format_version": 1, "dims": [], "params": {}}', "checkpoint has no 'dims' object"),
+        ('{"format_version": 1, "dims": {}, "params": {"enc.b": {"shape": [7]}}}',
+         "parameter 'enc.b': has no base64 'data' text"),
+        ('{"format_version": 1, "dims": {}, "params": {"enc.b": {"data": "%s"}}}' % FOUR_ZEROS,
+         "parameter 'enc.b': has no 'shape' list of sizes"),
+        ('{"format_version": 1, "dims": {}, "params": {"enc.b": [7]}}',
+         "parameter 'enc.b': has no 'shape' list of sizes"),
+        ('{"format_version": 1, "dims": {}, "params": {"enc.b": {"shape": [7], "data": "%s"}}}'
+         % FOUR_ZEROS, "parameter 'enc.b': data holds 32 bytes, not 8 per entry of shape [7]"),
+    ], ids=["not_an_object", "no_params", "params_list", "dims_list", "block_without_data",
+            "block_without_shape", "block_not_an_object", "data_short_of_shape"])
+    def test_malformed_checkpoint_document_rejected(self, tmp_path, text, message):
+        # raw text, so the document need not be an object at all
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_policy(path)
 
     def test_checkpoint_roundtrip(self, tmp_path):
