@@ -212,29 +212,41 @@ def lstm_inputs(rng, batch=3, n_in=4, n=5) -> list[np.ndarray]:
 
 
 LSTM_ARGS = ["x", "state", "w_x", "w_h", "b"]
+STATE_HALVES = {"h": 0, "c": 1}
 MIXED_CARRY = np.array([[1.0], [0.0], [1.0]])
 
 
 @pytest.mark.parametrize(
     "wrt, carry",
-    [(name, None) for name in LSTM_ARGS] + [(name, MIXED_CARRY) for name in LSTM_ARGS],
-    ids=LSTM_ARGS + [f"{name}-carry" for name in LSTM_ARGS],
+    [(name, None) for name in LSTM_ARGS + list(STATE_HALVES)]
+    + [(name, MIXED_CARRY) for name in LSTM_ARGS],
+    ids=LSTM_ARGS + list(STATE_HALVES) + [f"{name}-carry" for name in LSTM_ARGS],
 )
 def test_lstm_step_gradient(wrt, carry):
+    # "h" and "c" check each half of the stacked state on its own, so a
+    # gradient routed to the wrong half cannot hide in the whole-state case
     rng = np.random.default_rng(12)
     values = lstm_inputs(rng)
     weights = Tensor(rng.normal(size=(2, 3, 5)))  # on [h', c'], so both halves get g
-    k = LSTM_ARGS.index(wrt)
+    half = STATE_HALVES.get(wrt)
+    k = LSTM_ARGS.index("state" if half is not None else wrt)
 
     def build(v: np.ndarray) -> tuple[Tensor, Tensor]:
         inputs = [Tensor(a) for a in values]
-        inputs[k] = Tensor(v)
+        if half is None:
+            inputs[k] = Tensor(v)
+        else:
+            state = values[k].copy()
+            state[half] = v
+            inputs[k] = Tensor(state)
         return inputs[k], ad.sum_(ad.lstm_step(*inputs, carry) * weights)
 
-    leaf, out = build(values[k].copy())
+    start = values[k] if half is None else values[k][half]
+    leaf, out = build(start.copy())
     out.backward()
-    fd = finite_difference(lambda v: build(v)[1].item(), values[k].copy())
-    assert rel_err(leaf.grad, fd) < 1e-6
+    grad = leaf.grad if half is None else leaf.grad[half]
+    fd = finite_difference(lambda v: build(v)[1].item(), start.copy())
+    assert rel_err(grad, fd) < 1e-6
 
 
 def test_lstm_step_forward_matches_composition_bitwise():
