@@ -16,13 +16,13 @@ import numpy as np
 from .dnf import dnf_to_json, to_dnf
 from .evaluate import evaluate
 from .formulas import SpecError, horizon, print_formula
-from .monitor import RobustnessConfig, outer_rho, outer_sat
+from .monitor import outer_rho, outer_sat
 from .parsing import parse_inner, parse_spec
 from .plots import emit_plots, load_comm_mask_csv
 from .policy import load_policy
-from .repair import RepairBudget, repair
+from .repair import repair
 from .scenario import BUILTIN_SCENARIOS, Scenario, builtin, load_scenario, save_scenario
-from .synth import SynthesisRequest, synthesize
+from .synth import synthesize
 from .train import TrainConfig, run_pipeline
 from .trajectories import load_team_csv, load_team_json, save_team_csv, save_team_json
 
@@ -87,8 +87,7 @@ def cmd_monitor(args) -> int:
     scenario = _load_scenario(args.scenario)
     phi = _load_spec(args.spec, scenario)
     team = _load_team(args.traj, args.caps)
-    cfg = RobustnessConfig("smooth" if args.smooth else "classical", tau=args.tau)
-    rho = outer_rho(team, phi, args.time, cfg)
+    rho = outer_rho(team, phi, args.time, args.tau if args.smooth else None)
     sat = outer_sat(team, phi, args.time)
     print(json.dumps({"satisfied": sat, "robustness": rho, "time": args.time}))
     return 0 if sat else 2
@@ -118,11 +117,8 @@ def cmd_synth(args) -> int:
         rng = np.random.default_rng(args.seed)
         roster_index = scenario.agents.index(agent)
         x0 = scenario.sample_initial(rng)[roster_index]
-    req = SynthesisRequest(
-        x0=x0, horizon=scenario.horizon, u_max=np.array(agent.u_max), target=target,
-        iterations=args.iterations, restarts=args.restarts, seed=args.seed,
-    )
-    res = synthesize(req)
+    res = synthesize(x0, target, scenario.horizon, np.array(agent.u_max),
+                     iterations=args.iterations, restarts=args.restarts, seed=args.seed)
     print(json.dumps({"success": res.success, "robustness": res.robustness}))
     if args.out:
         from .trajectories import TeamMember, TeamTrajectory
@@ -138,10 +134,8 @@ def cmd_repair(args) -> int:
     scenario = _load_scenario(args.scenario)
     phi = _load_spec(args.spec, scenario)
     team = _load_team(args.traj, args.caps)
-    budget = RepairBudget(
-        synth_iterations=args.iterations, synth_restarts=args.restarts, seed=args.seed
-    )
-    outcome = repair(team, phi, scenario, budget)
+    outcome = repair(team, phi, scenario, iterations=args.iterations,
+                     restarts=args.restarts, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_team_json(outcome.trajectory, out_dir / "repaired.json")

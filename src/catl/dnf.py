@@ -112,7 +112,7 @@ def negation_free(
             return OTrue() if positive else FALSE
         case Task() | TimedTask():
             task, time = (Phi, offset) if isinstance(Phi, Task) else (Phi.task, offset + Phi.time)
-            size = _jc(jc_sizes, task.cap.name)
+            size = _jc(jc_sizes, task.cap)
             if task.count > size:
                 return FALSE if positive else OTrue()
             if positive:
@@ -148,7 +148,7 @@ def _jc(jc_sizes: Mapping[str, int], cap_name: str) -> int:
 
 
 def _atom_key(atom: TimedTask):
-    return (atom.time, atom.task.cap.name, atom.task.count, print_formula(atom.task.inner))
+    return (atom.time, atom.task.cap, atom.task.count, print_formula(atom.task.inner))
 
 
 def _distribute(node: OuterFormula, cap: int) -> list[frozenset[TimedTask]]:

@@ -19,13 +19,6 @@ class SpecError(Exception):
     """Malformed specification (bad interval, unknown name, bad count)."""
 
 
-@dataclass(frozen=True)
-class Capability:
-    """Named capability; tasks compare capabilities by name alone."""
-
-    name: str
-
-
 def capability_vector(agent_caps: set[str] | frozenset[str], vocab: list[str]) -> np.ndarray:
     """Binary membership vector of the agent's capabilities over the vocabulary."""
     unknown = set(agent_caps) - set(vocab)
@@ -231,10 +224,11 @@ class OTrue(_True, OuterFormula):
 
 @dataclass(frozen=True)
 class Task(OuterFormula):
-    """At least ``count`` agents holding ``cap`` satisfy ``inner`` at the eval time."""
+    """At least ``count`` agents holding the capability named ``cap`` satisfy
+    ``inner`` at the eval time."""
 
     inner: InnerFormula
-    cap: Capability
+    cap: str
     count: int
 
     def __post_init__(self):
@@ -351,7 +345,7 @@ def print_formula(phi: InnerFormula | OuterFormula) -> str:
         case Predicate(fn=HalfPlane(normal=n, offset=c)):
             return f"halfplane({_format_number(n[0])},{_format_number(n[1])},{_format_number(c)})"
         case Task(inner=inner, cap=cap, count=m):
-            return f"task({print_formula(inner)}, {cap.name}, {m})"
+            return f"task({print_formula(inner)}, {cap}, {m})"
         case TimedTask(task=task, time=t):
             return f"{print_formula(task)} @ {t}"
         case _Not(child=c):

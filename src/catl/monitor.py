@@ -7,14 +7,18 @@ One signal recursion (``_signal``) serves three backends:
   holders". Its predicate leaf is the one place ties are decided: a state
   whose margin is exactly 0 satisfies the predicate. Robustness cannot
   decide ties by its sign, since at margin 0 both p and not p get 0.
-* ``classical`` - exact min/max robustness. Away from ties its sign agrees
-  with satisfaction (checked against independent oracles in the tests).
-* ``smooth`` - min/max replaced by temperature-tau log-sum-exp softmin/softmax,
-  evaluated over autodiff tensors so gradients flow to states or parameters.
+* classical (``tau`` None) - exact min/max robustness. Away from ties its
+  sign agrees with satisfaction (checked against independent oracles in the
+  tests).
+* smooth (``tau`` > 0) - min/max replaced by temperature-tau log-sum-exp
+  softmin/softmax, evaluated over autodiff tensors so gradients flow to
+  states or parameters.
   Task atoms select the m-th largest per-agent value by exact sort in both
   modes (differentiable almost everywhere), and predicate margins are exact
   in both modes, so |smooth - classical| is bounded by depth * log(W) / tau
   (see :func:`smoothness_bound`).
+
+True has the finite robustness ``TOP`` in both modes.
 
 Until semantics: a witness time t' in [t+a, t+b] for the right operand, with
 the left operand required on the half-open prefix [t, t').
@@ -30,14 +34,11 @@ distinct predicate and per window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .formulas import (
-    Capability,
     HalfPlane,
     InnerFormula,
     OuterFormula,
@@ -60,26 +61,7 @@ class HorizonError(ValueError):
     """Formula needs more future than the trajectory provides."""
 
 
-@dataclass(frozen=True)
-class RobustnessConfig:
-    """mode is "classical" or "smooth"; tau is the smooth temperature;
-    top is the finite robustness assigned to True."""
-
-    mode: str = "classical"
-    tau: float = 10.0
-    top: float = 1e6
-
-    def __post_init__(self):
-        if self.mode not in ("classical", "smooth"):
-            raise ValueError(f"unknown robustness mode {self.mode!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not (0 < self.top < np.inf):
-            raise ValueError("top must be positive and finite")
-
-
-CLASSICAL = RobustnessConfig("classical")
-SMOOTH = RobustnessConfig("smooth")
+TOP = 1e6  # the finite robustness of True
 
 
 def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> int:
@@ -100,16 +82,17 @@ def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> int:
 
 
 class _Backend:
-    """Mode settings and the batch shape of the signals being combined.
+    """The temperature and the batch shape of the signals being combined.
 
     Subclasses give the leaf signals (``const``, ``margins``), ``stack``
     (signals along a new last axis), ``windows`` (sliding windows of one
     signal along a new last axis) and ``min``, ``max`` and ``kth``
     reductions of that last axis."""
 
-    def __init__(self, cfg: RobustnessConfig, batch_shape: tuple):
-        self.top = cfg.top
-        self.tau = cfg.tau
+    top = TOP
+
+    def __init__(self, tau: float | None, batch_shape: tuple):
+        self.tau = tau
         self.batch_shape = batch_shape
 
     def reduce_min(self, sigs):
@@ -176,17 +159,22 @@ class _BooleanBackend(_ClassicalBackend):
     """Truth as a +1/-1 signal; True is the constant +1 (top=1). A predicate
     holds where its margin is >= 0, on the region's edge too."""
 
+    top = 1.0
+
     def margins(self, states, fn):
         return np.where(fn.evaluate(states) >= 0.0, 1.0, -1.0)
 
 
-_BOOLEAN = _BooleanBackend(RobustnessConfig(top=1.0), ())
+_BOOLEAN = _BooleanBackend(None, ())
 
 
-def _backend(cfg: RobustnessConfig, batch_shape: tuple) -> _Backend:
-    if cfg.mode == "smooth":
-        return _SmoothBackend(cfg, batch_shape)
-    return _ClassicalBackend(cfg, batch_shape)
+def _backend(tau: float | None, batch_shape: tuple) -> _Backend:
+    """Classical backend when tau is None, smooth at temperature tau otherwise."""
+    if tau is None:
+        return _ClassicalBackend(None, batch_shape)
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return _SmoothBackend(tau, batch_shape)
 
 
 def _slice_t(sig, start: int, length: int):
@@ -231,11 +219,9 @@ def _signal(x, phi, length: int, be, memo: dict):
         case Predicate(fn=fn):
             return _memoized(memo, (fn, id(x)), lambda: be.margins(x, fn))
         case Task(inner=inner, cap=cap, count=m):
-            holders = [s for s, caps in x if cap.name in caps]
+            holders = [s for s, caps in x if cap in caps]
             if m > len(holders):
-                raise ValueError(
-                    f"task needs {m} agents with {cap.name!r}, team has {len(holders)}"
-                )
+                raise ValueError(f"task needs {m} agents with {cap!r}, team has {len(holders)}")
             sigs = [_signal(s, inner, length, be, memo) for s in holders]
             return be.kth_largest(_common(sigs), m)
         case TimedTask(task=task, time=offset):
@@ -273,10 +259,10 @@ def _until_signal(sig1, sig2, a: int, b: int, length: int, be):
     return be.reduce_max(terms)
 
 
-def _rho0(x, phi, cfg: RobustnessConfig, batch_shape: tuple = ()) -> np.ndarray:
+def _rho0(x, phi, tau: float | None, batch_shape: tuple = ()) -> np.ndarray:
     """Robustness values at time 0 over states or members x, without a graph."""
-    be = _backend(cfg, batch_shape)
-    if cfg.mode == "classical":
+    be = _backend(tau, batch_shape)
+    if tau is None:
         return _at0(x, phi, be)
     if isinstance(phi, InnerFormula):
         x = Tensor(x)
@@ -307,10 +293,9 @@ def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -
     return bool(_at0(_agent_from(x, phi, t), phi, _BOOLEAN) > 0)
 
 
-def count(X: TeamTrajectory, cap: Capability | str, phi: InnerFormula, t: int) -> int:
+def count(X: TeamTrajectory, cap: str, phi: InnerFormula, t: int) -> int:
     """Number of capability holders whose trajectory satisfies phi at t."""
-    name = cap.name if isinstance(cap, Capability) else cap
-    return sum(1 for m in X.with_capability(name) if inner_sat(m.trajectory, phi, t))
+    return sum(1 for m in X.with_capability(cap) if inner_sat(m.trajectory, phi, t))
 
 
 def outer_sat(X: TeamTrajectory, Phi: OuterFormula, t: int) -> bool:
@@ -322,25 +307,28 @@ def inner_rho(
     x: IndividualTrajectory | np.ndarray,
     phi: InnerFormula,
     t: int,
-    cfg: RobustnessConfig = CLASSICAL,
+    tau: float | None = None,
 ) -> float:
-    """Robustness of one agent's trajectory at time t."""
-    return float(_rho0(_agent_from(x, phi, t), phi, cfg))
+    """Robustness of one agent's trajectory at time t: classical when tau is
+    None, smooth at temperature tau otherwise."""
+    return float(_rho0(_agent_from(x, phi, t), phi, tau))
 
 
-def inner_rho_tensor(states: Tensor, phi: InnerFormula, cfg: RobustnessConfig) -> Tensor:
-    """Smooth robustness at time 0 as a graph node; states is (..., T, 2)."""
-    return _at0(states, phi, _backend(cfg, states.shape[:-2]))
+def inner_rho_tensor(states: Tensor, phi: InnerFormula, tau: float) -> Tensor:
+    """Smooth robustness at temperature tau and time 0 as a graph node;
+    states is (..., T, 2)."""
+    return _at0(states, phi, _backend(tau, states.shape[:-2]))
 
 
 def outer_rho(
     X: TeamTrajectory,
     Phi: OuterFormula,
     t: int,
-    cfg: RobustnessConfig = CLASSICAL,
+    tau: float | None = None,
 ) -> float:
-    """Team-level robustness at time t."""
-    return float(_rho0(_team_from(X, Phi, t), Phi, cfg))
+    """Team-level robustness at time t: classical when tau is None, smooth at
+    temperature tau otherwise."""
+    return float(_rho0(_team_from(X, Phi, t), Phi, tau))
 
 
 def _batch_shape(members, Phi: OuterFormula) -> tuple:
@@ -361,19 +349,21 @@ def _batch_shape(members, Phi: OuterFormula) -> tuple:
 def outer_rho_batch(
     members: list[tuple[np.ndarray, frozenset]],
     Phi: OuterFormula,
-    cfg: RobustnessConfig = CLASSICAL,
+    tau: float | None = None,
 ) -> np.ndarray:
-    """Robustness at time 0 for a batch, without a graph: states are (B, T, 2)."""
-    return _rho0(members, Phi, cfg, _batch_shape(members, Phi))
+    """Robustness at time 0 for a batch, without a graph: states are (B, T, 2);
+    classical when tau is None, smooth at temperature tau otherwise."""
+    return _rho0(members, Phi, tau, _batch_shape(members, Phi))
 
 
 def outer_rho_tensor(
     members: list[tuple[Tensor, frozenset]],
     Phi: OuterFormula,
-    cfg: RobustnessConfig,
+    tau: float,
 ) -> Tensor:
-    """Robustness at time 0 as a graph node; member states are (..., T, 2)."""
-    return _at0(members, Phi, _backend(cfg, _batch_shape(members, Phi)))
+    """Smooth robustness at temperature tau and time 0 as a graph node; member
+    states are (..., T, 2)."""
+    return _at0(members, Phi, _backend(tau, _batch_shape(members, Phi)))
 
 
 # -- smooth-vs-classical error bound -------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, lstm_step, matmul, stack, tanh
+from .trajectories import read_json
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -190,7 +191,7 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor], dims: dict) -> 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
     """Read a ``save_checkpoint`` file; ValueError naming the file and the
     block unless ``dims`` and ``params`` are objects whose blocks fill their shapes."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: checkpoint is a JSON {type(doc).__name__}, want an object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:

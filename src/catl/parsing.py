@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formulas import (
-    Capability,
     HalfPlane,
     IAlways,
     IAnd,
@@ -288,7 +287,7 @@ class _Parser:
             raise SpecSyntaxError(f"task count must be >= 1, got {m}", m_tok.line, m_tok.col)
         if self.capabilities is not None and cap_name not in self.capabilities:
             raise SpecSyntaxError(f"unknown capability {cap_name!r}", cap_tok.line, cap_tok.col)
-        task = Task(inner, Capability(cap_name), m)
+        task = Task(inner, cap_name, m)
         if self.peek().kind == "@":
             self.next()
             t_tok = self.expect("INT")

@@ -17,6 +17,9 @@ full-formula monitor check to pass on the final trajectory.
 Each clause works on its own copy of the team, and a synthesis replaces the
 agent's member in it, so the working team carries the repaired controls; the
 outcome reads every agent's controls off the team it returns.
+
+Every synthesis runs at the caller's budget: ``iterations`` per restart and up
+to ``restarts`` restarts, seeded ``seed + 1000 * clause index + agent id``.
 """
 
 from __future__ import annotations
@@ -38,15 +41,6 @@ def sort_desc(values) -> list[int]:
     """Indices ordering the values largest to smallest; ties by ascending index."""
     vals = [float(v) for v in values]
     return sorted(range(len(vals)), key=lambda i: (-vals[i], i))
-
-
-@dataclass
-class RepairBudget:
-    """Per-synthesis iterations and restarts, and the base synthesis seed."""
-
-    synth_iterations: int = 300
-    synth_restarts: int = 4
-    seed: int = 0
 
 
 @dataclass
@@ -84,10 +78,15 @@ def repair(
     X: TeamTrajectory,
     Phi: OuterFormula,
     scenario: Scenario,
-    budget: RepairBudget,
+    *,
+    iterations: int,
+    restarts: int,
+    seed: int,
     dnf: DnfForm | None = None,
 ) -> RepairOutcome:
-    """Attempt to repair X to satisfy Phi; sound but not complete."""
+    """Attempt to repair X to satisfy Phi; sound but not complete. Each
+    synthesis gets ``iterations`` per restart and up to ``restarts`` restarts,
+    from the base seed ``seed``."""
     phi = scenario.bind_spec(Phi)
     if dnf is None:
         dnf = to_dnf(phi, scenario.jc_sizes())
@@ -119,9 +118,9 @@ def repair(
                 pins,
                 X.last_time,
                 u_max[j],
-                iterations=budget.synth_iterations,
-                restarts=budget.synth_restarts,
-                seed=budget.seed + 1000 * k + j,
+                iterations=iterations,
+                restarts=restarts,
+                seed=seed + 1000 * k + j,
                 w_init=warm_start_weights(_controls(member), u_max[j]),
             )
             syntheses.append(SynthLog(k, j, len(pins), res.success, res.robustness))
@@ -163,7 +162,7 @@ def repair(
 def _verdicts(member: TeamMember, clause: tuple[TimedTask, ...]) -> np.ndarray:
     """Whether the member holds each atom's capability and satisfies its inner
     formula at the atom's time."""
-    return np.array([a.task.cap.name in member.capabilities
+    return np.array([a.task.cap in member.capabilities
                      and inner_sat(member.trajectory, a.task.inner, a.time) for a in clause],
                     dtype=bool)
 
@@ -179,7 +178,7 @@ def _assign_tasks(working: TeamTrajectory, clause: tuple[TimedTask, ...],
         task, t = atom.task, atom.time
         if counts[i] > task.count:
             continue
-        holders = working.with_capability(task.cap.name)
+        holders = working.with_capability(task.cap)
         rhos = [inner_rho(m.trajectory, task.inner, t) for m in holders]
         for idx in sort_desc(rhos)[:task.count]:
             j = holders[idx].agent_id

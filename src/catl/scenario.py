@@ -12,6 +12,7 @@ import numpy as np
 from .formulas import OuterFormula, SpecError, Task, bind, capability_vector, horizon, walk
 from .geometry import Region
 from .parsing import parse_spec
+from .trajectories import read_json, require_keys
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,12 @@ class AgentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "capabilities", frozenset(self.capabilities))
-        if min(self.u_max) <= 0:
-            raise SpecError(f"agent {self.agent_id}: control bounds must be positive")
+        u = self.u_max
+        if not (isinstance(u, (tuple, list)) and len(u) == 2
+                and all(isinstance(b, (int, float)) and 0 < b < np.inf for b in u)):
+            raise SpecError(f"agent {self.agent_id}: control bounds are {u!r}, "
+                            "want two positive finite numbers")
+        object.__setattr__(self, "u_max", tuple(u))
 
 
 @dataclass
@@ -117,7 +122,7 @@ def _validate_counts(phi, sizes: dict[str, int]) -> None:
     for node in walk(phi):
         if not isinstance(node, Task):
             continue
-        name = node.cap.name
+        name = node.cap
         if name not in sizes:
             raise SpecError(f"capability {name!r} absent from the scenario")
         if node.count > sizes[name]:
@@ -153,22 +158,36 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    doc = json.loads(Path(path).read_text())
+    """Read a ``save_scenario`` file; ValueError naming the file and the
+    missing key, or the region at fault, unless the document is an object
+    whose regions and agents are lists of complete entries."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: scenario is a JSON {type(doc).__name__}, want an object")
+    require_keys(doc, ("workspace", "regions", "capabilities", "agents", "horizon"),
+                 f"{path}: scenario")
+    for key in ("regions", "agents"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{path}: {key!r} is {type(doc[key]).__name__}, want a list")
     regions = {}
-    for entry in doc["regions"]:
-        rects = tuple(
-            (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in entry["rects"]
-        )
-        regions[entry["name"]] = Region(entry["name"], rects)
-    agents = [
-        AgentSpec(
+    for k, entry in enumerate(doc["regions"]):
+        require_keys(entry, ("name", "rects"), f"{path}: regions[{k}]")
+        try:
+            rects = tuple(
+                (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in entry["rects"]
+            )
+            regions[entry["name"]] = Region(entry["name"], rects)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: region {entry['name']!r}: {exc}") from None
+    agents = []
+    for k, e in enumerate(doc["agents"]):
+        require_keys(e, ("id", "capabilities", "u_max", "init_region"), f"{path}: agents[{k}]")
+        agents.append(AgentSpec(
             agent_id=e["id"],
             capabilities=frozenset(e["capabilities"]),
-            u_max=tuple(e["u_max"]),
+            u_max=e["u_max"],
             init_region=e["init_region"],
-        )
-        for e in doc["agents"]
-    ]
+        ))
     return Scenario(
         name=doc.get("name", Path(path).stem),
         workspace=(tuple(doc["workspace"][0]), tuple(doc["workspace"][1])),

@@ -6,8 +6,10 @@ control strictly inside its box; w is optimized with Adam (learning rate
 The temperature starts soft and sharpens: tau = 2 at iteration 0, doubling
 every 100 iterations up to 32. Every 20 iterations, and at the last one,
 the classical robustness is checked and the best-checked trajectory is kept.
-Restarts are seeded and sequential, a warm start replacing restart 0's
-random draw; the first check above the success margin 1e-3 ends the search.
+The budget is ``iterations`` per restart and up to ``restarts`` restarts;
+restart r draws its weights from ``default_rng([seed, r])``, a warm start
+``w_init`` replacing restart 0's draw. Restarts run one after another and the
+first check above the success margin 1e-3 ends the search.
 
 The states are one running sum over [x0, u0, u1, ...], added in that order,
 so the unrolled dynamics are a single graph node.
@@ -22,34 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .formulas import IAnd, IEventually, InnerFormula, ITrue, SpecError, horizon
-from .monitor import SMOOTH, RobustnessConfig, inner_rho, inner_rho_tensor
+from .monitor import TOP, inner_rho, inner_rho_tensor
 from .nn import Adam
 from .trajectories import IndividualTrajectory
-
-
-@dataclass
-class SynthesisRequest:
-    x0: np.ndarray
-    horizon: int
-    u_max: np.ndarray
-    target: InnerFormula
-    iterations: int = 500
-    restarts: int = 8
-    seed: int = 0
-    w_init: np.ndarray | None = None  # warm start for the first restart
-
-    def __post_init__(self):
-        for name in ("iterations", "restarts"):
-            if getattr(self, name) < 1:
-                raise SpecError(f"{name} must be at least 1, got {getattr(self, name)}")
-        self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(2)
-        self.u_max = np.asarray(self.u_max, dtype=np.float64).reshape(2)
-        if np.any(self.u_max <= 0):
-            raise SpecError("control bounds must be positive")
-        if horizon(self.target) > self.horizon:
-            raise SpecError(
-                f"target horizon {horizon(self.target)} exceeds request horizon {self.horizon}"
-            )
 
 
 @dataclass
@@ -67,36 +44,59 @@ def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tenso
     return ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0), u
 
 
-def synthesize(req: SynthesisRequest) -> SynthResult:
-    """Best-effort trajectory maximizing the target's robustness from x0.
+def synthesize(
+    x0: np.ndarray,
+    target: InnerFormula,
+    horizon_steps: int,
+    u_max: np.ndarray,
+    *,
+    iterations: int,
+    restarts: int,
+    seed: int,
+    w_init: np.ndarray | None = None,
+) -> SynthResult:
+    """Best-effort trajectory of horizon_steps steps from x0 maximizing the
+    target's robustness, with |u| <= u_max per axis; the budget and seed are
+    described in the module docstring.
 
     Success means strictly positive classical robustness; on failure the
-    best restart's trajectory is returned flagged unsuccessful.
+    best restart's trajectory is returned flagged unsuccessful. A True target
+    returns the resting trajectory at robustness ``TOP``.
     """
-    if isinstance(req.target, ITrue):
-        u = np.zeros((req.horizon, 2))
-        states = np.tile(req.x0, (req.horizon + 1, 1))
-        return SynthResult(IndividualTrajectory(states, u), SMOOTH.top, True)
+    for name, value in (("iterations", iterations), ("restarts", restarts)):
+        if value < 1:
+            raise SpecError(f"{name} must be at least 1, got {value}")
+    x0 = np.asarray(x0, dtype=np.float64).reshape(2)
+    u_max = np.asarray(u_max, dtype=np.float64).reshape(2)
+    if np.any(u_max <= 0):
+        raise SpecError("control bounds must be positive")
+    if horizon(target) > horizon_steps:
+        raise SpecError(
+            f"target horizon {horizon(target)} exceeds request horizon {horizon_steps}"
+        )
+    if isinstance(target, ITrue):
+        u = np.zeros((horizon_steps, 2))
+        states = np.tile(x0, (horizon_steps + 1, 1))
+        return SynthResult(IndividualTrajectory(states, u), TOP, True)
 
     best_rho = -np.inf
-    for restart in range(req.restarts):
-        rng = np.random.default_rng([req.seed, restart])
-        if restart == 0 and req.w_init is not None:
-            w = Tensor(req.w_init.copy())
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, restart])
+        if restart == 0 and w_init is not None:
+            w = Tensor(w_init.copy())
         else:
-            w = Tensor(rng.uniform(-1.0, 1.0, size=(req.horizon, 2)))
+            w = Tensor(rng.uniform(-1.0, 1.0, size=(horizon_steps, 2)))
         opt = Adam({"w": w}, lr=0.05)
-        for it in range(req.iterations):
+        for it in range(iterations):
             tau = min(2.0 * (2.0 ** (it // 100)), 32.0)
-            cfg = RobustnessConfig("smooth", tau=tau)
             opt.zero_grad()
-            states, _ = _unroll(req.x0, w, req.u_max)
-            (-inner_rho_tensor(states, req.target, cfg)).backward()
+            states, _ = _unroll(x0, w, u_max)
+            (-inner_rho_tensor(states, target, tau)).backward()
             opt.step()
-            if it % 20 == 19 or it == req.iterations - 1:
+            if it % 20 == 19 or it == iterations - 1:
                 with ad.no_grad():
-                    states, u = _unroll(req.x0, w, req.u_max)
-                rho_c = inner_rho(states.value, req.target, 0)
+                    states, u = _unroll(x0, w, u_max)
+                rho_c = inner_rho(states.value, target, 0)
                 if rho_c > best_rho:
                     best_rho, best = rho_c, (states.value, u.value)
                 if rho_c > 1e-3:
@@ -121,14 +121,12 @@ def synthesize_conjunction(
     u_max: np.ndarray,
     **budget,
 ) -> SynthResult:
-    """Synthesis for a set of (time, formula) requirements on one agent."""
+    """Synthesis for a set of (time, formula) requirements on one agent;
+    ``budget`` holds ``synthesize``'s keyword arguments."""
     for t, _ in pins:
         if t > horizon_steps:
             raise SpecError(f"pinned time {t} exceeds horizon {horizon_steps}")
-    req = SynthesisRequest(
-        x0=x0, horizon=horizon_steps, u_max=u_max, target=pinned_conjunction(pins), **budget
-    )
-    return synthesize(req)
+    return synthesize(x0, pinned_conjunction(pins), horizon_steps, u_max, **budget)
 
 
 def warm_start_weights(controls: np.ndarray, u_max: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,18 +23,12 @@ from . import dnf
 from .autodiff import Tensor
 from .evaluate import scored_rollouts
 from .formulas import OuterFormula
-from .monitor import (
-    NonFiniteError,
-    RobustnessConfig,
-    outer_rho_batch,
-    outer_rho_tensor,
-    outer_sat,
-)
+from .monitor import NonFiniteError, outer_rho_batch, outer_rho_tensor, outer_sat
 from .nn import Adam
 from .policy import COMM_CLASS, PolicyParams, RolloutResult, create_policy, rollout, save_policy
-from .repair import RepairBudget, repair
+from .repair import repair
 from .scenario import Scenario
-from .trajectories import TeamTrajectory
+from .trajectories import TeamTrajectory, read_json
 
 
 # JSON value types per TrainConfig field annotation; from_json rejects bools first
@@ -51,7 +45,6 @@ class TrainConfig:
     tau: float = 10.0
     tau_start: float = 1.0  # temperature anneals from here up to tau
     tau_anneal_every: int = 100  # doubling period, in optimizer steps
-    r_top: float = 1e6
     # optimization
     lr: float = 0.02
     steps_a: int = 600
@@ -87,27 +80,18 @@ class TrainConfig:
             if not getattr(self, key) > 0:
                 raise ValueError(f"config key {key!r} is {getattr(self, key)}, want above 0")
 
-    def smooth_cfg(self, step: int | None = None) -> RobustnessConfig:
+    def tau_at(self, step: int | None = None) -> float:
         """Training temperature: anneals from tau_start, doubling every
         tau_anneal_every steps, capped at tau. step=None gives the final tau."""
         if step is None:
-            tau = self.tau
-        else:
-            tau = min(self.tau_start * 2.0 ** (step // self.tau_anneal_every), self.tau)
-        return RobustnessConfig("smooth", tau=tau, top=self.r_top)
-
-    def repair_budget(self) -> RepairBudget:
-        return RepairBudget(
-            synth_iterations=self.repair_iterations,
-            synth_restarts=self.repair_restarts,
-            seed=self.seed,
-        )
+            return self.tau
+        return min(self.tau_start * 2.0 ** (step // self.tau_anneal_every), self.tau)
 
     @staticmethod
     def from_json(path: str | Path) -> "TrainConfig":
         """Read a ``to_json`` file; ValueError unless it is an object of config
         fields, each holding a value of its field's type and range."""
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config is {type(doc).__name__}, want a JSON object")
         types = {f.name: f.type for f in fields(TrainConfig)}
@@ -165,7 +149,7 @@ def robustness_objective(
     """
     member_caps = scenario.member_caps()
     res = rollout(params, x0_batch, scenario.horizon, gate_mode, member_caps=member_caps)
-    eta = outer_rho_tensor(res.member_tensors(member_caps), phi, cfg.smooth_cfg(step))
+    eta = outer_rho_tensor(res.member_tensors(member_caps), phi, cfg.tau_at(step))
     if gamma <= 0:
         return ad.mean(eta), res, eta
     cost = control_cost(res)
@@ -221,7 +205,7 @@ class Dataset:
 
     @staticmethod
     def load(path: str | Path) -> "Dataset":
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         return Dataset(
             [
                 DatasetEntry(
@@ -248,7 +232,6 @@ def aggregate_dataset(
     with ad.no_grad():
         res = rollout(params, x0, scenario.horizon, "full", member_caps=scenario.member_caps())
     stats = {"rollouts": cfg.n_rollouts, "satisfying": 0, "repaired": 0, "failed": 0}
-    budget = cfg.repair_budget()
     form = dnf.to_dnf(phi, scenario.jc_sizes())  # one DNF for every violator
     for i, team in enumerate(res.to_teams()):
         # the boolean monitor decides, as Dataset.add does: a rollout that
@@ -257,7 +240,8 @@ def aggregate_dataset(
             stats["satisfying"] += 1
             dataset.add(team, phi, "rollout", round_index)
             continue
-        outcome = repair(team, phi, scenario, replace(budget, seed=budget.seed + i), dnf=form)
+        outcome = repair(team, phi, scenario, iterations=cfg.repair_iterations,
+                         restarts=cfg.repair_restarts, seed=cfg.seed + i, dnf=form)
         if outcome.success:
             stats["repaired"] += 1
             dataset.add(outcome.trajectory, phi, "repaired", round_index)
@@ -478,7 +462,6 @@ def build_gate_dataset(
     All cuts of one initial state run as one batched rollout: row 0 is the
     uncut base and row 1 + j*H + t cuts agent j at time t."""
     member_caps = scenario.member_caps()
-    smooth = cfg.smooth_cfg()
     data = GateDataset()
     sweep_rels = (0.01, 0.05, 0.1)
     sweep_counts = {rel: 0 for rel in sweep_rels}
@@ -492,7 +475,7 @@ def build_gate_dataset(
                           member_caps=member_caps, cut=cut, nocomm_params=params_nocomm)
         states = res.states_numpy()
         members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
-        etas = outer_rho_batch(members, phi, smooth)
+        etas = outer_rho_batch(members, phi, cfg.tau)
         drops = etas[0] - etas[1:]  # cut k = j*H + t, so j outer and t inner
         scale = max(abs(float(etas[0])), cfg.gate_eps_floor)
         labels = drops > cfg.gate_eps_rel * scale

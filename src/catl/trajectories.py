@@ -139,6 +139,30 @@ class TeamTrajectory:
 # -- file formats -----------------------------------------------------------
 
 
+def read_json(path: str | Path):
+    """The JSON document in the file at path; ValueError naming the file
+    unless its text is JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def require_keys(entry, keys: tuple[str, ...], where: str) -> None:
+    """ValueError naming where unless entry is an object holding every key."""
+    missing = [k for k in keys if not isinstance(entry, dict) or k not in entry]
+    if missing:
+        raise ValueError(f"{where} lacks {missing}")
+
+
+def _capabilities(value, where: str) -> frozenset[str]:
+    """A capability list as a set; ValueError naming where unless it is a
+    list of names."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise ValueError(f"{where}: capabilities are {value!r}, want a list of names")
+    return frozenset(value)
+
+
 def save_team_csv(team: TeamTrajectory, csv_path: str | Path,
                   caps_path: str | Path | None = None) -> None:
     csv_path = Path(csv_path)
@@ -167,7 +191,7 @@ def load_team_csv(csv_path: str | Path, caps_path: str | Path | None = None) -> 
     csv_path = Path(csv_path)
     if caps_path is None:
         caps_path = csv_path.with_suffix(".caps.json")
-    caps_doc = json.loads(Path(caps_path).read_text())
+    caps_doc = read_json(caps_path)
     states: dict[int, dict[int, list[float]]] = {}
     controls: dict[int, dict[int, list[float]]] = {}
     with csv_path.open() as fh:
@@ -193,7 +217,7 @@ def load_team_csv(csv_path: str | Path, caps_path: str | Path | None = None) -> 
         if not isinstance(caps_doc, dict) or str(j) not in caps_doc:
             raise ValueError(f"{caps_path}: no capabilities for agent {j}")
         members.append(TeamMember(j, IndividualTrajectory(xs, us),
-                                  frozenset(caps_doc[str(j)])))
+                                  _capabilities(caps_doc[str(j)], f"{caps_path}: agent {j}")))
     return TeamTrajectory(members)
 
 
@@ -217,18 +241,15 @@ def save_team_json(team: TeamTrajectory, path: str | Path) -> None:
 
 
 def load_team_json(path: str | Path) -> TeamTrajectory:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     agents = doc.get("agents") if isinstance(doc, dict) else None
     if not isinstance(agents, list):
         raise ValueError(f"{path}: want a JSON object with an 'agents' list")
     members = []
     for k, entry in enumerate(agents):
-        missing = [key for key in ("id", "capabilities", "states")
-                   if not isinstance(entry, dict) or key not in entry]
-        if missing:
-            raise ValueError(f"{path}: agents[{k}] lacks {missing}")
+        require_keys(entry, ("id", "capabilities", "states"), f"{path}: agents[{k}]")
         controls = np.array(entry["controls"]) if "controls" in entry else None
         members.append(TeamMember(entry["id"],
                                   IndividualTrajectory(np.array(entry["states"]), controls),
-                                  frozenset(entry["capabilities"])))
+                                  _capabilities(entry["capabilities"], f"{path}: agents[{k}]")))
     return TeamTrajectory(members)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from catl.formulas import (
-    Capability,
     HalfPlane,
     IAlways,
     IAnd,
@@ -89,7 +88,7 @@ def random_task(rng: np.random.Generator, depth: int, budget: int,
     cap = str(rng.choice(CAPS))
     holders = sum(1 for caps in team_caps if cap in caps)
     m = int(rng.integers(1, holders + 1))
-    return Task(random_inner(rng, depth, budget), Capability(cap), m)
+    return Task(random_inner(rng, depth, budget), cap, m)
 
 
 def random_outer(rng: np.random.Generator, depth: int, budget: int,

@@ -91,7 +91,7 @@ def sat_table_outer(member_states: list[tuple[np.ndarray, frozenset]], Phi) -> n
         tables = [
             sat_table_inner(states, Phi.inner)
             for states, caps in member_states
-            if Phi.cap.name in caps
+            if Phi.cap in caps
         ]
         assert len(tables) >= Phi.count, "oracle misuse: not enough capability holders"
         n = min(len(tb) for tb in tables)

@@ -137,6 +137,57 @@ def test_monitor_names_json_team_entry_lacking_states(tmp_path, capsys):
     assert captured.err == f"error: {path}: agents[0] lacks ['states']\n"
 
 
+@pytest.mark.parametrize("option", ["--params", "--scenario", "--config", "--traj", "--caps"])
+def test_file_that_is_not_json_is_named(option, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    save_team_csv(team, tmp_path / "t.csv")
+    args = {
+        "--params": ["eval", "--scenario", "toy", "--spec", text, "--params", str(bad)],
+        "--scenario": ["parse", text, "--scenario", str(bad)],
+        "--config": ["train", "--scenario", "toy", "--spec", text, "--config", str(bad),
+                     "--out", str(tmp_path / "out")],
+        "--traj": ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(bad)],
+        "--caps": ["monitor", "--scenario", "toy", "--spec", text,
+                   "--traj", str(tmp_path / "t.csv"), "--caps", str(bad)],
+    }[option]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not valid JSON: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _without_regions(doc):
+    del doc["regions"]
+    return doc
+
+
+def _short_u_max(doc):
+    doc["agents"][0]["u_max"] = [1.0]
+    return doc
+
+
+@pytest.mark.parametrize("change, why", [
+    (lambda doc: [1, 2], "{path}: scenario is a JSON list, want an object"),
+    (_without_regions, "{path}: scenario lacks ['regions']"),
+    (_short_u_max,
+     "agent 1: control bounds are [1.0], want two positive finite numbers"),
+], ids=["not_an_object", "no_regions", "short_u_max"])
+def test_parse_names_the_fault_in_a_scenario_file(change, why, tmp_path, capsys):
+    assert main(["scenario", "--name", "toy", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["parse", str(tmp_path / "spec.catl"), "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + why.format(path=path) + "\n"
+
+
 # counts that crash training at 0 (stack of nothing, division or overflow), and
 # stage lengths, which at 0 leave a stage untrained; --stages skips a stage
 ZERO_COUNTS = ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",

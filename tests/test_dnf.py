@@ -15,7 +15,6 @@ from catl.dnf import (
     to_dnf,
 )
 from catl.formulas import (
-    Capability,
     INot,
     IAnd,
     InRegion,
@@ -48,7 +47,7 @@ def atom(name="c", m=1, negate_inner=False):
     inner = Predicate(InRegion(BOX.name, BOX))
     if negate_inner:
         inner = INot(inner)
-    return Task(inner, Capability(name), m)
+    return Task(inner, name, m)
 
 
 def pattern_team(bits, cap="c", length=1):
@@ -147,10 +146,10 @@ class TestNegationElimination:
 
     def test_bridge_occupancy_rule(self):
         # no more than 1 of 4 ground agents on the bridge
-        bridge_task = Task(Predicate(InRegion("B", BOX)), Capability("Ground"), 2)
+        bridge_task = Task(Predicate(InRegion("B", BOX)), "Ground", 2)
         out = negation_free(ONot(TimedTask(bridge_task, 3)), {"Ground": 4})
         assert out == TimedTask(
-            Task(INot(Predicate(InRegion("B", BOX))), Capability("Ground"), 3), 3
+            Task(INot(Predicate(InRegion("B", BOX))), "Ground", 3), 3
         )
 
     def test_unsatisfiable_task_folds(self):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from catl.formulas import (
-    Capability,
     IAnd,
     IEventually,
     InRegion,
@@ -33,16 +32,12 @@ from catl.parsing import SpecSyntaxError, parse_inner, parse_spec
 from generators import CAPS, REGIONS, random_inner, random_outer
 
 
-def task(inner, cap, m):
-    return Task(inner, Capability(cap), m)
-
-
 class TestParsing:
     def test_task_with_eventually(self):
         phi = parse_spec("task(F[0,8] in(C), Delivery, 6)")
         assert isinstance(phi, Task)
         assert phi.count == 6
-        assert phi.cap.name == "Delivery"
+        assert phi.cap == "Delivery"
         ev = phi.inner
         assert isinstance(ev, IEventually)
         assert (ev.a, ev.b) == (0, 8)
@@ -54,7 +49,7 @@ class TestParsing:
 
     def test_always_not_task(self):
         phi = parse_spec("G[0,25] !task(in(B), Ground, 2)")
-        assert phi == OAlways(ONot(task(Predicate(InRegion("B")), "Ground", 2)), 0, 25)
+        assert phi == OAlways(ONot(Task(Predicate(InRegion("B")), "Ground", 2)), 0, 25)
 
     def test_until_between_tasks(self):
         phi = parse_spec("!task(in(B), Ground, 1) U[0,5] task(in(B), Inspection, 2)")
@@ -64,7 +59,7 @@ class TestParsing:
 
     def test_timed_task_postfix(self):
         phi = parse_spec("task(in(B), Ground, 1) @ 7")
-        assert phi == TimedTask(task(Predicate(InRegion("B")), "Ground", 1), 7)
+        assert phi == TimedTask(Task(Predicate(InRegion("B")), "Ground", 1), 7)
 
     def test_nary_flattening_vs_parens(self):
         flat = parse_spec("true & true & true")
@@ -185,7 +180,7 @@ class TestCapabilityVector:
 class TestValidation:
     def test_task_count_must_be_positive(self):
         with pytest.raises(SpecError):
-            task(ITrue(), "red", 0)
+            Task(ITrue(), "red", 0)
 
     def test_and_needs_two_children(self):
         with pytest.raises(SpecError):
@@ -224,7 +219,7 @@ class TestBindSpec:
         lambda bad: OAnd((OTrue(), ONot(OEventually(bad, 0, 1)))),
     ], ids=["not", "until_right", "until_left", "always", "timed", "deep"])
     def test_nested_bad_task_is_caught(self, wrap):
-        bad = task(Predicate(InRegion("Goal")), "Robot", 2)
+        bad = Task(Predicate(InRegion("Goal")), "Robot", 2)
         with pytest.raises(SpecError, match="task needs 2 agents"):
             self.toy().bind_spec(wrap(bad))
 

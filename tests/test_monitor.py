@@ -6,7 +6,6 @@ import pytest
 from catl import autodiff as ad
 from catl.autodiff import Tensor
 from catl.formulas import (
-    Capability,
     HalfPlane,
     IAlways,
     IAnd,
@@ -23,10 +22,9 @@ from catl.formulas import (
 )
 from catl.geometry import Region
 from catl.monitor import (
-    CLASSICAL,
+    TOP,
     HorizonError,
     NonFiniteError,
-    RobustnessConfig,
     count,
     inner_rho,
     inner_rho_tensor,
@@ -53,7 +51,7 @@ from generators import (
 from oracles import finite_difference, individual_sat, team_sat
 
 C_REGION = Region.box("C", (2.0, -1.0), (4.0, 1.0))
-SMOOTH10 = RobustnessConfig("smooth", tau=10.0)
+TAU = 10.0  # smooth temperature
 
 
 def in_region(region: Region) -> Predicate:
@@ -136,8 +134,7 @@ class TestInnerRho:
             states = random_states(rng, horizon(phi) + 2)
             rho_c = inner_rho(states, phi, 0)
             for tau in (5.0, 10.0, 50.0):
-                cfg = RobustnessConfig("smooth", tau=tau)
-                rho_s = inner_rho(states, phi, 0, cfg)
+                rho_s = inner_rho(states, phi, 0, tau)
                 slack = 128 * np.spacing(max(1.0, abs(rho_c)))  # float rounding at R_TOP scale
                 assert abs(rho_s - rho_c) <= smoothness_bound(phi, tau) + slack
 
@@ -151,12 +148,12 @@ class TestInnerRho:
         for phi in planes:
             states = random_states(rng, 10)
             for t in range(10):
-                assert inner_rho(states, phi, t) == inner_rho(states, phi, t, SMOOTH10)
+                assert inner_rho(states, phi, t) == inner_rho(states, phi, t, TAU)
         assert smoothness_bound(planes[0], 10.0) == 0.0
 
     def test_true_gets_top_constant(self):
         states = random_states(np.random.default_rng(1), 3)
-        assert inner_rho(states, ITrue(), 0) == CLASSICAL.top
+        assert inner_rho(states, ITrue(), 0) == TOP
 
 
 class TestCount:
@@ -172,7 +169,7 @@ class TestCount:
 
     def test_empty_capability_group(self):
         team = random_team(np.random.default_rng(2), 5)
-        assert count(team, Capability("green"), ITrue(), 0) == 0
+        assert count(team, "green", ITrue(), 0) == 0
 
     def test_matches_per_agent_loop(self):
         rng = np.random.default_rng(57)
@@ -195,7 +192,7 @@ class TestTaskRho:
         team = make_team(states, [frozenset({"red"})] * 3)
         halfline = Predicate(InRegion("H", Region.box("H", (0.0, -5.0), (100.0, 5.0))))
         # margin in x: min(x, 100-x); y margin large enough not to bind
-        task = Task(halfline, Capability("red"), 2)
+        task = Task(halfline, "red", 2)
         assert outer_rho(team, task, 0) == pytest.approx(1.0)
 
     def test_m_equals_one_is_max(self):
@@ -205,7 +202,7 @@ class TestTaskRho:
         rhos = [
             inner_rho(m.trajectory, phi, 0) for m in team.members if "red" in m.capabilities
         ]
-        task = Task(phi, Capability("red"), 1)
+        task = Task(phi, "red", 1)
         assert outer_rho(team, task, 0) == pytest.approx(max(rhos))
 
     def test_sign_matches_counting(self):
@@ -217,7 +214,7 @@ class TestTaskRho:
             cap = "red" if rng.random() < 0.5 else "blue"
             holders = len(team.with_capability(cap))
             m = int(rng.integers(1, holders + 1))
-            task = Task(phi, Capability(cap), m)
+            task = Task(phi, cap, m)
             rho = outer_rho(team, task, 0)
             if abs(rho) <= 1e-9:
                 continue
@@ -227,7 +224,7 @@ class TestTaskRho:
 
     def test_too_many_required_raises(self):
         team = random_team(np.random.default_rng(3), 3)
-        task = Task(ITrue(), Capability("red"), 5)
+        task = Task(ITrue(), "red", 5)
         with pytest.raises(ValueError):
             outer_rho(team, task, 0)
 
@@ -239,14 +236,14 @@ class TestOuterSemantics:
             for _ in range(6)
         ]
         team = make_team(states, [frozenset({"Delivery"})] * 6)
-        phi = Task(IEventually(in_region(C_REGION), 0, 8), Capability("Delivery"), 6)
+        phi = Task(IEventually(in_region(C_REGION), 0, 8), "Delivery", 6)
         assert outer_sat(team, phi, 0)
         assert outer_rho(team, phi, 0) > 0
 
     def test_true_formula(self):
         team = random_team(np.random.default_rng(4), 3)
         assert outer_sat(team, OTrue(), 0)
-        assert outer_rho(team, OTrue(), 0) == CLASSICAL.top
+        assert outer_rho(team, OTrue(), 0) == TOP
 
     def test_sign_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(60)
@@ -299,8 +296,7 @@ class TestOuterSemantics:
             team = random_team(rng, horizon(phi) + 1)
             rho_c = outer_rho(team, phi, 0)
             for tau in (5.0, 10.0, 50.0):
-                cfg = RobustnessConfig("smooth", tau=tau)
-                rho_s = outer_rho(team, phi, 0, cfg)
+                rho_s = outer_rho(team, phi, 0, tau)
                 slack = 128 * np.spacing(max(1.0, abs(rho_c)))
                 assert abs(rho_s - rho_c) <= smoothness_bound(phi, tau) + slack
 
@@ -313,9 +309,9 @@ class TestUnboundRegion:
     @pytest.mark.parametrize("evaluate", [
         lambda states, phi: inner_sat(states, phi, 0),
         lambda states, phi: inner_rho(states, phi, 0),
-        lambda states, phi: inner_rho(states, phi, 0, SMOOTH10),
+        lambda states, phi: inner_rho(states, phi, 0, TAU),
         lambda states, phi: outer_rho_batch(
-            [(states[None], frozenset({"red"}))], Task(phi, Capability("red"), 1)),
+            [(states[None], frozenset({"red"}))], Task(phi, "red", 1)),
     ], ids=["inner_sat", "inner_rho", "inner_rho_smooth", "outer_rho_batch"])
     def test_raises_spec_error(self, evaluate):
         states = random_states(np.random.default_rng(3), 4)
@@ -323,10 +319,34 @@ class TestUnboundRegion:
             evaluate(states, self.PHI)
 
 
+class TestTemperature:
+    """Every entry point that takes a temperature rejects one at or below 0."""
+
+    PHI = IEventually(in_region(C_REGION), 0, 2)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda states, phi, tau: inner_rho(states, phi, 0, tau),
+        lambda states, phi, tau: outer_rho(
+            TeamTrajectory([TeamMember(0, IndividualTrajectory(states), frozenset({"red"}))]),
+            Task(phi, "red", 1), 0, tau),
+        lambda states, phi, tau: outer_rho_batch(
+            [(states[None], frozenset({"red"}))], Task(phi, "red", 1), tau),
+        lambda states, phi, tau: inner_rho_tensor(Tensor(states), phi, tau).value,
+        lambda states, phi, tau: outer_rho_tensor(
+            [(Tensor(states[None]), frozenset({"red"}))], Task(phi, "red", 1), tau).value,
+    ], ids=["inner_rho", "outer_rho", "outer_rho_batch", "inner_rho_tensor", "outer_rho_tensor"])
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_non_positive_tau_rejected(self, evaluate, tau):
+        states = random_states(np.random.default_rng(4), 4)
+        assert np.isfinite(evaluate(states, self.PHI, TAU)).all()
+        with pytest.raises(ValueError, match="tau must be positive"):
+            evaluate(states, self.PHI, tau)
+
+
 class TestBatchEntryPoints:
     """outer_rho_batch and outer_rho_tensor reject bad states at the boundary."""
 
-    PHI = Task(IEventually(in_region(C_REGION), 0, 4), Capability("red"), 1)
+    PHI = Task(IEventually(in_region(C_REGION), 0, 4), "red", 1)
 
     @staticmethod
     def rho(entry: str, states: np.ndarray):
@@ -335,7 +355,7 @@ class TestBatchEntryPoints:
             members = [(states[:, j], caps) for j, caps in enumerate(TEAM_CAPS)]
             return outer_rho_batch(members, TestBatchEntryPoints.PHI)
         members = [(Tensor(states[:, j]), caps) for j, caps in enumerate(TEAM_CAPS)]
-        return outer_rho_tensor(members, TestBatchEntryPoints.PHI, SMOOTH10).value
+        return outer_rho_tensor(members, TestBatchEntryPoints.PHI, TAU).value
 
     @pytest.mark.parametrize("entry", ["batch", "tensor"])
     def test_short_trajectory_raises_horizon_error(self, entry):
@@ -369,8 +389,8 @@ class TestMarginMemo:
             want_sat = box.margin(states[1]) >= 0 and box.margin(states[2]) < 0
             assert inner_sat(states, phi, 0) == want_sat
             with ad.no_grad():
-                rho = inner_rho_tensor(Tensor(states), phi, SMOOTH10).item()
-            fresh = inner_rho_tensor(Tensor(states.copy()), phi, SMOOTH10).item()
+                rho = inner_rho_tensor(Tensor(states), phi, TAU).item()
+            fresh = inner_rho_tensor(Tensor(states.copy()), phi, TAU).item()
             assert rho == fresh
             assert rho == ad.softmin_lse(
                 Tensor(np.array([box.margin(states[1]), -box.margin(states[2])])), tau=10.0
@@ -388,7 +408,7 @@ class TestMarginMemo:
         pins += [(t, pred["M"]) for t in range(26)]
         pins += [(t, INot(pred["R"])) for t in range(26)]
         states = Tensor(np.random.default_rng(67).uniform(0.0, 10.0, size=(26, 2)))
-        rho = inner_rho_tensor(states, pinned_conjunction(pins), SMOOTH10)
+        rho = inner_rho_tensor(states, pinned_conjunction(pins), TAU)
         assert len(ad._toposort(rho)) <= 62
 
 
@@ -407,11 +427,11 @@ class TestSmoothGradients:
                 members = [
                     (Tensor(arr[j]), caps) for j, caps in enumerate(TEAM_CAPS)
                 ]
-                return outer_rho_tensor(members, phi, SMOOTH10).item()
+                return outer_rho_tensor(members, phi, TAU).item()
 
             leaves = [Tensor(base[j].copy()) for j in range(len(TEAM_CAPS))]
             members = [(leaves[j], caps) for j, caps in enumerate(TEAM_CAPS)]
-            out = outer_rho_tensor(members, phi, SMOOTH10)
+            out = outer_rho_tensor(members, phi, TAU)
             out.backward()
             grad = np.stack([
                 leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
@@ -429,5 +449,5 @@ class TestSmoothGradients:
         phi = random_inner(rng, depth=2, budget=3)
         states = random_states(rng, horizon(phi) + 1)
         with ad.no_grad():
-            val = inner_rho_tensor(Tensor(states), phi, SMOOTH10).item()
-        assert val == pytest.approx(inner_rho(states, phi, 0, SMOOTH10))
+            val = inner_rho_tensor(Tensor(states), phi, TAU).item()
+        assert val == pytest.approx(inner_rho(states, phi, 0, TAU))

@@ -9,9 +9,9 @@ import pytest
 
 from catl import autodiff as ad
 from catl.autodiff import Tensor
-from catl.formulas import Capability, IEventually, INot, IAlways, InRegion, Predicate, OAnd, Task
+from catl.formulas import IEventually, INot, IAlways, InRegion, Predicate, OAnd, Task
 from catl.geometry import Region
-from catl.monitor import RobustnessConfig, outer_rho_tensor
+from catl.monitor import outer_rho_tensor
 from catl.nn import Dense, RecurrentCell, bidirectional_scan
 from catl.policy import (
     PolicyDims,
@@ -299,8 +299,8 @@ GOAL = Region.box("Goal", (2.0, 2.0), (4.0, 4.0))
 OBS = Region.box("Obs", (-2.0, -2.0), (-1.0, -1.0))
 SPEC2 = OAnd(
     (
-        Task(IEventually(Predicate(InRegion("Goal", GOAL)), 0, 10), Capability("a"), 1),
-        Task(IAlways(INot(Predicate(InRegion("Obs", OBS))), 0, 10), Capability("b"), 1),
+        Task(IEventually(Predicate(InRegion("Goal", GOAL)), 0, 10), "a", 1),
+        Task(IAlways(INot(Predicate(InRegion("Obs", OBS))), 0, 10), "b", 1),
     )
 )
 CAPS2 = [frozenset({"a"}), frozenset({"b"})]
@@ -309,12 +309,11 @@ CAPS2 = [frozenset({"a"}), frozenset({"b"})]
 class TestRolloutGradient:
     def test_end_to_end_gradient_matches_finite_differences(self):
         params = small_policy(seed=14, n_c=4, hidden=6)
-        cfg = RobustnessConfig("smooth", tau=10.0)
         x0 = np.array([[0.0, 0.0], [0.5, 0.5]])
 
         def objective() -> Tensor:
             res = rollout(params, x0, 10)
-            return outer_rho_tensor(res.member_tensors(CAPS2), SPEC2, cfg)
+            return outer_rho_tensor(res.member_tensors(CAPS2), SPEC2, 10.0)
 
         target = params.encoder.w_x
         base = target.value.copy()

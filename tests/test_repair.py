@@ -6,13 +6,13 @@ import pytest
 from catl.dnf import to_dnf
 from catl.formulas import horizon
 from catl.monitor import count, outer_rho, outer_sat
-from catl.repair import RepairBudget, repair, sort_desc
+from catl.repair import repair, sort_desc
 from catl.scenario import triple_toy
 from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
 
 from generators import random_outer
 
-BUDGET = RepairBudget(synth_iterations=150, synth_restarts=2, seed=0)
+BUDGET = dict(iterations=150, restarts=2, seed=0)
 
 
 class TestSortDesc:
@@ -77,7 +77,7 @@ class TestRepair:
                 team = cand
                 break
         assert team is not None, "could not sample a satisfying trajectory"
-        outcome = repair(team, phi, scenario, BUDGET)
+        outcome = repair(team, phi, scenario, **BUDGET)
         assert outcome.success
         assert outcome.repaired_agents == []
         for m_in, m_out in zip(team.members, outcome.trajectory.members):
@@ -100,7 +100,7 @@ class TestRepair:
             ]
         )
         assert not outer_sat(team, phi, 0)
-        outcome = repair(team, phi, scenario, BUDGET)
+        outcome = repair(team, phi, scenario, **BUDGET)
         assert outcome.success, [s for s in outcome.syntheses]
         assert outer_sat(outcome.trajectory, phi, 0)
         assert outcome.robustness > 0
@@ -116,7 +116,7 @@ class TestRepair:
             if outer_sat(team, phi, 0):
                 continue
             attempted += 1
-            outcome = repair(team, phi, scenario, BUDGET, dnf=dnf)
+            outcome = repair(team, phi, scenario, **BUDGET, dnf=dnf)
             if outcome.verdict == "success":
                 succeeded += 1
                 # Prop.-style soundness: success verdicts pass the monitor
@@ -167,6 +167,6 @@ class TestRepairFail:
                 TeamMember(3, IndividualTrajectory(far.copy()), frozenset({"blue"})),
             ]
         )
-        outcome = repair(team, phi, scenario, BUDGET)
+        outcome = repair(team, phi, scenario, **BUDGET)
         assert outcome.verdict == "fail"
         assert outcome.robustness <= 0

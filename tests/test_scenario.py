@@ -1,7 +1,9 @@
-"""Initial-state sampling."""
+"""Initial-state sampling and agent control bounds."""
 
 import numpy as np
+import pytest
 
+from catl.formulas import SpecError
 from catl.geometry import Region
 from catl.scenario import AgentSpec, Scenario, builtin
 
@@ -28,3 +30,12 @@ def test_two_rectangle_region_is_picked_by_area():
     assert x.shape == (4000, 2, 2)
     assert np.all(start.margin(x) >= 0)
     assert np.allclose((x[..., 0] >= 2.0).mean(axis=0), 0.75, atol=0.03)
+
+
+@pytest.mark.parametrize("u_max", [(1.0,), (1.0, 1.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                   (1.0, float("inf")), (float("nan"), 1.0), ("1", 1.0), 1.0],
+                         ids=["one", "three", "zero", "negative", "inf", "nan", "text", "scalar"])
+def test_agent_needs_two_positive_finite_bounds(u_max):
+    with pytest.raises(SpecError, match="^agent 3: control bounds are "):
+        AgentSpec(3, frozenset({"a"}), u_max, "Init")
+    assert AgentSpec(3, frozenset({"a"}), [0.5, 2], "Init").u_max == (0.5, 2)

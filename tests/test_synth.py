@@ -7,7 +7,7 @@ from catl.formulas import IAlways, IEventually, INot, InRegion, ITrue, Predicate
 from catl.geometry import Region
 from catl.monitor import inner_sat
 from catl.autodiff import Tensor
-from catl.synth import SynthesisRequest, _unroll, synthesize, synthesize_conjunction
+from catl.synth import SynthResult, _unroll, synthesize, synthesize_conjunction
 
 C = Region.box("C", (2.5, -0.5), (3.5, 0.5))  # unit square centered (3, 0)
 FAR = Region.box("Far", (7.0, 7.0), (8.0, 8.0))
@@ -17,41 +17,42 @@ def in_c():
     return Predicate(InRegion("C", C))
 
 
-def reach_request(**kw) -> SynthesisRequest:
-    defaults = dict(
+def reach(**kw) -> SynthResult:
+    """synthesize on the reach-C task, kw overriding its arguments."""
+    args = dict(
         x0=np.zeros(2),
-        horizon=5,
-        u_max=np.ones(2),
         target=IEventually(in_c(), 0, 5),
+        horizon_steps=5,
+        u_max=np.ones(2),
         iterations=200,
         restarts=3,
         seed=7,
     )
-    defaults.update(kw)
-    return SynthesisRequest(**defaults)
+    args.update(kw)
+    return synthesize(**args)
 
 
 class TestSynthesize:
     def test_reachable_goal_within_deadline(self):
         # sup-distance to the region is 2.5 < 5 steps at speed 1: feasible
-        res = synthesize(reach_request())
+        res = reach()
         assert res.success
         assert res.robustness > 0
         assert inner_sat(res.trajectory, IEventually(in_c(), 0, 5), 0)
 
     def test_true_target_is_immediate(self):
-        res = synthesize(reach_request(target=ITrue()))
+        res = reach(target=ITrue())
         assert res.success
         assert np.all(res.trajectory.controls == 0.0)
         assert res.robustness == 1e6
 
     def test_always_from_outside_is_infeasible(self):
-        res = synthesize(reach_request(target=IAlways(in_c(), 0, 2), iterations=100))
+        res = reach(target=IAlways(in_c(), 0, 2), iterations=100)
         assert not res.success
         assert res.robustness < 0
 
     def test_dynamics_and_bounds_hold_exactly(self):
-        res = synthesize(reach_request())
+        res = reach()
         states, u = res.trajectory.states, res.trajectory.controls
         assert np.abs(states[1:] - states[:-1] - u).max() <= 1e-9
         assert np.all(np.abs(u) < 1.0)
@@ -59,7 +60,7 @@ class TestSynthesize:
     def test_returned_states_follow_dynamics_bitwise(self):
         # x(t+1) = x(t) + u(t) with no rounding slack, and the states checked
         # and returned are the ones the smooth objective was ascended on
-        res = synthesize(reach_request())
+        res = reach()
         states, u = res.trajectory.states, res.trajectory.controls
         assert np.array_equal(states[1:], states[:-1] + u)
         rng = np.random.default_rng(16)
@@ -70,13 +71,13 @@ class TestSynthesize:
             assert np.array_equal(states[1:], states[:-1] + u)
 
     def test_deterministic_given_seed(self):
-        a = synthesize(reach_request())
-        b = synthesize(reach_request())
+        a = reach()
+        b = reach()
         assert np.array_equal(a.trajectory.states, b.trajectory.states)
 
     def test_target_horizon_must_fit(self):
         with pytest.raises(SpecError):
-            reach_request(horizon=3, target=IEventually(in_c(), 0, 9))
+            reach(horizon_steps=3, target=IEventually(in_c(), 0, 9))
 
 
 class TestSynthesizeConjunction:
@@ -94,7 +95,8 @@ class TestSynthesizeConjunction:
         assert inner_sat(res.trajectory, Predicate(InRegion("Bx", b_box)), 5)
 
     def test_empty_pin_list_is_trivial_success(self):
-        res = synthesize_conjunction(np.ones(2), [], 4, np.ones(2))
+        res = synthesize_conjunction(np.ones(2), [], 4, np.ones(2),
+                                     iterations=500, restarts=8, seed=0)
         assert res.success
         assert np.all(res.trajectory.controls == 0.0)
 

@@ -8,7 +8,7 @@ import pytest
 from catl import autodiff as ad
 from catl import train
 from catl.autodiff import Tensor
-from catl.monitor import RobustnessConfig, outer_rho, outer_rho_batch, outer_sat
+from catl.monitor import outer_rho, outer_rho_batch, outer_sat
 from catl.policy import RolloutResult, create_policy, gate, rollout
 from catl.scenario import toy_benchmark, triple_toy
 from catl.train import (
@@ -338,7 +338,7 @@ class TestGate:
                               nocomm_params=nocomm)
             states = res.states_numpy()
             members = [(states[:, j], c) for j, c in enumerate(caps)]
-            return float(outer_rho_batch(members, TRIPLE_PHI, cfg.smooth_cfg())[0]), res
+            return float(outer_rho_batch(members, TRIPLE_PHI, cfg.tau)[0]), res
 
         eta_full, base = smooth_eta()
         eps = cfg.gate_eps_rel * max(abs(eta_full), cfg.gate_eps_floor)

@@ -1,5 +1,7 @@
 """Trajectory file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from catl.trajectories import (
     TeamMember,
     TeamTrajectory,
     load_team_csv,
+    load_team_json,
     save_team_csv,
+    save_team_json,
 )
 
 from generators import TEAM_CAPS
@@ -48,3 +52,33 @@ def test_non_finite_states_and_controls_are_rejected():
     bad_controls[1, 0] = np.nan
     with pytest.raises(NonFiniteError, match=r"controls hold 1 non-finite.*\(1, 0\)"):
         IndividualTrajectory(states, bad_controls)
+
+
+def robot_team() -> TeamTrajectory:
+    return TeamTrajectory([TeamMember(1, IndividualTrajectory(np.zeros((3, 2))),
+                                      frozenset({"Robot"}))])
+
+
+def test_csv_capabilities_must_be_a_list_of_names(tmp_path):
+    save_team_csv(robot_team(), tmp_path / "t.csv")
+    caps = tmp_path / "t.caps.json"
+    for value in ("Robot", [1], None):
+        caps.write_text(json.dumps({"1": value}))
+        with pytest.raises(ValueError, match=f"^{caps}: agent 1: capabilities are "):
+            load_team_csv(tmp_path / "t.csv")
+    caps.write_text(json.dumps({"1": ["Robot"]}))
+    assert load_team_csv(tmp_path / "t.csv").members[0].capabilities == {"Robot"}
+
+
+def test_json_capabilities_must_be_a_list_of_names(tmp_path):
+    path = tmp_path / "t.json"
+    save_team_json(robot_team(), path)
+    doc = json.loads(path.read_text())
+    for value in ("Robot", [1], None):
+        doc["agents"][0]["capabilities"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=fr"^{path}: agents\[0\]: capabilities are "):
+            load_team_json(path)
+    doc["agents"][0]["capabilities"] = ["Robot"]
+    path.write_text(json.dumps(doc))
+    assert load_team_json(path).members[0].capabilities == {"Robot"}
