@@ -374,34 +374,6 @@ def windows(a: Tensor, start: int, count: int, width: int) -> Tensor:
     return Tensor(window_view(a.value, start, count, width), (a,), bwd)
 
 
-def region_margin(states: Tensor, rects) -> Tensor:
-    """Signed margin of a union of axis-aligned rectangles at points (..., 2):
-    the max over rectangles of the min over the four faces x - lo_x, y - lo_y,
-    hi_x - x, hi_y - y. Ties go to the last tied face and the first tied
-    rectangle, as ``kth_largest`` picks them (k = 4 of the faces, k = 1 of the
-    rectangles). The gradient is +g or -g on the x or y of the selected face."""
-    sv = states.value
-    x, y = sv[..., 0], sv[..., 1]
-    best = face = None
-    for lo, hi in rects:
-        faces = np.stack([x - lo[0], y - lo[1], hi[0] - x, hi[1] - y], axis=-1)
-        f = 3 - np.argmin(faces[..., ::-1], axis=-1)
-        m = np.take_along_axis(faces, f[..., None], axis=-1)[..., 0]
-        if best is None:
-            best, face = m, f
-        else:
-            better = m > best
-            best, face = np.where(better, m, best), np.where(better, f, face)
-    shape = sv.shape
-
-    def bwd(g):
-        full = np.zeros(shape)
-        np.put_along_axis(full, (face % 2)[..., None], np.where(face < 2, g, -g)[..., None], axis=-1)
-        return (full,)
-
-    return Tensor(best, (states,), bwd)
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.value.sum(axis=axis, keepdims=keepdims)
     av_shape = a.value.shape

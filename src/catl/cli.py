@@ -112,7 +112,12 @@ def cmd_synth(args) -> int:
         raise _CliError(f"no agent {args.agent} in scenario")
     target = parse_inner(_file_or_inline(args.formula), regions=scenario.regions)
     if args.x0:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
+        try:
+            x0 = np.array([float(v) for v in args.x0.split(",")])
+        except ValueError:
+            x0 = np.array([np.nan])
+        if x0.shape != (2,) or not np.isfinite(x0).all():
+            raise _CliError(f"--x0 is {args.x0!r}, want two finite numbers x,y")
     else:
         rng = np.random.default_rng(args.seed)
         roster_index = scenario.agents.index(agent)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +33,9 @@ class EvalReport:
     seed: int
 
     def to_json(self) -> dict:
-        """Serialized form; timing is deliberately excluded so reports from
-        identical seeds are bitwise identical."""
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "rho_min": self.rho_min,
-            "rho_mean": self.rho_mean,
-            "rho_max": self.rho_max,
-            "rho_quantiles": self.rho_quantiles,
-            "mean_communications": self.mean_communications,
-            "gate_mode": self.gate_mode,
-            "seed": self.seed,
-        }
+        """Serialized form: every field but the timing, which is left out so
+        reports from identical seeds are bitwise identical."""
+        return {k: v for k, v in asdict(self).items() if k != "wall_clock_per_rollout"}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n")

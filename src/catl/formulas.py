@@ -27,50 +27,6 @@ def capability_vector(agent_caps: set[str] | frozenset[str], vocab: list[str]) -
     return np.array([1.0 if c in agent_caps else 0.0 for c in vocab])
 
 
-# -- predicates ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InRegion:
-    """f(x) = region margin; >= 0 iff the point is inside the region."""
-
-    region_name: str
-    region: Region | None = None
-
-    def geometry(self) -> Region:
-        """The bound region; the one place an unbound predicate is rejected."""
-        if self.region is None:
-            raise SpecError(f"region {self.region_name!r} is unbound; bind to a scenario first")
-        return self.region
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.geometry().margin(x)
-
-    def bound(self, regions: dict[str, Region]) -> "InRegion":
-        if self.region_name not in regions:
-            raise SpecError(f"unknown region {self.region_name!r}")
-        return InRegion(self.region_name, regions[self.region_name])
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """f(x) = offset - normal . x; >= 0 on the closed half-plane."""
-
-    normal: tuple[float, float]
-    offset: float
-
-    def evaluate(self, x):
-        """Margin of states x (..., 2), an ndarray or a Tensor: one expression
-        for both, so every monitor backend computes the same bits."""
-        return self.offset - (x[..., 0] * self.normal[0] + x[..., 1] * self.normal[1])
-
-    def bound(self, regions: dict[str, Region]) -> "HalfPlane":
-        return self
-
-
-PredicateFn = InRegion | HalfPlane
-
-
 # -- node shapes ---------------------------------------------------------------
 #
 # Both layers use the same operators. Each shape is declared once below; the
@@ -186,9 +142,57 @@ class ITrue(_True, InnerFormula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Predicate(InnerFormula):
-    fn: PredicateFn
+    """Marker base of the inner-formula leaves, which every monitor backend
+    reads through two functions of states x (..., 2): ``evaluate(x)``, the
+    signed margin, >= 0 where the predicate holds, and ``vjp(x, g)``, g times
+    its gradient. ``vjp`` runs at backward time on the forward pass's array,
+    so a states array must not change between the forward pass and
+    ``backward()``; no code in catl mutates one."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class InRegion(Predicate):
+    """f(x) = margin of the named region; >= 0 iff the point is inside it."""
+
+    region_name: str
+    region: Region | None = None
+
+    def geometry(self) -> Region:
+        """The bound region; the one place an unbound predicate is rejected."""
+        if self.region is None:
+            raise SpecError(f"region {self.region_name!r} is unbound; bind to a scenario first")
+        return self.region
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self.geometry().margin(x)
+
+    def vjp(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return self.geometry().margin_vjp(x, g)
+
+    def bound(self, regions: dict[str, Region]) -> "InRegion":
+        if self.region_name not in regions:
+            raise SpecError(f"unknown region {self.region_name!r}")
+        return InRegion(self.region_name, regions[self.region_name])
+
+
+@dataclass(frozen=True)
+class HalfPlane(Predicate):
+    """f(x) = offset - normal . x; >= 0 on the closed half-plane."""
+
+    normal: tuple[float, float]
+    offset: float
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self.offset - (x[..., 0] * self.normal[0] + x[..., 1] * self.normal[1])
+
+    def vjp(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return -g[..., None] * self.normal
+
+    def bound(self, regions: dict[str, Region]) -> "HalfPlane":
+        return self
 
 
 class INot(_Not, InnerFormula):
@@ -279,6 +283,8 @@ def _subformula_fields(phi) -> dict:
     """Fields of phi that hold a subformula or, for n-ary nodes, a tuple of them."""
     if not isinstance(phi, (InnerFormula, OuterFormula)):
         raise TypeError(f"not a formula: {phi!r}")
+    if isinstance(phi, Predicate):  # a leaf: a half-plane's normal is no child
+        return {}
     return {
         f.name: value for f in fields(phi)
         if isinstance(value := getattr(phi, f.name), (tuple, InnerFormula, OuterFormula))
@@ -340,9 +346,9 @@ def print_formula(phi: InnerFormula | OuterFormula) -> str:
     match phi:
         case _True():
             return "true"
-        case Predicate(fn=InRegion(region_name=name)):
+        case InRegion(region_name=name):
             return f"in({name})"
-        case Predicate(fn=HalfPlane(normal=n, offset=c)):
+        case HalfPlane(normal=n, offset=c):
             return f"halfplane({_format_number(n[0])},{_format_number(n[1])},{_format_number(c)})"
         case Task(inner=inner, cap=cap, count=m):
             return f"task({print_formula(inner)}, {cap}, {m})"
@@ -370,5 +376,5 @@ def _child_str(c) -> str:
 def bind(phi, regions: dict[str, Region]):
     """Resolve region names against concrete geometry, returning a new AST."""
     if isinstance(phi, Predicate):
-        return Predicate(phi.fn.bound(regions))
+        return phi.bound(regions)
     return map_children(phi, lambda c: bind(c, regions))

@@ -27,9 +27,10 @@ Within one call of an entry point, each distinct predicate (and each negated
 predicate) is evaluated once per states array, over all its states, and
 every pin and window that reads it slices that one signal. An F/G window of
 width W is one sliding-window view reduced along its last axis, not W
-slices stacked; a width-1 window is a plain slice. On the smooth backend a
-rectangle-union margin is one fused node, so the graph holds one node per
-distinct predicate and per window.
+slices stacked; a width-1 window is a plain slice. A predicate's margin and
+its gradient are the predicate's own ``evaluate`` and ``vjp``, shared by all
+three backends; on the smooth backend the two make one node, so the graph
+holds one node per distinct predicate and per window.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .formulas import (
-    HalfPlane,
     InnerFormula,
     OuterFormula,
     Predicate,
@@ -109,8 +109,8 @@ class _ClassicalBackend(_Backend):
     def const(self, value: float, length: int):
         return np.full(self.batch_shape + (length,), value)
 
-    def margins(self, states, fn):
-        return fn.evaluate(states)
+    def margins(self, states, pred):
+        return pred.evaluate(states)
 
     def stack(self, sigs):
         return np.stack(sigs, axis=-1)
@@ -132,12 +132,9 @@ class _SmoothBackend(_Backend):
     def const(self, value: float, length: int):
         return Tensor(np.full(self.batch_shape + (length,), value))
 
-    def margins(self, states: Tensor, fn):
-        if isinstance(fn, HalfPlane):
-            return fn.evaluate(states)
-        # Exact (hard) min over faces / max over rectangles: the margin is the
-        # predicate itself, not a semantic min/max, so it is not smoothed.
-        return ad.region_margin(states, fn.geometry().rects)
+    def margins(self, states, pred):
+        sv = _values(states)
+        return Tensor(pred.evaluate(sv), (states,), lambda g: (pred.vjp(sv, g),))
 
     def stack(self, sigs):
         return ad.stack(sigs, axis=-1)
@@ -161,8 +158,8 @@ class _BooleanBackend(_ClassicalBackend):
 
     top = 1.0
 
-    def margins(self, states, fn):
-        return np.where(fn.evaluate(states) >= 0.0, 1.0, -1.0)
+    def margins(self, states, pred):
+        return np.where(pred.evaluate(states) >= 0.0, 1.0, -1.0)
 
 
 _BOOLEAN = _BooleanBackend(None, ())
@@ -202,6 +199,11 @@ def _memoized(memo: dict, key: tuple, make):
     return sig
 
 
+def _values(x) -> np.ndarray:
+    """The array behind states x: a Tensor's value, or x itself."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x)
+
+
 def _signal(x, phi, length: int, be, memo: dict):
     """Robustness signal of phi for start times 0..length-1 and perhaps later.
 
@@ -209,15 +211,16 @@ def _signal(x, phi, length: int, be, memo: dict):
     team as a list of (states, capability set) members. A signal may run past
     ``length``: a predicate's covers every state of x, and operators that
     combine signals pointwise cut them to a common length first. memo maps
-    (predicate fn, id(states)) to that margin signal, and ("not", fn,
+    (predicate, id(states)) to that margin signal, and ("not", predicate,
     id(states)) to its negation, so each distinct predicate and negated
-    predicate is one signal per states array in one entry call.
+    predicate is one signal per states array in one entry call; equal
+    predicates share a key.
     """
     match phi:
         case _True():
             return be.const(be.top, length)
-        case Predicate(fn=fn):
-            return _memoized(memo, (fn, id(x)), lambda: be.margins(x, fn))
+        case Predicate():
+            return _memoized(memo, (phi, id(x)), lambda: be.margins(x, phi))
         case Task(inner=inner, cap=cap, count=m):
             holders = [s for s, caps in x if cap in caps]
             if m > len(holders):
@@ -226,8 +229,8 @@ def _signal(x, phi, length: int, be, memo: dict):
             return be.kth_largest(_common(sigs), m)
         case TimedTask(task=task, time=offset):
             return _slice_t(_signal(x, task, length + offset, be, memo), offset, length)
-        case _Not(child=Predicate(fn=fn) as c):
-            return _memoized(memo, ("not", fn, id(x)), lambda: -_signal(x, c, length, be, memo))
+        case _Not(child=Predicate() as c):
+            return _memoized(memo, ("not", c, id(x)), lambda: -_signal(x, c, length, be, memo))
         case _Not(child=c):
             return -_signal(x, c, length, be, memo)
         case _NAry(children=cs):
@@ -260,16 +263,10 @@ def _until_signal(sig1, sig2, a: int, b: int, length: int, be):
 
 
 def _rho0(x, phi, tau: float | None, batch_shape: tuple = ()) -> np.ndarray:
-    """Robustness values at time 0 over states or members x, without a graph."""
-    be = _backend(tau, batch_shape)
-    if tau is None:
-        return _at0(x, phi, be)
-    if isinstance(phi, InnerFormula):
-        x = Tensor(x)
-    else:
-        x = [(Tensor(s), caps) for s, caps in x]
+    """Robustness values at time 0 over states or members x, without a graph:
+    every backend reads plain arrays."""
     with ad.no_grad():
-        return _at0(x, phi, be).value
+        return _values(_at0(x, phi, _backend(tau, batch_shape)))
 
 
 # -- public entry points -------------------------------------------------------
@@ -335,7 +332,7 @@ def _batch_shape(members, Phi: OuterFormula) -> tuple:
     """Leading batch shape of the member states (..., T, 2), once every
     member is long enough for Phi at time 0 and holds only finite states."""
     for k, (states, _) in enumerate(members):
-        values = states.value if isinstance(states, Tensor) else np.asarray(states)
+        values = _values(states)
         _check_horizon(Phi, 0, values.shape[-2] - 1, f"member {k}")
         bad = np.argwhere(~np.isfinite(values).all(axis=-1))
         if len(bad):

@@ -47,7 +47,6 @@ from .formulas import (
     OTrue,
     OuterFormula,
     OUntil,
-    Predicate,
     SpecError,
     Task,
     TimedTask,
@@ -101,14 +100,14 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit: int() cannot read a digit like '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             is_float = j < n and text[j] == "."
             if is_float:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             word = text[i:j]
             tokens.append(_Token("FLOAT" if is_float else "INT", word, line, start_col))
@@ -257,7 +256,7 @@ class _Parser:
                 if name not in self.regions:
                     raise SpecSyntaxError(f"unknown region {name!r}", tok.line, tok.col)
                 pred = pred.bound(self.regions)
-            return Predicate(pred)
+            return pred
         if self.at_keyword("halfplane"):
             self.next()
             self.expect("(")
@@ -267,7 +266,7 @@ class _Parser:
             self.expect(",")
             c = self.number()
             self.expect(")")
-            return Predicate(HalfPlane((nx, ny), c))
+            return HalfPlane((nx, ny), c)
         raise self.error("expected an inner formula")
 
     def task(self) -> OuterFormula:

@@ -159,13 +159,22 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a ``save_scenario`` file; ValueError naming the file and the
-    missing key, or the region at fault, unless the document is an object
-    whose regions and agents are lists of complete entries."""
+    missing or malformed key, or the region at fault, unless the document is
+    an object whose regions and agents are lists of complete entries."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: scenario is a JSON {type(doc).__name__}, want an object")
     require_keys(doc, ("workspace", "regions", "capabilities", "agents", "horizon"),
                  f"{path}: scenario")
+    ws, steps = doc["workspace"], doc["horizon"]
+    corners = ws if isinstance(ws, list) and len(ws) == 2 else []
+    xy = [v for c in corners if isinstance(c, list) and len(c) == 2 for v in c]  # x0 y0 x1 y1
+    if not (len(xy) == 4 and all(type(v) in (int, float) and abs(v) < np.inf for v in xy)
+            and xy[0] <= xy[2] and xy[1] <= xy[3]):
+        raise ValueError(f"{path}: 'workspace' is {ws!r}, want two [x, y] corners of "
+                         "finite numbers with min <= max")
+    if type(steps) is not int or steps < 1:
+        raise ValueError(f"{path}: 'horizon' is {steps!r}, want an integer >= 1")
     for key in ("regions", "agents"):
         if not isinstance(doc[key], list):
             raise ValueError(f"{path}: {key!r} is {type(doc[key]).__name__}, want a list")
@@ -190,11 +199,11 @@ def load_scenario(path: str | Path) -> Scenario:
         ))
     return Scenario(
         name=doc.get("name", Path(path).stem),
-        workspace=(tuple(doc["workspace"][0]), tuple(doc["workspace"][1])),
+        workspace=(tuple(ws[0]), tuple(ws[1])),
         regions=regions,
         capabilities=list(doc["capabilities"]),
         agents=agents,
-        horizon=int(doc["horizon"]),
+        horizon=steps,
     )
 
 

@@ -66,7 +66,9 @@ def synthesize(
     for name, value in (("iterations", iterations), ("restarts", restarts)):
         if value < 1:
             raise SpecError(f"{name} must be at least 1, got {value}")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(2)
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    if x0.shape != (2,) or not np.isfinite(x0).all():
+        raise SpecError(f"initial state must be two finite numbers, got {x0.tolist()}")
     u_max = np.asarray(u_max, dtype=np.float64).reshape(2)
     if np.any(u_max <= 0):
         raise SpecError("control bounds must be positive")

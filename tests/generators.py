@@ -41,11 +41,9 @@ TEAM_CAPS = [frozenset({"red"}), frozenset({"red", "blue"}), frozenset({"blue"})
 def random_predicate(rng: np.random.Generator) -> Predicate:
     if rng.random() < 0.5:
         name = rng.choice(list(REGIONS))
-        return Predicate(InRegion(name, REGIONS[name]))
+        return InRegion(name, REGIONS[name])
     angle = rng.uniform(0, 2 * np.pi)
-    return Predicate(
-        HalfPlane((float(np.cos(angle)), float(np.sin(angle))), float(rng.uniform(-1.5, 1.5)))
-    )
+    return HalfPlane((float(np.cos(angle)), float(np.sin(angle))), float(rng.uniform(-1.5, 1.5)))
 
 
 def random_interval(rng: np.random.Generator, budget: int) -> tuple[int, int]:

@@ -43,7 +43,7 @@ def sat_table_inner(states: np.ndarray, phi) -> np.ndarray:
     if isinstance(phi, ITrue):
         return np.ones(T, dtype=bool)
     if isinstance(phi, Predicate):
-        return np.array([phi.fn.evaluate(states[t]) >= 0.0 for t in range(T)])
+        return np.array([phi.evaluate(states[t]) >= 0.0 for t in range(T)])
     if isinstance(phi, INot):
         return ~sat_table_inner(states, phi.child)
     if isinstance(phi, IAnd):

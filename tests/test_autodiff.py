@@ -5,6 +5,9 @@ import pytest
 
 from catl import autodiff as ad
 from catl.autodiff import Tensor
+from catl.formulas import HalfPlane, InRegion
+from catl.geometry import Region
+from catl.monitor import inner_rho_tensor
 from catl.nn import Adam, Dense, RecurrentCell, bidirectional_scan, load_checkpoint, save_checkpoint
 
 from oracles import finite_difference
@@ -114,6 +117,16 @@ RIVER = (((0.0, 4.5), (4.4, 6.0)), ((5.6, 4.5), (10.0, 6.0)))
 SHARED = (((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (2.0, 1.0)))
 
 
+def predicate_node(states: Tensor, pred) -> Tensor:
+    """The smooth monitor's node for pred at states (..., 1, 2): a one-step
+    signal whose robustness at time 0 is the margin."""
+    return inner_rho_tensor(states, pred, tau=10.0)
+
+
+def in_rects(rects) -> InRegion:
+    return InRegion("X", Region("X", rects))
+
+
 def composed_region_margin(states: Tensor, rects) -> Tensor:
     """The region margin as separate nodes: the four faces stacked, their 4th
     largest per rectangle, the largest rectangle."""
@@ -127,19 +140,27 @@ def composed_region_margin(states: Tensor, rects) -> Tensor:
     return ad.kth_largest(ad.stack(rect_margins, axis=-1), k=1)
 
 
-@pytest.mark.parametrize("rects", [BOX, RIVER], ids=["box", "two_rects"])
-def test_region_margin_gradient(rects):
-    rng = np.random.default_rng(5)
-    x0 = rng.uniform(-1.0, 11.0, size=(3, 7, 2))
-    weights = Tensor(rng.normal(size=(3, 7)))
-
+def check_predicate_gradient(pred, x0: np.ndarray, weights: Tensor) -> None:
     def build(x: Tensor) -> Tensor:
-        return ad.sum_(ad.region_margin(x, rects) * weights)
+        return ad.sum_(predicate_node(x, pred) * weights)
 
     x = Tensor(x0.copy())
     build(x).backward()
     fd = finite_difference(lambda xv: build(Tensor(xv)).item(), x0.copy())
     assert rel_err(x.grad, fd) < 1e-6
+
+
+@pytest.mark.parametrize("rects", [BOX, RIVER], ids=["box", "two_rects"])
+def test_region_margin_gradient(rects):
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-1.0, 11.0, size=(3, 7, 1, 2))
+    check_predicate_gradient(in_rects(rects), x0, Tensor(rng.normal(size=(3, 7))))
+
+
+def test_halfplane_margin_gradient():
+    rng = np.random.default_rng(6)
+    x0 = rng.uniform(-3.0, 3.0, size=(3, 7, 1, 2))
+    check_predicate_gradient(HalfPlane((0.6, -0.8), 0.25), x0, Tensor(rng.normal(size=(3, 7))))
 
 
 @pytest.mark.parametrize("rects, point", [
@@ -148,12 +169,14 @@ def test_region_margin_gradient(rects):
     (SHARED, (1.0, 0.5)),  # on the face both rectangles share: both margins 0
 ], ids=["box_corner", "river_gap", "shared_face"])
 def test_region_margin_ties_match_composition_bitwise(rects, point):
-    # fused and composed margins pick the same face and rectangle at a tie
+    # the predicate node and the composed margin pick the same face and
+    # rectangle at a tie
     states = np.array([point, (point[0] + 0.25, point[1]), (point[0], point[1] - 0.25)])
+    states = states[:, None, :]
     weights = Tensor(np.array([1.5, -0.5, 2.0]))
     fused, composed = Tensor(states.copy()), Tensor(states.copy())
-    a = ad.region_margin(fused, rects)
-    b = composed_region_margin(composed, rects)
+    a = predicate_node(fused, in_rects(rects))
+    b = composed_region_margin(composed, rects)[..., 0]
     ad.sum_(a * weights).backward()
     ad.sum_(b * weights).backward()
     assert np.array_equal(a.value, b.value)

@@ -171,12 +171,24 @@ def _short_u_max(doc):
     return doc
 
 
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+WANT_CORNERS = "want two [x, y] corners of finite numbers with min <= max"
+
+
 @pytest.mark.parametrize("change, why", [
     (lambda doc: [1, 2], "{path}: scenario is a JSON list, want an object"),
     (_without_regions, "{path}: scenario lacks ['regions']"),
     (_short_u_max,
      "agent 1: control bounds are [1.0], want two positive finite numbers"),
-], ids=["not_an_object", "no_regions", "short_u_max"])
+    (_with("workspace", 5), "{path}: 'workspace' is 5, " + WANT_CORNERS),
+    (_with("workspace", [[0, 0], [6]]), "{path}: 'workspace' is [[0, 0], [6]], " + WANT_CORNERS),
+    (_with("horizon", "ten"), "{path}: 'horizon' is 'ten', want an integer >= 1"),
+    (_with("horizon", 2.5), "{path}: 'horizon' is 2.5, want an integer >= 1"),
+], ids=["not_an_object", "no_regions", "short_u_max", "workspace_int", "workspace_short_corner",
+        "horizon_str", "horizon_float"])
 def test_parse_names_the_fault_in_a_scenario_file(change, why, tmp_path, capsys):
     assert main(["scenario", "--name", "toy", "--out", str(tmp_path)]) == 0
     path = tmp_path / "scenario.json"
@@ -229,6 +241,16 @@ def test_zero_synthesis_budget_exits_1(field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and field in captured.err
+
+
+@pytest.mark.parametrize("x0", ["1", "a,b", "nan,1"])
+def test_bad_initial_state_exits_1(x0, capsys):
+    args = ["synth", "--scenario", "toy", "--agent", "1", "--formula", "F[0,10] in(Goal)",
+            "--x0", x0]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --x0 is {x0!r}, want two finite numbers x,y\n"
 
 
 def test_unknown_stages_exit_1_before_training(tmp_path, capsys):

@@ -26,7 +26,6 @@ from catl.formulas import (
     OOr,
     OTrue,
     OUntil,
-    Predicate,
     Task,
     TimedTask,
     horizon,
@@ -44,7 +43,7 @@ OUTSIDE = np.array([[5.0, 5.0]])
 
 
 def atom(name="c", m=1, negate_inner=False):
-    inner = Predicate(InRegion(BOX.name, BOX))
+    inner = InRegion(BOX.name, BOX)
     if negate_inner:
         inner = INot(inner)
     return Task(inner, name, m)
@@ -146,10 +145,10 @@ class TestNegationElimination:
 
     def test_bridge_occupancy_rule(self):
         # no more than 1 of 4 ground agents on the bridge
-        bridge_task = Task(Predicate(InRegion("B", BOX)), "Ground", 2)
+        bridge_task = Task(InRegion("B", BOX), "Ground", 2)
         out = negation_free(ONot(TimedTask(bridge_task, 3)), {"Ground": 4})
         assert out == TimedTask(
-            Task(INot(Predicate(InRegion("B", BOX))), "Ground", 3), 3
+            Task(INot(InRegion("B", BOX)), "Ground", 3), 3
         )
 
     def test_unsatisfiable_task_folds(self):

@@ -42,14 +42,14 @@ class TestParsing:
         assert isinstance(ev, IEventually)
         assert (ev.a, ev.b) == (0, 8)
         assert isinstance(ev.child, Predicate)
-        assert ev.child.fn == InRegion("C")
+        assert ev.child == InRegion("C")
 
     def test_true(self):
         assert parse_spec("true") == OTrue()
 
     def test_always_not_task(self):
         phi = parse_spec("G[0,25] !task(in(B), Ground, 2)")
-        assert phi == OAlways(ONot(Task(Predicate(InRegion("B")), "Ground", 2)), 0, 25)
+        assert phi == OAlways(ONot(Task(InRegion("B"), "Ground", 2)), 0, 25)
 
     def test_until_between_tasks(self):
         phi = parse_spec("!task(in(B), Ground, 1) U[0,5] task(in(B), Inspection, 2)")
@@ -59,7 +59,7 @@ class TestParsing:
 
     def test_timed_task_postfix(self):
         phi = parse_spec("task(in(B), Ground, 1) @ 7")
-        assert phi == TimedTask(Task(Predicate(InRegion("B")), "Ground", 1), 7)
+        assert phi == TimedTask(Task(InRegion("B"), "Ground", 1), 7)
 
     def test_nary_flattening_vs_parens(self):
         flat = parse_spec("true & true & true")
@@ -73,6 +73,15 @@ class TestParsing:
             parse_spec("task(in(B), Ground, )")
         assert exc.value.line == 1
         assert exc.value.col == 21
+
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        # '²' is a digit to str.isdigit, but int() cannot read it
+        with pytest.raises(SpecSyntaxError, match="unexpected character '²'") as exc:
+            parse_spec("task(F[0,²] in(Goal), Robot, 1)\n")
+        assert (exc.value.line, exc.value.col) == (1, 10)
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec("true &\n halfplane(1.²,0,1)")
+        assert (exc.value.line, exc.value.col) == (2, 14)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(SpecSyntaxError, match="reversed"):
@@ -96,8 +105,8 @@ class TestParsing:
 
     def test_halfplane_numbers(self):
         phi = parse_inner("halfplane(-1,0.5,2.25)")
-        assert phi.fn.normal == (-1.0, 0.5)
-        assert phi.fn.offset == 2.25
+        assert phi.normal == (-1.0, 0.5)
+        assert phi.offset == 2.25
 
     def test_comments_and_whitespace(self):
         phi = parse_spec("# mission\n  true\n")
@@ -219,7 +228,7 @@ class TestBindSpec:
         lambda bad: OAnd((OTrue(), ONot(OEventually(bad, 0, 1)))),
     ], ids=["not", "until_right", "until_left", "always", "timed", "deep"])
     def test_nested_bad_task_is_caught(self, wrap):
-        bad = Task(Predicate(InRegion("Goal")), "Robot", 2)
+        bad = Task(InRegion("Goal"), "Robot", 2)
         with pytest.raises(SpecError, match="task needs 2 agents"):
             self.toy().bind_spec(wrap(bad))
 
@@ -227,7 +236,7 @@ class TestBindSpec:
         sc = self.toy()
         phi = sc.bind_spec(parse_spec("G[0,3] !task(in(Obs) & true, Robot, 1) @ 2"))
         pred = phi.child.child.task.inner.children[0]
-        assert pred.fn.region is sc.regions["Obs"]
+        assert pred.region is sc.regions["Obs"]
         assert print_formula(phi) == "G[0,3] !(task((in(Obs) & true), Robot, 1) @ 2)"
 
     @pytest.mark.parametrize("name", ["toy", "triple-toy", "reduced", "case-study"])

@@ -55,7 +55,7 @@ TAU = 10.0  # smooth temperature
 
 
 def in_region(region: Region) -> Predicate:
-    return Predicate(InRegion(region.name, region))
+    return InRegion(region.name, region)
 
 
 def on_grid(states: np.ndarray) -> np.ndarray:
@@ -140,16 +140,30 @@ class TestInnerRho:
 
     def test_halfplane_margin_bitwise_equal_in_both_modes(self):
         # a predicate is not smoothed, so its smooth robustness is the
-        # classical one exactly (smoothness_bound of a predicate is 0)
+        # classical one exactly (smoothness_bound of a predicate is 0); the
+        # region predicates of random_predicate ride along
         rng = np.random.default_rng(57)
-        planes = [p for p in (random_predicate(rng) for _ in range(400))
-                  if isinstance(p.fn, HalfPlane)]
-        assert len(planes) > 150
-        for phi in planes:
+        preds = [random_predicate(rng) for _ in range(400)]
+        for kind in (HalfPlane, InRegion):
+            assert sum(isinstance(p, kind) for p in preds) > 150
+        for phi in preds:
             states = random_states(rng, 10)
             for t in range(10):
                 assert inner_rho(states, phi, t) == inner_rho(states, phi, t, TAU)
-        assert smoothness_bound(planes[0], 10.0) == 0.0
+            assert smoothness_bound(phi, 10.0) == 0.0
+
+    def test_predicate_leaf_is_its_margin_on_batched_states(self):
+        # (B, T) starts of one step each: the smooth node's value is evaluate's
+        # margin bit for bit, and the boolean leaf is its sign, edges included
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            phi = random_predicate(rng)
+            states = on_grid(rng.uniform(-3.0, 3.0, size=(4, 6, 2)))
+            node = inner_rho_tensor(Tensor(states[:, :, None, :]), phi, TAU)
+            margin = phi.evaluate(states)
+            assert np.array_equal(node.value, margin)
+            for (b, t), m in np.ndenumerate(margin):
+                assert inner_sat(states[b], phi, t) == (m >= 0.0)
 
     def test_true_gets_top_constant(self):
         states = random_states(np.random.default_rng(1), 3)
@@ -190,7 +204,7 @@ class TestTaskRho:
         # inner robustness {3, 1, -2} for three holders, m=2 -> 1
         states = [np.array([[3.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([[-2.0, 0.0]])]
         team = make_team(states, [frozenset({"red"})] * 3)
-        halfline = Predicate(InRegion("H", Region.box("H", (0.0, -5.0), (100.0, 5.0))))
+        halfline = InRegion("H", Region.box("H", (0.0, -5.0), (100.0, 5.0)))
         # margin in x: min(x, 100-x); y margin large enough not to bind
         task = Task(halfline, "red", 2)
         assert outer_rho(team, task, 0) == pytest.approx(1.0)
@@ -304,7 +318,7 @@ class TestOuterSemantics:
 class TestUnboundRegion:
     """Every monitor path raises SpecError for a region that was never bound."""
 
-    PHI = IEventually(Predicate(InRegion("A")), 0, 2)
+    PHI = IEventually(InRegion("A"), 0, 2)
 
     @pytest.mark.parametrize("evaluate", [
         lambda states, phi: inner_sat(states, phi, 0),

@@ -9,7 +9,7 @@ import pytest
 
 from catl import autodiff as ad
 from catl.autodiff import Tensor
-from catl.formulas import IEventually, INot, IAlways, InRegion, Predicate, OAnd, Task
+from catl.formulas import IEventually, INot, IAlways, InRegion, OAnd, Task
 from catl.geometry import Region
 from catl.monitor import outer_rho_tensor
 from catl.nn import Dense, RecurrentCell, bidirectional_scan
@@ -299,8 +299,8 @@ GOAL = Region.box("Goal", (2.0, 2.0), (4.0, 4.0))
 OBS = Region.box("Obs", (-2.0, -2.0), (-1.0, -1.0))
 SPEC2 = OAnd(
     (
-        Task(IEventually(Predicate(InRegion("Goal", GOAL)), 0, 10), "a", 1),
-        Task(IAlways(INot(Predicate(InRegion("Obs", OBS))), 0, 10), "b", 1),
+        Task(IEventually(InRegion("Goal", GOAL), 0, 10), "a", 1),
+        Task(IAlways(INot(InRegion("Obs", OBS)), 0, 10), "b", 1),
     )
 )
 CAPS2 = [frozenset({"a"}), frozenset({"b"})]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from catl.formulas import IAlways, IEventually, INot, InRegion, ITrue, Predicate, SpecError
+from catl.formulas import IAlways, IEventually, INot, InRegion, ITrue, SpecError
 from catl.geometry import Region
 from catl.monitor import inner_sat
 from catl.autodiff import Tensor
@@ -14,7 +14,7 @@ FAR = Region.box("Far", (7.0, 7.0), (8.0, 8.0))
 
 
 def in_c():
-    return Predicate(InRegion("C", C))
+    return InRegion("C", C)
 
 
 def reach(**kw) -> SynthResult:
@@ -79,20 +79,26 @@ class TestSynthesize:
         with pytest.raises(SpecError):
             reach(horizon_steps=3, target=IEventually(in_c(), 0, 9))
 
+    def test_initial_state_must_be_two_finite_numbers(self):
+        # a NaN coordinate would fail every check and leave no best trajectory
+        for x0 in ([np.nan, 1.0], [1.0, -np.inf], [1.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(SpecError, match="initial state must be two finite numbers"):
+                reach(x0=np.array(x0))
+
 
 class TestSynthesizeConjunction:
     def test_sequential_waypoints(self):
         a_box = Region.box("A", (1.5, -0.5), (2.5, 0.5))
         b_box = Region.box("Bx", (3.5, -0.5), (4.5, 0.5))
         pins = [
-            (2, Predicate(InRegion("A", a_box))),
-            (5, Predicate(InRegion("Bx", b_box))),
+            (2, InRegion("A", a_box)),
+            (5, InRegion("Bx", b_box)),
         ]
         res = synthesize_conjunction(np.zeros(2), pins, 6, np.ones(2),
                                      iterations=250, restarts=3, seed=3)
         assert res.success
-        assert inner_sat(res.trajectory, Predicate(InRegion("A", a_box)), 2)
-        assert inner_sat(res.trajectory, Predicate(InRegion("Bx", b_box)), 5)
+        assert inner_sat(res.trajectory, InRegion("A", a_box), 2)
+        assert inner_sat(res.trajectory, InRegion("Bx", b_box), 5)
 
     def test_empty_pin_list_is_trivial_success(self):
         res = synthesize_conjunction(np.ones(2), [], 4, np.ones(2),
@@ -104,17 +110,17 @@ class TestSynthesizeConjunction:
         west = Region.box("W", (-3.0, -0.5), (-2.0, 0.5))
         east = Region.box("E", (2.0, -0.5), (3.0, 0.5))
         pins = [
-            (3, Predicate(InRegion("W", west))),
-            (3, Predicate(InRegion("E", east))),
+            (3, InRegion("W", west)),
+            (3, InRegion("E", east)),
         ]
         res = synthesize_conjunction(np.zeros(2), pins, 5, np.ones(2),
                                      iterations=120, restarts=2, seed=1)
         assert not res.success
 
     def test_avoidance_pin(self):
-        pins = [(4, Predicate(InRegion("C", C))), (2, INot(Predicate(InRegion("C", C))))]
+        pins = [(4, InRegion("C", C)), (2, INot(InRegion("C", C)))]
         res = synthesize_conjunction(np.zeros(2), pins, 5, np.ones(2),
                                      iterations=250, restarts=3, seed=5)
         assert res.success
-        assert not inner_sat(res.trajectory, Predicate(InRegion("C", C)), 2)
-        assert inner_sat(res.trajectory, Predicate(InRegion("C", C)), 4)
+        assert not inner_sat(res.trajectory, InRegion("C", C), 2)
+        assert inner_sat(res.trajectory, InRegion("C", C), 4)

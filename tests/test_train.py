@@ -1,6 +1,7 @@
 """Trainer: objectives, matching, dataset rules, gate labeling and fitting."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from catl import autodiff as ad
 from catl import train
 from catl.autodiff import Tensor
+from catl.evaluate import EvalReport, evaluate
 from catl.monitor import outer_rho, outer_rho_batch, outer_sat
 from catl.policy import RolloutResult, create_policy, gate, rollout
 from catl.scenario import toy_benchmark, triple_toy
@@ -437,3 +439,15 @@ class TestPipeline:
         assert doc["dataset_size"] == 0
         assert not (tmp_path / "dataset.json").exists()
         assert (tmp_path / "final.json").exists()
+
+
+class TestEvalReport:
+    def test_to_json_holds_every_field_but_the_timing(self, tmp_path):
+        report = evaluate(create_policy(np.random.default_rng(3), TOY_SC), TOY_SC, TOY_PHI,
+                          8, seed=0)
+        doc = report.to_json()
+        names = {f.name for f in fields(EvalReport)}
+        assert set(doc) == names - {"wall_clock_per_rollout"}
+        assert all(doc[name] == getattr(report, name) for name in doc)
+        report.save(tmp_path / "report.json")
+        assert json.loads((tmp_path / "report.json").read_text()) == doc
