@@ -299,12 +299,20 @@ def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
 
 
 def getitem(a: Tensor, key) -> Tensor:
+    """a[key]. With an integer-array key an element may be read more than
+    once, and the backward adds up every read's gradient; with basic
+    indexing it stores g as it is."""
     out = a.value[key]
     av_shape = a.value.shape
+    parts = key if isinstance(key, tuple) else (key,)
+    fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
     def bwd(g):
         full = np.zeros(av_shape)
-        full[key] = g
+        if fancy:
+            np.add.at(full, key, g)
+        else:
+            full[key] = g
         return (full,)
 
     return Tensor(out, (a,), bwd)
@@ -355,20 +363,29 @@ def cumsum(a: Tensor, axis: int = 0) -> Tensor:
 def window_view(a: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
     """Sliding windows along the last axis: out[..., i, k] = a[..., start + i + k]
     for i < count and k < width, a read-only view of shape (..., count, width)."""
-    return np.lib.stride_tricks.sliding_window_view(
-        a[..., start : start + count + width - 1], width, axis=-1
+    if start + count + width - 1 > a.shape[-1]:
+        raise ValueError(f"{count} windows of width {width} from {start} overrun {a.shape[-1]}")
+    step = a.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        a[..., start:], a.shape[:-1] + (count, width), a.strides[:-1] + (step, step),
+        writeable=False,
     )
 
 
 def windows(a: Tensor, start: int, count: int, width: int) -> Tensor:
-    """``window_view`` as one node. The backward adds g back one offset k at a
-    time, in the order ``width`` stacked slices would."""
+    """``window_view`` as one node. The backward adds g back into each state
+    in the order ``width`` stacked slices would, by ascending offset k; it
+    loops over whichever of k and the window i is shorter."""
     shape = a.value.shape
 
     def bwd(g):
         full = np.zeros(shape)
-        for k in range(width):
-            full[..., start + k : start + k + count] += g[..., k]
+        if width <= count:
+            for k in range(width):
+                full[..., start + k : start + k + count] += g[..., k]
+        else:  # descending i is ascending k at each state
+            for i in reversed(range(count)):
+                full[..., start + i : start + i + width] += g[..., i, :]
         return (full,)
 
     return Tensor(window_view(a.value, start, count, width), (a,), bwd)
@@ -405,7 +422,7 @@ def _lse(a: Tensor, tau: float, axis: int, sign: int) -> Tensor:
     w = e / s
 
     def bwd(g):
-        return (np.expand_dims(g, axis) * w,)
+        return (g.reshape(s.shape) * w,)
 
     return Tensor(out, (a,), bwd)
 

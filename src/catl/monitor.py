@@ -23,14 +23,24 @@ True has the finite robustness ``TOP`` in both modes.
 Until semantics: a witness time t' in [t+a, t+b] for the right operand, with
 the left operand required on the half-open prefix [t, t').
 
-Within one call of an entry point, each distinct predicate (and each negated
-predicate) is evaluated once per states array, over all its states, and
-every pin and window that reads it slices that one signal. An F/G window of
-width W is one sliding-window view reduced along its last axis, not W
-slices stacked; a width-1 window is a plain slice. A predicate's margin and
-its gradient are the predicate's own ``evaluate`` and ``vjp``, shared by all
-three backends; on the smooth backend the two make one node, so the graph
-holds one node per distinct predicate and per window.
+Every entry point runs a plan: the flat list of ops that ``_signal`` emits
+when it recurses once over a formula for one member layout (the time length
+of each member's states and, for a team formula, each member's
+capabilities). The plan is compiled on the first call with that formula and
+layout and cached by the formula's identity (see ``_plan``), so later calls
+skip the recursion. The boolean, classical and smooth backends run the same
+plan, one numpy call or one Tensor node per op; ties are still decided only
+in the boolean backend's predicate leaf.
+
+In a plan each distinct predicate (and each negated predicate) is one
+margin op per member, over all its states, and every pin and window that
+reads it slices that one signal. An F/G window of width W is one
+sliding-window view reduced along its last axis; a width-1 window is a
+plain slice; a conjunction of width-1 slices, such as the pins of a
+synthesis target, is one concat of their distinct sources, one
+integer-index gather and one min. A predicate's margin and its gradient are
+the predicate's own ``evaluate`` and ``vjp``; on the smooth backend the two
+make one node.
 """
 
 from __future__ import annotations
@@ -78,16 +88,20 @@ def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> int:
 # Signals are arrays whose last axis is time: value i is the robustness (or
 # truth) when evaluation starts at time i. Leading axes (if any) are batch
 # dimensions. The boolean and classical backends work on ndarrays, the smooth
-# one on Tensors; all three share the recursion in _signal.
+# one on Tensors; all three run the same plan, which _signal compiles.
 
 
 class _Backend:
     """The temperature and the batch shape of the signals being combined.
 
-    Subclasses give the leaf signals (``const``, ``margins``), ``stack``
-    (signals along a new last axis), ``windows`` (sliding windows of one
-    signal along a new last axis) and ``min``, ``max`` and ``kth``
-    reductions of that last axis."""
+    Each op kind of a plan is a method that reads its inputs from ``vals``,
+    the member states followed by the signals computed so far. Subclasses
+    give the leaf ops (``full``, ``margin``) and the primitives the others
+    share: ``stack`` (signals along a new last axis), ``concat`` (signals end
+    to end along the time axis), ``windows`` (sliding windows of one signal
+    along a new last axis) and ``min``, ``max`` and ``kth`` reductions of
+    that last axis. Negation, slicing and integer-index gathers use the
+    operators that ndarrays and Tensors share."""
 
     top = TOP
 
@@ -95,25 +109,42 @@ class _Backend:
         self.tau = tau
         self.batch_shape = batch_shape
 
-    def reduce_min(self, sigs):
-        return sigs[0] if len(sigs) == 1 else self.min(self.stack(sigs))
+    def neg(self, vals, i: int):
+        return -vals[i]
 
-    def reduce_max(self, sigs):
-        return sigs[0] if len(sigs) == 1 else self.max(self.stack(sigs))
+    def slice(self, vals, i: int, start: int, length: int):
+        return vals[i][..., start : start + length]
 
-    def kth_largest(self, sigs, k: int):
-        return sigs[0] if len(sigs) == 1 else self.kth(self.stack(sigs), k)
+    def at(self, vals, i: int, t: int):
+        return vals[i][..., t]
+
+    def window(self, vals, i: int, start: int, count: int, width: int, how: tuple):
+        return self.reduce(self.windows(vals[i], start, count, width), how)
+
+    def stacked(self, vals, ins: tuple, how: tuple):
+        return self.reduce(self.stack([vals[i] for i in ins]), how)
+
+    def gathered(self, vals, ins: tuple, index: np.ndarray, how: tuple):
+        sig = vals[ins[0]] if len(ins) == 1 else self.concat([vals[i] for i in ins])
+        return self.reduce(sig[..., index], how)
+
+    def reduce(self, stacked, how: tuple):
+        """``how`` is ("min",), ("max",) or ("kth", k)."""
+        return getattr(self, how[0])(stacked, *how[1:])
 
 
 class _ClassicalBackend(_Backend):
-    def const(self, value: float, length: int):
-        return np.full(self.batch_shape + (length,), value)
+    def full(self, vals, length: int):
+        return np.full(self.batch_shape + (length,), self.top)
 
-    def margins(self, states, pred):
-        return pred.evaluate(states)
+    def margin(self, vals, member: int, pred):
+        return pred.evaluate(vals[member])
 
     def stack(self, sigs):
         return np.stack(sigs, axis=-1)
+
+    def concat(self, sigs):
+        return np.concatenate(sigs, axis=-1)
 
     def windows(self, sig, start: int, count: int, width: int):
         return ad.window_view(sig, start, count, width)
@@ -129,15 +160,19 @@ class _ClassicalBackend(_Backend):
 
 
 class _SmoothBackend(_Backend):
-    def const(self, value: float, length: int):
-        return Tensor(np.full(self.batch_shape + (length,), value))
+    def full(self, vals, length: int):
+        return Tensor(np.full(self.batch_shape + (length,), self.top))
 
-    def margins(self, states, pred):
+    def margin(self, vals, member: int, pred):
+        states = vals[member]
         sv = _values(states)
         return Tensor(pred.evaluate(sv), (states,), lambda g: (pred.vjp(sv, g),))
 
     def stack(self, sigs):
         return ad.stack(sigs, axis=-1)
+
+    def concat(self, sigs):
+        return ad.concat(sigs, axis=-1)
 
     def windows(self, sig, start: int, count: int, width: int):
         return ad.windows(sig, start, count, width)
@@ -158,8 +193,8 @@ class _BooleanBackend(_ClassicalBackend):
 
     top = 1.0
 
-    def margins(self, states, pred):
-        return np.where(pred.evaluate(states) >= 0.0, 1.0, -1.0)
+    def margin(self, vals, member: int, pred):
+        return np.where(pred.evaluate(vals[member]) >= 0.0, 1.0, -1.0)
 
 
 _BOOLEAN = _BooleanBackend(None, ())
@@ -174,92 +209,215 @@ def _backend(tau: float | None, batch_shape: tuple) -> _Backend:
     return _SmoothBackend(tau, batch_shape)
 
 
-def _slice_t(sig, start: int, length: int):
-    if start == 0 and sig.shape[-1] == length:
-        return sig
-    return sig[..., start : start + length]
-
-
-def _common(sigs: list) -> list:
-    """Signals cut to the shortest one's length, so they combine pointwise."""
-    length = min(s.shape[-1] for s in sigs)
-    return [_slice_t(s, 0, length) for s in sigs]
-
-
-def _at0(x, phi, be):
-    """Robustness (or truth) of phi at time 0: one entry into _signal, with a
-    margin memo that lives only as long as this call."""
-    return _signal(x, phi, 1, be, {})[..., 0]
-
-
-def _memoized(memo: dict, key: tuple, make):
-    sig = memo.get(key)
-    if sig is None:
-        sig = memo[key] = make()
-    return sig
-
-
 def _values(x) -> np.ndarray:
     """The array behind states x: a Tensor's value, or x itself."""
     return x.value if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _signal(x, phi, length: int, be, memo: dict):
-    """Robustness signal of phi for start times 0..length-1 and perhaps later.
+# -- plans -----------------------------------------------------------------------
 
-    x holds one agent's states (..., T, 2) below a task and, above it, the
-    team as a list of (states, capability set) members. A signal may run past
-    ``length``: a predicate's covers every state of x, and operators that
-    combine signals pointwise cut them to a common length first. memo maps
-    (predicate, id(states)) to that margin signal, and ("not", predicate,
-    id(states)) to its negation, so each distinct predicate and negated
-    predicate is one signal per states array in one entry call; equal
-    predicates share a key.
+
+class _Plan:
+    """The flat op list of one formula and member layout. ``ops`` holds
+    (backend method name, arguments, slots read for the last time) triples;
+    op i computes slot len(members) + i, its integer arguments name the
+    slots it reads, and the run drops each signal after its last read, as
+    a recursion would. ``phi`` is the formula it was compiled from, for the
+    cache's identity check."""
+
+    __slots__ = ("phi", "ops")
+
+    def __init__(self, phi, ops: list):
+        self.phi = phi
+        self.ops = ops
+
+    def run(self, states: list, be: _Backend):
+        vals = list(states)
+        for name, args, done in self.ops:
+            vals.append(getattr(be, name)(vals, *args))
+            for i in done:
+                vals[i] = None
+        return vals[-1]
+
+
+class _Recorder:
+    """The backend of _signal at compile time: each call appends ops to a
+    flat list and returns a view (slot, start, length) of a signal, so a
+    slice costs no op until something reads the view whole.
+
+    Each distinct predicate and negated predicate is one margin op per
+    member; equal predicates share it. A reduction of width-1 views becomes
+    one concat of their distinct source signals and one integer-index
+    gather in child order, where a stack would need one slice per child.
+    The sources go into the concat in the order of each one's last use:
+    backward() then reaches them in the order it would reach them through
+    the slices of a stack, so gradients are summed in the same order."""
+
+    def __init__(self, lengths: list[int]):
+        self.lengths = list(lengths)  # time length per slot; members first
+        self.ops: list[tuple] = []
+        self.last_read: dict[int, int] = {}  # slot -> index of the op reading it last
+        self.memo: dict = {}
+
+    def emit(self, length: int, reads: tuple, name: str, *args) -> tuple:
+        for i in reads:
+            self.last_read[i] = len(self.ops)
+        self.ops.append((name, args))
+        self.lengths.append(length)
+        return len(self.lengths) - 1, 0, length
+
+    def plan(self, phi) -> _Plan:
+        done = [[] for _ in self.ops]
+        for i, k in self.last_read.items():
+            done[k].append(i)
+        return _Plan(phi, [(name, args, tuple(d)) for (name, args), d in zip(self.ops, done)])
+
+    def slot(self, view: tuple) -> int:
+        """The slot holding exactly the view's signal, sliced if need be."""
+        i, start, length = view
+        if start == 0 and self.lengths[i] == length:
+            return i
+        return self.emit(length, (i,), "slice", i, start, length)[0]
+
+    def const(self, length: int) -> tuple:
+        return self.emit(length, (), "full", length)
+
+    def margin(self, member: int, pred) -> tuple:
+        key = (pred, member)
+        if key not in self.memo:
+            self.memo[key] = self.emit(self.lengths[member], (), "margin", member, pred)
+        return self.memo[key]
+
+    def neg_margin(self, member: int, pred) -> tuple:
+        key = ("not", pred, member)
+        if key not in self.memo:
+            self.memo[key] = self.neg(self.margin(member, pred))
+        return self.memo[key]
+
+    def neg(self, view: tuple) -> tuple:
+        i = self.slot(view)
+        return self.emit(view[2], (i,), "neg", i)
+
+    def window(self, view: tuple, start: int, count: int, width: int, how: str) -> tuple:
+        i, offset, _ = view
+        return self.emit(count, (i,), "window", i, offset + start, count, width, (how,))
+
+    def reduce(self, views: list, how: tuple) -> tuple:
+        """min, max or k-th largest of the views, cut to a common length."""
+        if len(views) == 1:
+            return views[0]
+        length = min(v[2] for v in views)
+        if length == 1 and any(self.lengths[i] > 1 for i, _, _ in views):
+            last = {i: k for k, (i, _, _) in enumerate(views)}
+            sources = sorted(last, key=last.get)
+            offset = dict(zip(sources, np.cumsum([0] + [self.lengths[i] for i in sources])))
+            index = np.array([[offset[i] + start for i, start, _ in views]])
+            return self.emit(1, tuple(sources), "gathered", tuple(sources), index, how)
+        ins = tuple(self.slot((i, start, length)) for i, start, _ in views)
+        return self.emit(length, ins, "stacked", ins, how)
+
+
+def _slice_t(view: tuple, start: int, length: int) -> tuple:
+    i, offset, _ = view
+    return i, offset + start, length
+
+
+def _signal(x, phi, length: int, rec: _Recorder) -> tuple:
+    """View of the robustness signal of phi for start times 0..length-1 and
+    perhaps later.
+
+    x is one agent's member slot below a task and, above it, the team as a
+    list of (member slot, capability set). A signal may run past ``length``:
+    a predicate's covers every state of x, and operators that combine
+    signals pointwise cut them to a common length first.
     """
     match phi:
         case _True():
-            return be.const(be.top, length)
+            return rec.const(length)
         case Predicate():
-            return _memoized(memo, (phi, id(x)), lambda: be.margins(x, phi))
+            return rec.margin(x, phi)
         case Task(inner=inner, cap=cap, count=m):
             holders = [s for s, caps in x if cap in caps]
             if m > len(holders):
                 raise ValueError(f"task needs {m} agents with {cap!r}, team has {len(holders)}")
-            sigs = [_signal(s, inner, length, be, memo) for s in holders]
-            return be.kth_largest(_common(sigs), m)
+            return rec.reduce([_signal(s, inner, length, rec) for s in holders], ("kth", m))
         case TimedTask(task=task, time=offset):
-            return _slice_t(_signal(x, task, length + offset, be, memo), offset, length)
+            return _slice_t(_signal(x, task, length + offset, rec), offset, length)
         case _Not(child=Predicate() as c):
-            return _memoized(memo, ("not", c, id(x)), lambda: -_signal(x, c, length, be, memo))
+            return rec.neg_margin(x, c)
         case _Not(child=c):
-            return -_signal(x, c, length, be, memo)
+            return rec.neg(_signal(x, c, length, rec))
         case _NAry(children=cs):
-            reduce = be.reduce_min if isinstance(phi, _And) else be.reduce_max
-            return reduce(_common([_signal(x, c, length, be, memo) for c in cs]))
+            how = ("min",) if isinstance(phi, _And) else ("max",)
+            return rec.reduce([_signal(x, c, length, rec) for c in cs], how)
         case _Window(child=c, a=a, b=b):
-            sig = _signal(x, c, length + b, be, memo)
+            sig = _signal(x, c, length + b, rec)
             if a == b:
                 return _slice_t(sig, a, length)
-            reduce = be.min if isinstance(phi, _Always) else be.max
-            return reduce(be.windows(sig, a, length, b - a + 1))
+            how = "min" if isinstance(phi, _Always) else "max"
+            return rec.window(sig, a, length, b - a + 1, how)
         case _Until(left=l, right=r, a=a, b=b):
-            sig1 = _signal(x, l, length + b, be, memo)
-            sig2 = _signal(x, r, length + b, be, memo)
-            return _until_signal(sig1, sig2, a, b, length, be)
+            sig1 = _signal(x, l, length + b, rec)
+            sig2 = _signal(x, r, length + b, rec)
+            return _until_signal(sig1, sig2, a, b, length, rec)
         case _:
             raise TypeError(f"not a formula: {phi!r}")
 
 
-def _until_signal(sig1, sig2, a: int, b: int, length: int, be):
+def _until_signal(sig1, sig2, a: int, b: int, length: int, rec: _Recorder) -> tuple:
     terms = []
     for s in range(a, b + 1):
         witness = _slice_t(sig2, s, length)
         if s == 0:
             terms.append(witness)
         else:
-            prefix = be.min(be.windows(sig1, 0, length, s))
-            terms.append(be.reduce_min([witness, prefix]))
-    return be.reduce_max(terms)
+            prefix = rec.window(sig1, 0, length, s, "min")
+            terms.append(rec.reduce([witness, prefix], ("min",)))
+    return rec.reduce(terms, ("max",))
+
+
+def _compile(phi, layout) -> _Plan:
+    """The plan of phi at time 0. ``layout`` is the time length of one
+    agent's states, or a tuple of (time length, capabilities) per member."""
+    if isinstance(layout, int):
+        rec, x = _Recorder([layout]), 0
+    else:
+        rec = _Recorder([n for n, _ in layout])
+        x = [(j, caps) for j, (_, caps) in enumerate(layout)]
+    i, start, _ = _signal(x, phi, 1, rec)
+    rec.emit(1, (i,), "at", i, start)
+    return rec.plan(phi)
+
+
+PLAN_CACHE_SIZE = 8
+_PLANS: dict[tuple, _Plan] = {}
+
+
+def _plan(phi, layout) -> _Plan:
+    """phi's plan for the layout, compiled on first use. The cache is keyed
+    by id(phi), so a call never hashes a formula; an entry holds its formula,
+    and one compiled from another formula that reuses the id is replaced.
+    The oldest entry goes once the cache holds PLAN_CACHE_SIZE plans."""
+    key = (id(phi), layout)
+    plan = _PLANS.get(key)
+    if plan is None or plan.phi is not phi:
+        plan = _compile(phi, layout)
+        _PLANS.pop(key, None)
+        if len(_PLANS) >= PLAN_CACHE_SIZE:
+            _PLANS.pop(next(iter(_PLANS)), None)
+        _PLANS[key] = plan
+    return plan
+
+
+def _at0(x, phi, be):
+    """Robustness (or truth) of phi at time 0 over one agent's states x, or
+    over members x, a list of (states, capabilities)."""
+    if isinstance(x, (list, tuple)):
+        states = [s for s, _ in x]
+        layout = tuple((s.shape[-2], caps) for s, caps in x)
+    else:
+        states, layout = [x], x.shape[-2]
+    return _plan(phi, layout).run(states, be)
 
 
 def _rho0(x, phi, tau: float | None, batch_shape: tuple = ()) -> np.ndarray:

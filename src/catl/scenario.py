@@ -12,7 +12,7 @@ import numpy as np
 from .formulas import OuterFormula, SpecError, Task, bind, capability_vector, horizon, walk
 from .geometry import Region
 from .parsing import parse_spec
-from .trajectories import read_json, require_keys
+from .trajectories import capability_set, read_json, require_keys
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class AgentSpec:
         object.__setattr__(self, "capabilities", frozenset(self.capabilities))
         u = self.u_max
         if not (isinstance(u, (tuple, list)) and len(u) == 2
-                and all(isinstance(b, (int, float)) and 0 < b < np.inf for b in u)):
+                and all(isinstance(b, (int, float)) and not isinstance(b, bool)
+                        and 0 < b < np.inf for b in u)):
             raise SpecError(f"agent {self.agent_id}: control bounds are {u!r}, "
                             "want two positive finite numbers")
         object.__setattr__(self, "u_max", tuple(u))
@@ -159,8 +160,10 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a ``save_scenario`` file; ValueError naming the file and the
-    missing or malformed key, or the region at fault, unless the document is
-    an object whose regions and agents are lists of complete entries."""
+    missing or malformed key, or the region or agent at fault, unless the
+    document is an object whose regions and agents are lists of complete
+    entries, whose capabilities are lists of names and whose agent ids are
+    integers."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: scenario is a JSON {type(doc).__name__}, want an object")
@@ -188,15 +191,22 @@ def load_scenario(path: str | Path) -> Scenario:
             regions[entry["name"]] = Region(entry["name"], rects)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: region {entry['name']!r}: {exc}") from None
+    capability_set(doc["capabilities"], path)  # the vocabulary: a list of names
     agents = []
     for k, e in enumerate(doc["agents"]):
-        require_keys(e, ("id", "capabilities", "u_max", "init_region"), f"{path}: agents[{k}]")
-        agents.append(AgentSpec(
-            agent_id=e["id"],
-            capabilities=frozenset(e["capabilities"]),
-            u_max=e["u_max"],
-            init_region=e["init_region"],
-        ))
+        where = f"{path}: agents[{k}]"
+        require_keys(e, ("id", "capabilities", "u_max", "init_region"), where)
+        if type(e["id"]) is not int:
+            raise ValueError(f"{where}: 'id' is {e['id']!r}, want an integer")
+        try:
+            agents.append(AgentSpec(
+                agent_id=e["id"],
+                capabilities=capability_set(e["capabilities"], where),
+                u_max=e["u_max"],
+                init_region=e["init_region"],
+            ))
+        except SpecError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return Scenario(
         name=doc.get("name", Path(path).stem),
         workspace=(tuple(ws[0]), tuple(ws[1])),

@@ -155,7 +155,7 @@ def require_keys(entry, keys: tuple[str, ...], where: str) -> None:
         raise ValueError(f"{where} lacks {missing}")
 
 
-def _capabilities(value, where: str) -> frozenset[str]:
+def capability_set(value, where: str) -> frozenset[str]:
     """A capability list as a set; ValueError naming where unless it is a
     list of names."""
     if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
@@ -217,7 +217,7 @@ def load_team_csv(csv_path: str | Path, caps_path: str | Path | None = None) -> 
         if not isinstance(caps_doc, dict) or str(j) not in caps_doc:
             raise ValueError(f"{caps_path}: no capabilities for agent {j}")
         members.append(TeamMember(j, IndividualTrajectory(xs, us),
-                                  _capabilities(caps_doc[str(j)], f"{caps_path}: agent {j}")))
+                                  capability_set(caps_doc[str(j)], f"{caps_path}: agent {j}")))
     return TeamTrajectory(members)
 
 
@@ -251,5 +251,5 @@ def load_team_json(path: str | Path) -> TeamTrajectory:
         controls = np.array(entry["controls"]) if "controls" in entry else None
         members.append(TeamMember(entry["id"],
                                   IndividualTrajectory(np.array(entry["states"]), controls),
-                                  _capabilities(entry["capabilities"], f"{path}: agents[{k}]")))
+                                  capability_set(entry["capabilities"], f"{path}: agents[{k}]")))
     return TeamTrajectory(members)

@@ -67,6 +67,7 @@ def test_composite_graph_matches_finite_differences():
     ("relu", {}),
     ("windows", {}),
     ("cumsum", {}),
+    ("gather", {}),
 ])
 def test_primitive_gradients(op, extra):
     rng = np.random.default_rng(hash(op) % 2**31)
@@ -86,6 +87,9 @@ def test_primitive_gradients(op, extra):
             return ad.sum_(ad.square(ad.windows(x, start=1, count=3, width=3)))
         if op == "cumsum":
             return ad.sum_(ad.square(ad.cumsum(x, axis=0)))
+        if op == "gather":  # entries read twice and three times
+            index = np.array([[1, 1, 4], [0, 5, 5], [5, 2, 1]])
+            return ad.sum_(ad.square(ad.getitem(x, (Ellipsis, index))))
         return ad.sum_(ad.relu(x - 0.1))
 
     x = Tensor(x0.copy())
@@ -93,6 +97,28 @@ def test_primitive_gradients(op, extra):
     y.backward()
     fd = finite_difference(lambda xv: build(Tensor(xv)).item(), x0.copy())
     assert rel_err(x.grad, fd) < 1e-6
+
+
+def test_getitem_adds_the_gradient_of_every_repeated_index():
+    a = Tensor(np.arange(4.0))
+    ad.sum_(a[np.array([1, 1, 2])]).backward()
+    assert np.array_equal(a.grad, [0.0, 2.0, 1.0, 0.0])
+    x0 = np.random.default_rng(23).normal(size=5)
+    index = np.array([3, 0, 3, 3, 1])
+
+    def build(x: Tensor) -> Tensor:
+        return ad.sum_(ad.square(x[index]) * Tensor(np.arange(1.0, 6.0)))
+
+    x = Tensor(x0.copy())
+    build(x).backward()
+    assert rel_err(x.grad, finite_difference(lambda v: build(Tensor(v)).item(), x0.copy())) < 1e-6
+
+
+def test_getitem_with_a_slice_stores_its_gradient_as_is():
+    # a basic key writes g into zeros, so even a negative zero comes back as is
+    y = Tensor(np.ones(4))[1:3]
+    full, = y._backward(np.array([-0.0, 2.5]))
+    assert full.tobytes() == np.array([0.0, -0.0, 2.5, 0.0]).tobytes()
 
 
 def test_softmin_is_negated_softmax_of_negation_bitwise():

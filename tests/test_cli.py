@@ -175,6 +175,13 @@ def _with(key, value):
     return lambda doc: {**doc, key: value}
 
 
+def _with_agent(key, value):
+    def change(doc):
+        doc["agents"][0][key] = value
+        return doc
+    return change
+
+
 WANT_CORNERS = "want two [x, y] corners of finite numbers with min <= max"
 
 
@@ -182,12 +189,20 @@ WANT_CORNERS = "want two [x, y] corners of finite numbers with min <= max"
     (lambda doc: [1, 2], "{path}: scenario is a JSON list, want an object"),
     (_without_regions, "{path}: scenario lacks ['regions']"),
     (_short_u_max,
-     "agent 1: control bounds are [1.0], want two positive finite numbers"),
+     "{path}: agents[0]: agent 1: control bounds are [1.0], want two positive finite numbers"),
+    (_with_agent("u_max", [True, 1]),
+     "{path}: agents[0]: agent 1: control bounds are [True, 1], want two positive finite numbers"),
+    (_with_agent("id", "one"), "{path}: agents[0]: 'id' is 'one', want an integer"),
+    (_with_agent("id", True), "{path}: agents[0]: 'id' is True, want an integer"),
+    (_with_agent("capabilities", "Robot"),
+     "{path}: agents[0]: capabilities are 'Robot', want a list of names"),
+    (_with("capabilities", "Robot"), "{path}: capabilities are 'Robot', want a list of names"),
     (_with("workspace", 5), "{path}: 'workspace' is 5, " + WANT_CORNERS),
     (_with("workspace", [[0, 0], [6]]), "{path}: 'workspace' is [[0, 0], [6]], " + WANT_CORNERS),
     (_with("horizon", "ten"), "{path}: 'horizon' is 'ten', want an integer >= 1"),
     (_with("horizon", 2.5), "{path}: 'horizon' is 2.5, want an integer >= 1"),
-], ids=["not_an_object", "no_regions", "short_u_max", "workspace_int", "workspace_short_corner",
+], ids=["not_an_object", "no_regions", "short_u_max", "bool_u_max", "str_id", "bool_id",
+        "str_agent_capabilities", "str_capabilities", "workspace_int", "workspace_short_corner",
         "horizon_str", "horizon_float"])
 def test_parse_names_the_fault_in_a_scenario_file(change, why, tmp_path, capsys):
     assert main(["scenario", "--name", "toy", "--out", str(tmp_path)]) == 0

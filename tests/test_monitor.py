@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catl import autodiff as ad
+from catl import monitor
 from catl.autodiff import Tensor
 from catl.formulas import (
     HalfPlane,
@@ -413,9 +414,11 @@ class TestMarginMemo:
 
     def test_pinned_conjunction_tape_size(self):
         # Repair's typical target on the reduced scenario: in(M) and !in(R)
-        # pinned at each of the 26 steps, plus F[0,8] in(C). The graph holds one
-        # node per distinct (negated) predicate, per pin and per window: 62
-        # nodes with the states leaf, where per-pin margin graphs took 1,095.
+        # pinned at each of the 26 steps, plus F[0,8] in(C). The graph holds
+        # the states leaf, one node per distinct predicate, the negation, two
+        # for the window, then one concat, one gather and one softmin for all
+        # 53 pins and the pick of time 0: 11 nodes, where one slice per pin
+        # took 62 and per-pin margin graphs 1,095.
         sc, _, _ = builtin("reduced")
         pred = {name: in_region(region) for name, region in sc.regions.items()}
         pins = [(0, IEventually(pred["C"], 0, 8))]
@@ -423,7 +426,110 @@ class TestMarginMemo:
         pins += [(t, INot(pred["R"])) for t in range(26)]
         states = Tensor(np.random.default_rng(67).uniform(0.0, 10.0, size=(26, 2)))
         rho = inner_rho_tensor(states, pinned_conjunction(pins), TAU)
-        assert len(ad._toposort(rho)) <= 62
+        assert len(ad._toposort(rho)) <= 11
+
+
+class TestPlan:
+    """The compiled plan against the independent oracles, and its cache."""
+
+    @staticmethod
+    def batch_values(x, phi, batch: int) -> list[np.ndarray]:
+        """Boolean, classical and smooth values at time 0 over batched states
+        or members x."""
+        return [
+            monitor._at0(x, phi, monitor._BooleanBackend(None, (batch,))),
+            monitor._rho0(x, phi, None, (batch,)),
+            monitor._rho0(x, phi, TAU, (batch,)),
+        ]
+
+    def test_inner_plan_matches_oracle_at_batch_ranks_0_and_1(self):
+        rng = np.random.default_rng(68)
+        for _ in range(150):
+            phi = random_inner(rng, depth=int(rng.integers(0, 4)), budget=int(rng.integers(0, 5)))
+            batch = np.stack([random_states(rng, horizon(phi) + 1) for _ in range(3)])
+            batch[0] = on_grid(batch[0])  # margins of exactly 0 on region edges
+            sat, rho, smooth = self.batch_values(batch, phi, 3)
+            for b, states in enumerate(batch):
+                want = individual_sat(states, phi)
+                assert inner_sat(states, phi, 0) == want
+                assert sat[b] == (1.0 if want else -1.0)
+                assert rho[b] == inner_rho(states, phi, 0)
+                assert smooth[b] == inner_rho(states, phi, 0, TAU)
+                if abs(rho[b]) > 1e-9:
+                    assert (rho[b] > 0) == want
+                if abs(rho[b]) > smoothness_bound(phi, TAU) + 1e-9:
+                    assert (smooth[b] > 0) == want
+
+    def test_outer_plan_matches_oracle_at_batch_ranks_0_and_1(self):
+        rng = np.random.default_rng(69)
+        for _ in range(100):
+            phi = random_outer(rng, depth=int(rng.integers(0, 3)), budget=int(rng.integers(0, 4)))
+            length = horizon(phi) + 1
+            states = np.stack([[random_states(rng, length) for _ in TEAM_CAPS]
+                               for _ in range(3)])  # (B, J, T, 2)
+            members = [(states[:, j], caps) for j, caps in enumerate(TEAM_CAPS)]
+            sat, rho, smooth = self.batch_values(members, phi, 3)
+            assert np.array_equal(rho, outer_rho_batch(members, phi))
+            assert np.array_equal(smooth, outer_rho_batch(members, phi, TAU))
+            for b in range(3):
+                team = make_team(states[b], TEAM_CAPS)
+                want = team_sat(team, phi)
+                assert outer_sat(team, phi, 0) == want
+                assert sat[b] == (1.0 if want else -1.0)
+                assert rho[b] == outer_rho(team, phi, 0)
+                assert smooth[b] == outer_rho(team, phi, 0, TAU)
+                if abs(rho[b]) > 1e-9:
+                    assert (rho[b] > 0) == want
+                if abs(rho[b]) > smoothness_bound(phi, TAU) + 1e-9:
+                    assert (smooth[b] > 0) == want
+
+    def test_duplicated_pin_gradient_matches_finite_differences(self):
+        # in(A) pinned twice at step 2 gathers one margin entry twice, and a
+        # window over the same margin reads it a third time
+        a, b = in_region(REGIONS["A"]), in_region(REGIONS["B"])
+        target = pinned_conjunction([(2, a), (1, IEventually(a, 0, 2)), (2, a),
+                                     (3, INot(b)), (0, b)])
+        plan = monitor._plan(target, 5)
+        assert [name for name, _, _ in plan.ops].count("gathered") == 1
+        rng = np.random.default_rng(70)
+        checked = 0
+        for _ in range(20):
+            x0 = rng.uniform(-1.5, 2.0, size=(5, 2))
+            x = Tensor(x0.copy())
+            inner_rho_tensor(x, target, TAU).backward()
+            fd = finite_difference(
+                lambda v: inner_rho_tensor(Tensor(v), target, TAU).item(), x0.copy())
+            scale = max(np.abs(fd).max(), np.abs(x.grad).max(), 1e-8)
+            checked += np.abs(fd - x.grad).max() / scale < 1e-4
+        assert checked >= 18  # a probe may sit on a face tie of a margin
+
+    def test_plan_cache_stays_within_its_bound(self):
+        rng = np.random.default_rng(71)
+        for k in range(5 * monitor.PLAN_CACHE_SIZE):
+            pins = [(int(t), random_predicate(rng)) for t in rng.integers(0, 6, size=4)]
+            target = pinned_conjunction(pins)
+            states = random_states(rng, 6 + k % 3)
+            inner_rho(states, target, 0)
+            inner_rho_tensor(Tensor(states), target, TAU)
+            assert len(monitor._PLANS) <= monitor.PLAN_CACHE_SIZE
+
+    def test_a_reused_id_never_gets_a_stale_plan(self, monkeypatch):
+        # a plan filed under the key of a new formula, as if the formula it
+        # was compiled from had been freed and its id reused, is recompiled
+        monkeypatch.setattr(monitor, "_PLANS", {})
+        box = in_region(REGIONS["A"])
+        inside, outside = IEventually(box, 0, 0), IEventually(INot(box), 0, 0)
+        monitor._PLANS[(id(inside), 1)] = monitor._compile(outside, 1)
+        states = np.zeros((1, 2))
+        assert inner_sat(states, inside, 0)
+        assert monitor._PLANS[(id(inside), 1)].phi is inside
+        # and in the wild: formulas built and freed in a loop reuse ids
+        rng = np.random.default_rng(72)
+        for _ in range(4 * monitor.PLAN_CACHE_SIZE):
+            phi = random_inner(rng, depth=2, budget=3)
+            states = on_grid(random_states(rng, horizon(phi) + 1))
+            assert inner_sat(states, phi, 0) == individual_sat(states, phi)
+            del phi
 
 
 class TestSmoothGradients:

@@ -33,8 +33,10 @@ def test_two_rectangle_region_is_picked_by_area():
 
 
 @pytest.mark.parametrize("u_max", [(1.0,), (1.0, 1.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
-                                   (1.0, float("inf")), (float("nan"), 1.0), ("1", 1.0), 1.0],
-                         ids=["one", "three", "zero", "negative", "inf", "nan", "text", "scalar"])
+                                   (1.0, float("inf")), (float("nan"), 1.0), ("1", 1.0), 1.0,
+                                   (True, 1.0)],
+                         ids=["one", "three", "zero", "negative", "inf", "nan", "text", "scalar",
+                              "bool"])
 def test_agent_needs_two_positive_finite_bounds(u_max):
     with pytest.raises(SpecError, match="^agent 3: control bounds are "):
         AgentSpec(3, frozenset({"a"}), u_max, "Init")
