@@ -53,7 +53,7 @@ def scored_rollouts(
     one place success is decided: classical robustness >= 0."""
     member_caps = scenario.member_caps()
     with ad.no_grad():
-        res = rollout(params, x0, scenario.horizon, gate_mode, member_caps=member_caps)
+        res = rollout(params, x0, scenario.horizon, gate_mode)
     states = res.states_numpy()
     eta = outer_rho_batch([(states[:, j], caps) for j, caps in enumerate(member_caps)], phi)
     return eta, eta >= 0, res.comm_counts()

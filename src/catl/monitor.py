@@ -25,12 +25,14 @@ the left operand required on the half-open prefix [t, t').
 
 Every entry point runs a plan: the flat list of ops that ``_signal`` emits
 when it recurses once over a formula for one member layout (the time length
-of each member's states and, for a team formula, each member's
-capabilities). The plan is compiled on the first call with that formula and
-layout and cached by the formula's identity (see ``_plan``), so later calls
-skip the recursion. The boolean, classical and smooth backends run the same
-plan, one numpy call or one Tensor node per op; ties are still decided only
-in the boolean backend's predicate leaf.
+and the capabilities of each member's states). The boolean, classical and
+smooth backends run the same plan, one numpy call or one Tensor node per op;
+ties are still decided only in the boolean backend's predicate leaf.
+
+A formula's cache entry (``_entry``), keyed by its identity, holds its
+horizon, computed once, and its plan per layout, compiled on first use.
+Every entry point calls one boundary, ``_monitor``, the only place inputs
+are checked and cut to the window that decides the formula.
 
 In a plan each distinct predicate (and each negated predicate) is one
 margin op per member, over all its states, and every pin and window that
@@ -72,15 +74,6 @@ class HorizonError(ValueError):
 
 
 TOP = 1e6  # the finite robustness of True
-
-
-def _check_horizon(phi, t: int, last: int, who: str = "trajectory") -> int:
-    """Raise HorizonError unless states 0..last decide phi at time t; return
-    the last time step phi reads at t."""
-    end = t + horizon(phi)
-    if t < 0 or end > last:
-        raise HorizonError(f"evaluating at t={t} needs {end} steps, {who} has {last}")
-    return end
 
 
 # -- signal semantics ------------------------------------------------------------
@@ -197,9 +190,6 @@ class _BooleanBackend(_ClassicalBackend):
         return np.where(pred.evaluate(vals[member]) >= 0.0, 1.0, -1.0)
 
 
-_BOOLEAN = _BooleanBackend(None, ())
-
-
 def _backend(tau: float | None, batch_shape: tuple) -> _Backend:
     """Classical backend when tau is None, smooth at temperature tau otherwise."""
     if tau is None:
@@ -210,7 +200,10 @@ def _backend(tau: float | None, batch_shape: tuple) -> _Backend:
 
 
 def _values(x) -> np.ndarray:
-    """The array behind states x: a Tensor's value, or x itself."""
+    """The array behind states x: a Tensor's value, an IndividualTrajectory's
+    states, or x itself."""
+    if isinstance(x, IndividualTrajectory):
+        return x.states
     return x.value if isinstance(x, Tensor) else np.asarray(x)
 
 
@@ -222,13 +215,11 @@ class _Plan:
     (backend method name, arguments, slots read for the last time) triples;
     op i computes slot len(members) + i, its integer arguments name the
     slots it reads, and the run drops each signal after its last read, as
-    a recursion would. ``phi`` is the formula it was compiled from, for the
-    cache's identity check."""
+    a recursion would."""
 
-    __slots__ = ("phi", "ops")
+    __slots__ = ("ops",)
 
-    def __init__(self, phi, ops: list):
-        self.phi = phi
+    def __init__(self, ops: list):
         self.ops = ops
 
     def run(self, states: list, be: _Backend):
@@ -266,11 +257,11 @@ class _Recorder:
         self.lengths.append(length)
         return len(self.lengths) - 1, 0, length
 
-    def plan(self, phi) -> _Plan:
+    def plan(self) -> _Plan:
         done = [[] for _ in self.ops]
         for i, k in self.last_read.items():
             done[k].append(i)
-        return _Plan(phi, [(name, args, tuple(d)) for (name, args), d in zip(self.ops, done)])
+        return _Plan([(name, args, tuple(d)) for (name, args), d in zip(self.ops, done)])
 
     def slot(self, view: tuple) -> int:
         """The slot holding exactly the view's signal, sliced if need be."""
@@ -376,76 +367,93 @@ def _until_signal(sig1, sig2, a: int, b: int, length: int, rec: _Recorder) -> tu
     return rec.reduce(terms, ("max",))
 
 
-def _compile(phi, layout) -> _Plan:
-    """The plan of phi at time 0. ``layout`` is the time length of one
-    agent's states, or a tuple of (time length, capabilities) per member."""
-    if isinstance(layout, int):
-        rec, x = _Recorder([layout]), 0
-    else:
-        rec = _Recorder([n for n, _ in layout])
-        x = [(j, caps) for j, (_, caps) in enumerate(layout)]
-    i, start, _ = _signal(x, phi, 1, rec)
+def _compile(phi, layout: tuple) -> _Plan:
+    """The plan of phi at time 0 for a member layout: a tuple of (time length,
+    capabilities) per member. An inner formula reads member 0."""
+    rec = _Recorder([n for n, _ in layout])
+    team = [(j, caps) for j, (_, caps) in enumerate(layout)]
+    i, start, _ = _signal(0 if isinstance(phi, InnerFormula) else team, phi, 1, rec)
     rec.emit(1, (i,), "at", i, start)
-    return rec.plan(phi)
+    return rec.plan()
 
 
-PLAN_CACHE_SIZE = 8
-_PLANS: dict[tuple, _Plan] = {}
+class _Entry:
+    """What the monitor knows of one formula: its horizon and its plan per
+    member layout. ``phi`` is the formula itself, for the cache's identity
+    check."""
+
+    __slots__ = ("phi", "horizon", "plans")
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.horizon = horizon(phi)
+        self.plans: dict[tuple, _Plan] = {}
 
 
-def _plan(phi, layout) -> _Plan:
-    """phi's plan for the layout, compiled on first use. The cache is keyed
-    by id(phi), so a call never hashes a formula; an entry holds its formula,
-    and one compiled from another formula that reuses the id is replaced.
-    The oldest entry goes once the cache holds PLAN_CACHE_SIZE plans."""
-    key = (id(phi), layout)
-    plan = _PLANS.get(key)
-    if plan is None or plan.phi is not phi:
-        plan = _compile(phi, layout)
-        _PLANS.pop(key, None)
-        if len(_PLANS) >= PLAN_CACHE_SIZE:
-            _PLANS.pop(next(iter(_PLANS)), None)
-        _PLANS[key] = plan
-    return plan
+FORMULA_CACHE_SIZE = 8
+_FORMULAS: dict[int, _Entry] = {}
 
 
-def _at0(x, phi, be):
-    """Robustness (or truth) of phi at time 0 over one agent's states x, or
-    over members x, a list of (states, capabilities)."""
-    if isinstance(x, (list, tuple)):
-        states = [s for s, _ in x]
-        layout = tuple((s.shape[-2], caps) for s, caps in x)
-    else:
-        states, layout = [x], x.shape[-2]
-    return _plan(phi, layout).run(states, be)
+def _entry(phi) -> _Entry:
+    """phi's cache entry, made on first use. The cache is keyed by id(phi), so
+    a call never hashes a formula; an entry made for another formula that
+    reused the id is replaced. The oldest entry goes once the cache holds
+    FORMULA_CACHE_SIZE entries."""
+    entry = _FORMULAS.get(id(phi))
+    if entry is None or entry.phi is not phi:
+        entry = _Entry(phi)
+        _FORMULAS.pop(id(phi), None)
+        if len(_FORMULAS) >= FORMULA_CACHE_SIZE:
+            _FORMULAS.pop(next(iter(_FORMULAS)))
+        _FORMULAS[id(phi)] = entry
+    return entry
 
 
-def _rho0(x, phi, tau: float | None, batch_shape: tuple = ()) -> np.ndarray:
-    """Robustness values at time 0 over states or members x, without a graph:
-    every backend reads plain arrays."""
+def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool = False):
+    """Truth (+1/-1) of phi at time t when ``boolean``, else its robustness:
+    classical when tau is None, smooth at temperature tau otherwise.
+
+    ``members`` is a list of (states (..., T, 2), capabilities), one agent
+    being one member. This is the one place monitor inputs are checked and
+    cut: HorizonError unless t >= 0 and every member has states up to
+    t + horizon(phi), NonFiniteError if a state is NaN or infinite. Array
+    states are cut to [t, t + horizon(phi)] as a view and give an array,
+    without a graph. Tensor states are read whole at t = 0, so the graph
+    keeps their nodes, and give a graph node."""
+    entry = _entry(phi)
+    end = t + entry.horizon
+    states, layout = [], []
+    for k, (x, caps) in enumerate(members):
+        values = _values(x)
+        last = values.shape[-2] - 1
+        if t < 0 or end > last:
+            raise HorizonError(f"evaluating at t={t} needs {end} steps, member {k} has {last}")
+        if not np.isfinite(values).all():
+            bad = np.argwhere(~np.isfinite(values).all(axis=-1))
+            raise NonFiniteError(
+                f"member {k} has {len(bad)} non-finite states, first at index "
+                f"(batch..., t) {tuple(int(i) for i in bad[0])}"
+            )
+        states.append(x if isinstance(x, Tensor) else values[..., t : end + 1, :])
+        layout.append((states[-1].shape[-2], caps))
+    layout = tuple(layout)
+    plan = entry.plans.get(layout)
+    if plan is None:
+        plan = entry.plans[layout] = _compile(phi, layout)
+    batch_shape = states[0].shape[:-2] if states else ()
+    be = _BooleanBackend(None, batch_shape) if boolean else _backend(tau, batch_shape)
+    if any(isinstance(s, Tensor) for s in states):
+        return plan.run(states, be)
     with ad.no_grad():
-        return _values(_at0(x, phi, _backend(tau, batch_shape)))
+        return _values(plan.run(states, be))
 
 
 # -- public entry points -------------------------------------------------------
 
 
-def _agent_from(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> np.ndarray:
-    """One agent's states from t to t + horizon(phi), once they decide phi at t."""
-    states = x.states if isinstance(x, IndividualTrajectory) else np.asarray(x)
-    return states[t : _check_horizon(phi, t, len(states) - 1) + 1]
-
-
-def _team_from(X: TeamTrajectory, Phi: OuterFormula, t: int) -> list:
-    """Members as (states from t to t + horizon(Phi), capabilities), once they
-    decide Phi at t."""
-    end = _check_horizon(Phi, t, X.last_time) + 1
-    return [(m.trajectory.states[t:end], m.capabilities) for m in X.members]
-
-
 def inner_sat(x: IndividualTrajectory | np.ndarray, phi: InnerFormula, t: int) -> bool:
     """Bounded STL satisfaction of one agent's trajectory at time t."""
-    return bool(_at0(_agent_from(x, phi, t), phi, _BOOLEAN) > 0)
+    return bool(_monitor(phi, [(x, None)], t, boolean=True) > 0)
 
 
 def count(X: TeamTrajectory, cap: str, phi: InnerFormula, t: int) -> int:
@@ -455,7 +463,8 @@ def count(X: TeamTrajectory, cap: str, phi: InnerFormula, t: int) -> int:
 
 def outer_sat(X: TeamTrajectory, Phi: OuterFormula, t: int) -> bool:
     """Team-level satisfaction at time t."""
-    return bool(_at0(_team_from(X, Phi, t), Phi, _BOOLEAN) > 0)
+    members = [(m.trajectory, m.capabilities) for m in X.members]
+    return bool(_monitor(Phi, members, t, boolean=True) > 0)
 
 
 def inner_rho(
@@ -466,13 +475,13 @@ def inner_rho(
 ) -> float:
     """Robustness of one agent's trajectory at time t: classical when tau is
     None, smooth at temperature tau otherwise."""
-    return float(_rho0(_agent_from(x, phi, t), phi, tau))
+    return float(_monitor(phi, [(x, None)], t, tau))
 
 
 def inner_rho_tensor(states: Tensor, phi: InnerFormula, tau: float) -> Tensor:
     """Smooth robustness at temperature tau and time 0 as a graph node;
     states is (..., T, 2)."""
-    return _at0(states, phi, _backend(tau, states.shape[:-2]))
+    return _monitor(phi, [(states, None)], 0, tau)
 
 
 def outer_rho(
@@ -483,22 +492,8 @@ def outer_rho(
 ) -> float:
     """Team-level robustness at time t: classical when tau is None, smooth at
     temperature tau otherwise."""
-    return float(_rho0(_team_from(X, Phi, t), Phi, tau))
-
-
-def _batch_shape(members, Phi: OuterFormula) -> tuple:
-    """Leading batch shape of the member states (..., T, 2), once every
-    member is long enough for Phi at time 0 and holds only finite states."""
-    for k, (states, _) in enumerate(members):
-        values = _values(states)
-        _check_horizon(Phi, 0, values.shape[-2] - 1, f"member {k}")
-        bad = np.argwhere(~np.isfinite(values).all(axis=-1))
-        if len(bad):
-            raise NonFiniteError(
-                f"member {k} has {len(bad)} non-finite states, first at index "
-                f"(batch..., t) {tuple(int(i) for i in bad[0])}"
-            )
-    return members[0][0].shape[:-2]
+    members = [(m.trajectory, m.capabilities) for m in X.members]
+    return float(_monitor(Phi, members, t, tau))
 
 
 def outer_rho_batch(
@@ -508,7 +503,7 @@ def outer_rho_batch(
 ) -> np.ndarray:
     """Robustness at time 0 for a batch, without a graph: states are (B, T, 2);
     classical when tau is None, smooth at temperature tau otherwise."""
-    return _rho0(members, Phi, tau, _batch_shape(members, Phi))
+    return _monitor(Phi, members, 0, tau)
 
 
 def outer_rho_tensor(
@@ -518,7 +513,7 @@ def outer_rho_tensor(
 ) -> Tensor:
     """Smooth robustness at temperature tau and time 0 as a graph node; member
     states are (..., T, 2)."""
-    return _at0(members, Phi, _backend(tau, _batch_shape(members, Phi)))
+    return _monitor(Phi, members, 0, tau)
 
 
 # -- smooth-vs-classical error bound -------------------------------------------

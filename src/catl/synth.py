@@ -37,11 +37,12 @@ class SynthResult:
     restarts_used: int = 0
 
 
-def _unroll(x0: np.ndarray, w: Tensor, u_max: np.ndarray) -> tuple[Tensor, Tensor]:
-    """States (H+1, 2) and controls (H, 2) from the unconstrained weights; state
-    t is ((x0 + u0) + u1) + ... + u(t-1), one running-sum node."""
-    u = ad.tanh(w) * Tensor(u_max)
-    return ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0), u
+def _unroll(x0: Tensor, w: Tensor, u_max: Tensor) -> tuple[Tensor, Tensor]:
+    """States (H+1, 2) and controls (H, 2) from the unconstrained weights and
+    the constants x0 (1, 2) and u_max (2,); state t is
+    ((x0 + u0) + u1) + ... + u(t-1), one running-sum node."""
+    u = ad.tanh(w) * u_max
+    return ad.cumsum(ad.concat([x0, u], axis=0), axis=0), u
 
 
 def synthesize(
@@ -81,6 +82,8 @@ def synthesize(
         states = np.tile(x0, (horizon_steps + 1, 1))
         return SynthResult(IndividualTrajectory(states, u), TOP, True)
 
+    # the constants of _unroll, one leaf each that every iteration shares
+    x0_row, u_bound = Tensor(x0.reshape(1, 2)), Tensor(u_max)
     best_rho = -np.inf
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
@@ -92,12 +95,12 @@ def synthesize(
         for it in range(iterations):
             tau = min(2.0 * (2.0 ** (it // 100)), 32.0)
             opt.zero_grad()
-            states, _ = _unroll(x0, w, u_max)
+            states, _ = _unroll(x0_row, w, u_bound)
             (-inner_rho_tensor(states, target, tau)).backward()
             opt.step()
             if it % 20 == 19 or it == iterations - 1:
                 with ad.no_grad():
-                    states, u = _unroll(x0, w, u_max)
+                    states, u = _unroll(x0_row, w, u_bound)
                 rho_c = inner_rho(states.value, target, 0)
                 if rho_c > best_rho:
                     best_rho, best = rho_c, (states.value, u.value)

@@ -28,7 +28,7 @@ from .nn import Adam
 from .policy import COMM_CLASS, PolicyParams, RolloutResult, create_policy, rollout, save_policy
 from .repair import repair
 from .scenario import Scenario
-from .trajectories import TeamTrajectory, read_json
+from .trajectories import TeamTrajectory, read_json, require_keys
 
 
 # JSON value types per TrainConfig field annotation; from_json rejects bools first
@@ -147,9 +147,8 @@ def robustness_objective(
     summand equal to the sign of eta, so cost can never override robustness.
     gamma = 0 disables the cost term entirely (pure mean robustness).
     """
-    member_caps = scenario.member_caps()
-    res = rollout(params, x0_batch, scenario.horizon, gate_mode, member_caps=member_caps)
-    eta = outer_rho_tensor(res.member_tensors(member_caps), phi, cfg.tau_at(step))
+    res = rollout(params, x0_batch, scenario.horizon, gate_mode)
+    eta = outer_rho_tensor(res.member_tensors(scenario.member_caps()), phi, cfg.tau_at(step))
     if gamma <= 0:
         return ad.mean(eta), res, eta
     cost = control_cost(res)
@@ -205,7 +204,13 @@ class Dataset:
 
     @staticmethod
     def load(path: str | Path) -> "Dataset":
+        """The dataset ``save`` wrote to path; ValueError naming the file
+        unless it is a list of entries holding every field."""
         doc = read_json(path)
+        if not isinstance(doc, list):
+            raise ValueError(f"{path}: want a JSON list of dataset entries")
+        for k, e in enumerate(doc):
+            require_keys(e, ("initial", "states", "provenance", "round"), f"{path}: entries[{k}]")
         return Dataset(
             [
                 DatasetEntry(
@@ -301,10 +306,9 @@ def imitation_loss(
     """Mean over entries of the squared distance between the policy's rollout
     from the entry's initial states and the stored trajectory, with identical
     agents matched before comparison."""
-    member_caps = scenario.member_caps()
     groups = identical_groups(scenario)
     x0 = np.stack([e.initial for e in entries])
-    res = rollout(params, x0, scenario.horizon, gate_mode, member_caps=member_caps)
+    res = rollout(params, x0, scenario.horizon, gate_mode)
     roll_np = res.states_numpy()
     targets = np.zeros_like(roll_np)
     for i, entry in enumerate(entries):
@@ -472,7 +476,7 @@ def build_gate_dataset(
         x0 = scenario.sample_initial(rng)
         with ad.no_grad():
             res = rollout(params_full, np.tile(x0, (len(cut), 1, 1)), length, "full",
-                          member_caps=member_caps, cut=cut, nocomm_params=params_nocomm)
+                          cut=cut, nocomm_params=params_nocomm)
         states = res.states_numpy()
         members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
         etas = outer_rho_batch(members, phi, cfg.tau)

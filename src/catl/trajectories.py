@@ -200,11 +200,20 @@ def load_team_csv(csv_path: str | Path, caps_path: str | Path | None = None) -> 
             raise ValueError(f"{csv_path}: expected header t,agent,x0,x1[,u0,u1]")
         has_controls = "u0" in reader.fieldnames
         for row in reader:
-            t = int(row["t"])
-            j = int(row["agent"])
-            states.setdefault(j, {})[t] = [float(row["x0"]), float(row["x1"])]
-            if has_controls and row["u0"] not in ("", None):
-                controls.setdefault(j, {})[t] = [float(row["u0"]), float(row["u1"])]
+            where = f"{csv_path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: want {len(reader.fieldnames)} fields")
+            try:
+                t, j = int(row["t"]), int(row["agent"])
+                x = [float(row["x0"]), float(row["x1"])]
+                u = [float(row["u0"]), float(row["u1"])] if has_controls and row["u0"] else None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if t in states.setdefault(j, {}):
+                raise ValueError(f"{where}: repeats time {t} of agent {j}")
+            states[j][t] = x
+            if u is not None:
+                controls.setdefault(j, {})[t] = u
     members = []
     for j in sorted(states):
         times = sorted(states[j])

@@ -95,6 +95,27 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("row, why", [
+    ("3,1,0", "want 4 fields"),
+    ("3,x,0,0", "invalid literal for int() with base 10: 'x'"),
+    ("2,1,0,0", "repeats time 2 of agent 1"),
+], ids=["short_row", "bad_cell", "repeated_row"])
+def test_monitor_names_the_line_of_a_bad_csv_row(row, why, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    path = tmp_path / "t.csv"
+    save_team_csv(team, path)
+    lines = path.read_text().splitlines()
+    lines[4] = row
+    path.write_text("\n".join(lines) + "\n")
+    args = ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 5: {why}\n"
+
+
 def test_eval_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
     _, _, text = builtin("toy")
     params = tmp_path / "p.json"

@@ -391,6 +391,71 @@ class TestBatchEntryPoints:
             self.rho(entry, states)
 
 
+def red_team(states: np.ndarray) -> TeamTrajectory:
+    """A one-member team holding "red" over states, written in place after
+    construction so that non-finite states reach the monitor."""
+    team = make_team([np.zeros_like(states)], [frozenset({"red"})])
+    team.members[0].trajectory.states[:] = states
+    return team
+
+
+class TestCheckedEntry:
+    """Every public entry point rejects short states, t < 0 and non-finite
+    states with a named error."""
+
+    PHI = IEventually(in_region(C_REGION), 0, 4)  # horizon 4
+    TASK = Task(PHI, "red", 1)
+    ENTRY_POINTS = {
+        "inner_sat": lambda s, t: inner_sat(s, TestCheckedEntry.PHI, t),
+        "count": lambda s, t: count(red_team(s), "red", TestCheckedEntry.PHI, t),
+        "outer_sat": lambda s, t: outer_sat(red_team(s), TestCheckedEntry.TASK, t),
+        "inner_rho": lambda s, t: inner_rho(s, TestCheckedEntry.PHI, t),
+        "inner_rho_tensor": lambda s, t: inner_rho_tensor(Tensor(s), TestCheckedEntry.PHI, TAU),
+        "outer_rho": lambda s, t: outer_rho(red_team(s), TestCheckedEntry.TASK, t),
+        "outer_rho_batch": lambda s, t: outer_rho_batch(
+            [(s[None], frozenset({"red"}))], TestCheckedEntry.TASK),
+        "outer_rho_tensor": lambda s, t: outer_rho_tensor(
+            [(Tensor(s[None]), frozenset({"red"}))], TestCheckedEntry.TASK, TAU),
+    }
+    AT_TIME_0 = ("inner_rho_tensor", "outer_rho_batch", "outer_rho_tensor")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_short_states_and_negative_times_raise_horizon_error(self, entry):
+        evaluate = self.ENTRY_POINTS[entry]
+        states = np.random.default_rng(73).normal(size=(6, 2))
+        evaluate(states[:5], 0)  # exactly horizon + 1 states
+        with pytest.raises(HorizonError, match="needs 4 steps, member 0 has 3"):
+            evaluate(states[:4], 0)
+        if entry not in self.AT_TIME_0:
+            evaluate(states, 1)
+            with pytest.raises(HorizonError, match="t=2 needs 6 steps"):
+                evaluate(states, 2)
+            with pytest.raises(HorizonError, match="t=-1"):
+                evaluate(states, -1)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_states_raise_non_finite_error(self, entry, bad):
+        states = np.random.default_rng(74).normal(size=(5, 2))
+        states[3, 1] = bad
+        with pytest.raises(NonFiniteError, match=r"member 0 has 1 non-finite.* \((0, )?3,?\)"):
+            self.ENTRY_POINTS[entry](states, 0)
+
+    def test_repeated_calls_walk_the_formula_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(monitor, "horizon", lambda phi: calls.append(phi) or horizon(phi))
+        phi = IAnd((IEventually(in_region(C_REGION), 0, 3), IAlways(in_region(REGIONS["A"]), 1, 2)))
+        states = random_states(np.random.default_rng(75), 8)
+        for t in range(5):
+            inner_sat(states, phi, t)
+            inner_rho(states, phi, t)
+            inner_rho(states, phi, t, TAU)
+        inner_rho_tensor(Tensor(states), phi, TAU)
+        with pytest.raises(HorizonError):
+            inner_rho(states, phi, 5)
+        assert calls == [phi]
+
+
 class TestMarginMemo:
     def test_memo_does_not_outlive_its_call(self):
         # Each loop frees its states, so the next fresh array often takes the
@@ -433,13 +498,13 @@ class TestPlan:
     """The compiled plan against the independent oracles, and its cache."""
 
     @staticmethod
-    def batch_values(x, phi, batch: int) -> list[np.ndarray]:
-        """Boolean, classical and smooth values at time 0 over batched states
-        or members x."""
+    def batch_values(members, phi) -> list[np.ndarray]:
+        """Boolean, classical and smooth values at time 0 over members
+        (batched states, capabilities)."""
         return [
-            monitor._at0(x, phi, monitor._BooleanBackend(None, (batch,))),
-            monitor._rho0(x, phi, None, (batch,)),
-            monitor._rho0(x, phi, TAU, (batch,)),
+            monitor._monitor(phi, members, 0, boolean=True),
+            monitor._monitor(phi, members, 0),
+            monitor._monitor(phi, members, 0, TAU),
         ]
 
     def test_inner_plan_matches_oracle_at_batch_ranks_0_and_1(self):
@@ -448,7 +513,7 @@ class TestPlan:
             phi = random_inner(rng, depth=int(rng.integers(0, 4)), budget=int(rng.integers(0, 5)))
             batch = np.stack([random_states(rng, horizon(phi) + 1) for _ in range(3)])
             batch[0] = on_grid(batch[0])  # margins of exactly 0 on region edges
-            sat, rho, smooth = self.batch_values(batch, phi, 3)
+            sat, rho, smooth = self.batch_values([(batch, None)], phi)
             for b, states in enumerate(batch):
                 want = individual_sat(states, phi)
                 assert inner_sat(states, phi, 0) == want
@@ -468,7 +533,7 @@ class TestPlan:
             states = np.stack([[random_states(rng, length) for _ in TEAM_CAPS]
                                for _ in range(3)])  # (B, J, T, 2)
             members = [(states[:, j], caps) for j, caps in enumerate(TEAM_CAPS)]
-            sat, rho, smooth = self.batch_values(members, phi, 3)
+            sat, rho, smooth = self.batch_values(members, phi)
             assert np.array_equal(rho, outer_rho_batch(members, phi))
             assert np.array_equal(smooth, outer_rho_batch(members, phi, TAU))
             for b in range(3):
@@ -489,7 +554,7 @@ class TestPlan:
         a, b = in_region(REGIONS["A"]), in_region(REGIONS["B"])
         target = pinned_conjunction([(2, a), (1, IEventually(a, 0, 2)), (2, a),
                                      (3, INot(b)), (0, b)])
-        plan = monitor._plan(target, 5)
+        plan = monitor._compile(target, ((5, None),))
         assert [name for name, _, _ in plan.ops].count("gathered") == 1
         rng = np.random.default_rng(70)
         checked = 0
@@ -505,27 +570,31 @@ class TestPlan:
 
     def test_plan_cache_stays_within_its_bound(self):
         rng = np.random.default_rng(71)
-        for k in range(5 * monitor.PLAN_CACHE_SIZE):
+        for k in range(5 * monitor.FORMULA_CACHE_SIZE):
             pins = [(int(t), random_predicate(rng)) for t in rng.integers(0, 6, size=4)]
             target = pinned_conjunction(pins)
             states = random_states(rng, 6 + k % 3)
             inner_rho(states, target, 0)
             inner_rho_tensor(Tensor(states), target, TAU)
-            assert len(monitor._PLANS) <= monitor.PLAN_CACHE_SIZE
+            assert len(monitor._FORMULAS) <= monitor.FORMULA_CACHE_SIZE
+            # one layout for the cut array states, one for the whole Tensor
+            lengths = {horizon(target) + 1, len(states)}
+            assert set(monitor._entry(target).plans) == {((n, None),) for n in lengths}
 
     def test_a_reused_id_never_gets_a_stale_plan(self, monkeypatch):
-        # a plan filed under the key of a new formula, as if the formula it
-        # was compiled from had been freed and its id reused, is recompiled
-        monkeypatch.setattr(monitor, "_PLANS", {})
+        # an entry filed under the id of a new formula, as if the formula it
+        # was made for had been freed and its id reused, is made again
+        monkeypatch.setattr(monitor, "_FORMULAS", {})
         box = in_region(REGIONS["A"])
         inside, outside = IEventually(box, 0, 0), IEventually(INot(box), 0, 0)
-        monitor._PLANS[(id(inside), 1)] = monitor._compile(outside, 1)
+        stale = monitor._FORMULAS[id(inside)] = monitor._Entry(outside)
+        stale.plans[((1, None),)] = monitor._compile(outside, ((1, None),))
         states = np.zeros((1, 2))
         assert inner_sat(states, inside, 0)
-        assert monitor._PLANS[(id(inside), 1)].phi is inside
+        assert monitor._FORMULAS[id(inside)].phi is inside
         # and in the wild: formulas built and freed in a loop reuse ids
         rng = np.random.default_rng(72)
-        for _ in range(4 * monitor.PLAN_CACHE_SIZE):
+        for _ in range(4 * monitor.FORMULA_CACHE_SIZE):
             phi = random_inner(rng, depth=2, budget=3)
             states = on_grid(random_states(rng, horizon(phi) + 1))
             assert inner_sat(states, phi, 0) == individual_sat(states, phi)

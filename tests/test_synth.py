@@ -67,7 +67,8 @@ class TestSynthesize:
         u_max = np.array([0.7, 1.3])
         for _ in range(50):
             x0, w = rng.normal(size=2) * 5.0, rng.normal(size=(25, 2))
-            states, u = (a.value for a in _unroll(x0, Tensor(w), u_max))
+            unrolled = _unroll(Tensor(x0.reshape(1, 2)), Tensor(w), Tensor(u_max))
+            states, u = (a.value for a in unrolled)
             assert np.array_equal(states[1:], states[:-1] + u)
 
     def test_deterministic_given_seed(self):

@@ -199,6 +199,17 @@ class TestDataset:
         assert np.array_equal(entry.initial, path[None, 0])
         assert (entry.provenance, entry.round_index) == ("repaired", 2)
 
+    @pytest.mark.parametrize("doc, why", [
+        ([{"states": [], "provenance": "rollout", "round": 0}], r"entries\[0\] lacks \['initial'\]"),
+        (["entry"], r"entries\[0\] lacks \['initial', 'states', 'provenance', 'round'\]"),
+        ({"entries": []}, "want a JSON list of dataset entries"),
+    ], ids=["missing_key", "not_an_object", "not_a_list"])
+    def test_load_names_the_file_and_the_entry(self, doc, why, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{path}: {why}"):
+            Dataset.load(path)
+
     def test_aggregation_insert_paths(self, tmp_path):
         cfg = TrainConfig(seed=0, n_rollouts=6, repair_iterations=120, repair_restarts=2)
         rng = np.random.default_rng(9)
