@@ -250,6 +250,37 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.value, 0.0), (a,), bwd)
 
 
+def _cell_forward(z: np.ndarray, c: np.ndarray, h_out: np.ndarray, c_out: np.ndarray) -> tuple:
+    """The gates of pre-activations z (..., 4n) on cell c (..., n): writes
+    c' = f * c + i * cand to ``c_out`` and h' = o * tanh(c') to ``h_out``, and
+    returns what ``_cell_backward`` reads."""
+    n = c.shape[-1]
+    gates = 1.0 / (1.0 + np.exp(-z[..., : 3 * n]))
+    gi, gf, go = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
+    cand = np.tanh(z[..., 3 * n :])
+    np.multiply(gf, c, out=c_out)
+    c_out += gi * cand
+    tc = np.tanh(c_out)
+    np.multiply(go, tc, out=h_out)
+    return gates, cand, tc
+
+
+def _cell_backward(gh: np.ndarray, gc: np.ndarray, c: np.ndarray, acts: tuple,
+                   dz: np.ndarray) -> np.ndarray:
+    """From the gradients gh, gc on h' and c' of one ``_cell_forward`` on cell
+    c: writes the gradient on z to ``dz`` and returns the part of c's
+    gradient that flows through c'."""
+    gates, cand, tc = acts
+    n = c.shape[-1]
+    gi, gf, go = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
+    dc = gc + (gh * go) * (1.0 - tc * tc)
+    dz[..., :n] = (dc * cand) * gi * (1.0 - gi)
+    dz[..., n : 2 * n] = (dc * c) * gf * (1.0 - gf)
+    dz[..., 2 * n : 3 * n] = (gh * tc) * go * (1.0 - go)
+    dz[..., 3 * n :] = (dc * gi) * (1.0 - cand * cand)
+    return dc * gf
+
+
 def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
               carry: np.ndarray | None = None) -> Tensor:
     """One gated recurrent update of the state [h, c], stacked to (2, ..., n),
@@ -261,30 +292,19 @@ def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     ``sigmoid``, ``tanh`` and ``mul`` bitwise."""
     sv, xv, wxv, whv = state.value, x.value, w_x.value, w_h.value
     hv, cv = sv[0], sv[1]
-    n = hv.shape[-1]
     z = xv @ wxv + hv @ whv + b.value
-    gates = 1.0 / (1.0 + np.exp(-z[..., : 3 * n]))
-    gi, gf, go = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
-    cand = np.tanh(z[..., 3 * n :])
     out = np.empty(sv.shape)
-    np.multiply(gf, cv, out=out[1])
-    out[1] += gi * cand
-    tc = np.tanh(out[1])
-    np.multiply(go, tc, out=out[0])
+    acts = _cell_forward(z, cv, out[0], out[1])
     if carry is not None:
         keep = 1.0 - carry
         out = carry * out + keep * sv
 
     def bwd(g):
         gh, gc = g if carry is None else carry * g  # what reaches [h', c']
-        dc = gc + (gh * go) * (1.0 - tc * tc)
         dz = np.empty(z.shape)
-        dz[..., :n] = (dc * cand) * gi * (1.0 - gi)
-        dz[..., n : 2 * n] = (dc * cv) * gf * (1.0 - gf)
-        dz[..., 2 * n : 3 * n] = (gh * tc) * go * (1.0 - go)
-        dz[..., 3 * n :] = (dc * gi) * (1.0 - cand * cand)
+        dc_prev = _cell_backward(gh, gc, cv, acts, dz)
         flat = dz.reshape(-1, dz.shape[-1])
-        d_state = np.stack([dz @ whv.T, dc * gf])
+        d_state = np.stack([dz @ whv.T, dc_prev])
         if carry is not None:
             d_state += keep * g
         return (
@@ -296,6 +316,70 @@ def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         )
 
     return Tensor(out, (x, state, w_x, w_h, b), bwd)
+
+
+def bidirectional_lstm(x: Tensor, mask: np.ndarray, fwd: Sequence[Tensor],
+                       bwd: Sequence[Tensor]) -> Tensor:
+    """Two gated recurrent cells scanned over axis 1 of x (B, J, m), one
+    forward and one backward, as one node: mask * (h_fwd + h_bwd), (B, J, n).
+
+    ``fwd`` and ``bwd`` are each a cell's (w_x, w_h, b). Both start from a
+    zero [h, c] state. An element whose constant 0/1 ``mask`` (B, J) entry is
+    0 does not update either state (it is skipped, as if absent from the
+    sequence) and its output is 0. Step k updates forward element k and
+    backward element J-1-k together, on (2, B, n) h and c with one matmul
+    over the stacked (2, ., 4n) weights; the values equal ``lstm_step`` run
+    per element and direction bitwise. Without grad recording no step's gate
+    activations are kept. The backward is backpropagation through time over
+    k = J-1 ... 0; x's gradient and each weight's are one matmul over all
+    steps."""
+    xv = x.value
+    batch, length, m = xv.shape
+    w_x, w_h, b = (np.array([f.value, r.value]) for f, r in zip(fwd, bwd))
+    n = w_h.shape[1]
+    b = b[:, None]  # (2, 1, 4n)
+    # by direction, then step: step k reads forward element k and backward element J-1-k
+    steps = xv.transpose(1, 0, 2)
+    xs = np.array([steps, steps[::-1]])  # (2, J, B, m)
+    carry = np.array([mask.T, mask.T[::-1]])[:, :, None, :, None]  # (2, J, 1, B, 1)
+    keep = 1.0 - carry
+    # [h, c] of both directions before step 0 and after each step
+    states = np.zeros((length + 1, 2, 2, batch, n))
+    fresh = np.empty((2, 2, batch, n))
+    acts = []
+    for k in range(length):
+        z = xs[:, k] @ w_x + states[k, :, 0] @ w_h + b
+        step_acts = _cell_forward(z, states[k, :, 1], fresh[:, 0], fresh[:, 1])
+        np.add(carry[:, k] * fresh, keep[:, k] * states[k], out=states[k + 1])
+        if _GRAD_ENABLED:
+            acts.append(step_acts)
+    h = states[1:, :, 0]  # (J, 2, B, n)
+    out = mask[..., None] * (h[:, 0] + h[::-1, 1]).transpose(1, 0, 2)
+
+    def backward(g):
+        g_out = (g * mask[..., None]).transpose(1, 0, 2)
+        g_h = np.array([g_out, g_out[::-1]])  # on h after each step
+        dzs = np.empty((2, length, batch, 4 * n))
+        w_ht = w_h.transpose(0, 2, 1)
+        g_state = np.zeros((2, 2, batch, n))  # on [h, c]; nothing follows the last step
+        for k in reversed(range(length)):
+            g_state[:, 0] += g_h[:, k]
+            through = carry[:, k] * g_state  # what reaches [h', c']
+            dc_prev = _cell_backward(through[:, 0], through[:, 1], states[k, :, 1], acts[k],
+                                     dzs[:, k])
+            g_state = keep[:, k] * g_state
+            g_state[:, 0] += dzs[:, k] @ w_ht
+            g_state[:, 1] += dc_prev
+        flat = dzs.reshape(2, length * batch, 4 * n)
+        dx = (flat @ w_x.transpose(0, 2, 1)).reshape(2, length, batch, m)
+        h_prev = states[:-1, :, 0].transpose(1, 0, 2, 3).reshape(2, -1, n)
+        g_wx = xs.reshape(2, -1, m).transpose(0, 2, 1) @ flat
+        g_wh = h_prev.transpose(0, 2, 1) @ flat
+        g_b = flat.sum(axis=1)
+        return ((dx[0] + dx[1, ::-1]).transpose(1, 0, 2),
+                g_wx[0], g_wh[0], g_b[0], g_wx[1], g_wh[1], g_b[1])
+
+    return Tensor(out, (x, *fwd, *bwd), backward)
 
 
 def getitem(a: Tensor, key) -> Tensor:

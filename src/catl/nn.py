@@ -3,9 +3,9 @@
 Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan over
 axis 1 of a (B, J, n) tensor, bias-corrected Adam, and the JSON checkpoint
 format. A recurrent state is [h, c] as one (2, B, n) tensor, and a cell step
-is one fused ``lstm_step`` node that also applies the scan's participation
-mask. A scan element records its input slice once and, per direction, the
-step and the read of h.
+is one fused ``lstm_step`` node. The scan is one ``bidirectional_lstm`` node
+for the whole sequence, both directions and the participation mask: it
+steps the two directions together and backpropagates through time itself.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, lstm_step, matmul, stack, tanh
+from .autodiff import Tensor, bidirectional_lstm, lstm_step, matmul, tanh
 from .trajectories import read_json
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -103,28 +103,16 @@ def bidirectional_scan(
     mask: np.ndarray,
 ) -> Tensor:
     """Run two directional cells along axis 1 of ``inputs`` and sum their
-    hidden states.
+    hidden states, as one ``bidirectional_lstm`` node.
 
     ``inputs`` is (B, J, n), ``mask`` a constant (B, J) array in {0,1}; the
-    result is (B, J, hidden). Each direction carries one [h, c] state. A
-    masked-out element does not update it (it is skipped, as if absent from
-    the sequence) and its output is zero.
+    result is (B, J, hidden). Each direction carries one [h, c] state from
+    zero. A masked-out element does not update it (it is skipped, as if
+    absent from the sequence) and its output is zero.
     """
-    n = inputs.shape[1]
-    if n == 0:
+    if inputs.shape[1] == 0:
         raise ValueError("bidirectional_scan needs a nonempty sequence")
-    elements = [inputs[:, i] for i in range(n)]
-
-    def directional(cell: RecurrentCell, order: range) -> Tensor:
-        state = Tensor(np.zeros((2,) + inputs.shape[:1] + (cell.hidden_dim,)))
-        outs: list[Tensor] = [None] * n
-        for i in order:
-            state = cell.step(elements[i], state, mask[:, i : i + 1])
-            outs[i] = state[0]
-        return stack(outs, axis=1)
-
-    both = directional(fwd, range(n)) + directional(bwd, range(n - 1, -1, -1))
-    return Tensor(mask[..., None]) * both
+    return bidirectional_lstm(inputs, mask, (fwd.w_x, fwd.w_h, fwd.b), (bwd.w_x, bwd.w_h, bwd.b))
 
 
 @dataclass

@@ -89,8 +89,14 @@ class PolicyParams:
     def n_agents(self) -> int:
         return len(self.agent_ids)
 
-    def normalize_obs(self, x: Tensor) -> Tensor:
-        return (x - Tensor(self.obs_center)) * Tensor(1.0 / self.obs_scale)
+    def obs_affine(self) -> tuple[Tensor, Tensor]:
+        """``obs_center`` and ``1 / obs_scale`` as constant Tensors, which a
+        rollout lifts once and passes to every ``normalize_obs``."""
+        return Tensor(self.obs_center), Tensor(1.0 / self.obs_scale)
+
+    def normalize_obs(self, x: Tensor, affine: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        center, inv_scale = affine or self.obs_affine()
+        return (x - center) * inv_scale
 
     def copy(self) -> "PolicyParams":
         clone = create_policy_raw(np.random.default_rng(0), self.dims,
@@ -166,9 +172,10 @@ def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
 
 
 def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
-    """Control from [thought, integrated thought], squashed into the box."""
+    """Control from [thought, integrated thought], squashed into the box
+    ``u_max``, an array or a constant Tensor."""
     raw = params.out_net(ad.concat([h, h_tilde], axis=-1))
-    return ad.tanh(raw) * Tensor(np.asarray(u_max, dtype=np.float64))
+    return ad.tanh(raw) * u_max
 
 
 # -- closed-loop rollout ----------------------------------------------------------
@@ -246,7 +253,8 @@ def rollout(
     bj = batch * n_agents
 
     caps_tiled = np.tile(params.cap_matrix, (batch, 1))
-    umax_tiled = np.tile(params.u_max, (batch, 1))
+    umax_tiled = Tensor(np.tile(params.u_max, (batch, 1)))
+    affine = params.obs_affine()
     x = Tensor(x0.reshape(bj, n_x))
     zeros = Tensor(np.zeros((bj, params.dims.n_c)))
     state = ad.stack([params.cap_net(Tensor(caps_tiled)), zeros], axis=0)
@@ -259,6 +267,7 @@ def rollout(
         cut_rows = cut.reshape(bj, length)  # flat row b*J + j, as x
         no_talk = Tensor(np.zeros((bj, nocomm_params.dims.n_c)))
         state_nc = ad.stack([nocomm_params.cap_net(Tensor(caps_tiled)), no_talk], axis=0)
+        affine_nc = nocomm_params.obs_affine()
 
     states = [x]
     controls: list[Tensor] = []
@@ -268,7 +277,7 @@ def rollout(
     comm_mask = np.zeros((batch, n_agents, length))
 
     for t in range(length):
-        state = params.encoder.step(params.normalize_obs(x), state, None)
+        state = params.encoder.step(params.normalize_obs(x, affine), state, None)
         h = state[0]
         thoughts[:, t] = h.value
 
@@ -283,7 +292,7 @@ def rollout(
 
         if cut is not None:
             state_nc = nocomm_params.encoder.step(
-                nocomm_params.normalize_obs(Tensor(x.value)), state_nc, None
+                nocomm_params.normalize_obs(Tensor(x.value), affine_nc), state_nc, None
             )
             # substitution is values-only: cutting is a labeling tool, never
             # a training path

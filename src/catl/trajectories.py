@@ -218,11 +218,16 @@ def load_team_csv(csv_path: str | Path, caps_path: str | Path | None = None) -> 
     for j in sorted(states):
         times = sorted(states[j])
         if times != list(range(len(times))):
-            raise ValueError(f"agent {j}: non-contiguous time steps")
+            raise ValueError(f"{csv_path}: agent {j}: non-contiguous time steps")
         xs = np.array([states[j][t] for t in times])
         us = None
-        if j in controls:
-            us = np.array([controls[j][t] for t in sorted(controls[j])])
+        if has_controls:  # a control on every row of an agent but its last
+            given = controls.get(j, {})
+            for t in times:
+                if (t in given) != (t < times[-1]):
+                    fault = "no control" if t < times[-1] else "a control on its last row"
+                    raise ValueError(f"{csv_path}: agent {j} has {fault} at time {t}")
+            us = np.array([given[t] for t in times[:-1]]) if len(times) > 1 else None
         if not isinstance(caps_doc, dict) or str(j) not in caps_doc:
             raise ValueError(f"{caps_path}: no capabilities for agent {j}")
         members.append(TeamMember(j, IndividualTrajectory(xs, us),

@@ -325,6 +325,88 @@ def test_lstm_step_carry_keeps_masked_rows():
     assert np.all(inputs[0].grad[[0, 2]] != 0.0)
 
 
+def composed_bidirectional_lstm(x, mask, fwd, bwd) -> Tensor:
+    """The masked scan as separate nodes, as ``bidirectional_scan`` built it
+    before the fused scan: per element and direction one ``lstm_step`` from
+    zero states, the reads of h stacked, the directions added and masked."""
+    batch, length, _ = x.shape
+    elements = [x[:, i] for i in range(length)]
+
+    def directional(weights, order) -> Tensor:
+        state = Tensor(np.zeros((2, batch, weights[1].shape[0])))
+        outs = [None] * length
+        for i in order:
+            state = ad.lstm_step(elements[i], state, *weights, mask[:, i : i + 1])
+            outs[i] = state[0]
+        return ad.stack(outs, axis=1)
+
+    both = directional(fwd, range(length)) + directional(bwd, range(length - 1, -1, -1))
+    return Tensor(mask[..., None]) * both
+
+
+def scan_inputs(rng, batch=3, length=4, m=2, n=3) -> list[np.ndarray]:
+    """x, then w_x, w_h and b of the forward and of the backward cell."""
+    cell = [rng.normal(size=(m, 4 * n)), rng.normal(size=(n, 4 * n)), rng.normal(size=4 * n)]
+    return [rng.normal(size=(batch, length, m))] + cell + [rng.normal(size=a.shape) for a in cell]
+
+
+def run_scan(scan, values, mask) -> tuple[list[Tensor], Tensor]:
+    leaves = [Tensor(a) for a in values]
+    return leaves, scan(leaves[0], mask, leaves[1:4], leaves[4:])
+
+
+SCAN_ARGS = ["x", "fwd.w_x", "fwd.w_h", "fwd.b", "bwd.w_x", "bwd.w_h", "bwd.b"]
+# row 0 skips the first element, row 1 the last and row 2 the two inner ones
+SKIPPING_MASK = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("wrt", SCAN_ARGS)
+def test_bidirectional_lstm_gradient(wrt):
+    rng = np.random.default_rng(21)
+    values = scan_inputs(rng)
+    weights = Tensor(rng.normal(size=(3, 4, 3)))
+    k = SCAN_ARGS.index(wrt)
+
+    def value(v: np.ndarray) -> float:
+        inputs = list(values)
+        inputs[k] = v
+        return ad.sum_(run_scan(ad.bidirectional_lstm, inputs, SKIPPING_MASK)[1] * weights).item()
+
+    leaves, out = run_scan(ad.bidirectional_lstm, values, SKIPPING_MASK)
+    ad.sum_(out * weights).backward()
+    fd = finite_difference(value, values[k].copy())
+    assert rel_err(leaves[k].grad, fd) < 1e-6
+
+
+@pytest.mark.parametrize("batch, length", [(3, 4), (5, 5), (2, 1)])
+def test_bidirectional_lstm_matches_composition(batch, length):
+    # values and x's gradient bitwise, with J = 1 among the shapes; the
+    # weights' gradients are one matmul over all steps, so they differ from
+    # the per-step sums in rounding only
+    rng = np.random.default_rng(22)
+    values = scan_inputs(rng, batch=batch, length=length, m=4, n=5)
+    mask = (rng.random((batch, length)) < 0.6).astype(np.float64)
+    weights = rng.normal(size=(batch, length, 5))
+    fused, out = run_scan(ad.bidirectional_lstm, values, mask)
+    composed, want = run_scan(composed_bidirectional_lstm, values, mask)
+    assert np.array_equal(out.value, want.value)
+    ad.sum_(out * Tensor(weights)).backward()
+    ad.sum_(want * Tensor(weights)).backward()
+    assert np.array_equal(fused[0].grad, composed[0].grad)
+    for got, ref in zip(fused[1:], composed[1:]):
+        assert rel_err(got.grad, ref.grad) < 1e-14
+
+
+def test_bidirectional_lstm_masked_elements_are_silent():
+    rng = np.random.default_rng(23)
+    values = scan_inputs(rng)
+    leaves, out = run_scan(ad.bidirectional_lstm, values, SKIPPING_MASK)
+    ad.sum_(ad.square(out)).backward()
+    off = SKIPPING_MASK == 0.0
+    assert np.all(out.value[off] == 0.0) and np.all(out.value[~off] != 0.0)
+    assert np.all(leaves[0].grad[off] == 0.0) and np.all(leaves[0].grad[~off] != 0.0)
+
+
 def test_backward_does_not_mutate_consumed_gradients():
     # y feeds an add, whose backward hands both parents the same array g, and
     # a reshape, whose backward hands back a view of g: a first contribution

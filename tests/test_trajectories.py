@@ -37,6 +37,43 @@ def test_team_csv_round_trip_is_bitwise_exact(tmp_path):
         assert after.trajectory.controls.tobytes() == before.trajectory.controls.tobytes()
 
 
+def _edited_csv(tmp_path, edit) -> str:
+    """A saved two-agent, four-step CSV with controls, one row edited."""
+    rng = np.random.default_rng(8)
+    members = []
+    for j, caps in enumerate(TEAM_CAPS[:2]):
+        states = rng.normal(size=(4, 2))
+        members.append(TeamMember(j, IndividualTrajectory(states, np.diff(states, axis=0)), caps))
+    path = tmp_path / "team.csv"
+    save_team_csv(TeamTrajectory(members), path)
+    lines = path.read_text().splitlines()  # header, then rows t = 0..3 of agents 0 and 1
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _drop_row(k):
+    return lambda lines: lines.pop(k)
+
+
+def _set_controls(k, controls):
+    def edit(lines):
+        lines[k] = ",".join(lines[k].split(",")[:4] + controls)
+    return edit
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (_drop_row(6), "agent 1: non-contiguous time steps"),
+    (_set_controls(8, ["0.5", "0.5"]), "agent 1 has a control on its last row at time 3"),
+    (_set_controls(4, ["", ""]), "agent 1 has no control at time 1"),
+], ids=["missing_time", "control_on_last_row", "missing_control"])
+def test_csv_row_faults_name_the_file_agent_and_time(tmp_path, edit, fault):
+    path = _edited_csv(tmp_path, edit)
+    with pytest.raises(ValueError) as err:
+        load_team_csv(path)
+    assert str(err.value) == f"{path}: {fault}"
+
+
 def test_non_finite_states_and_controls_are_rejected():
     assert monitor.NonFiniteError is NonFiniteError
     states = np.zeros((4, 2))
