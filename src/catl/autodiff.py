@@ -456,25 +456,6 @@ def window_view(a: np.ndarray, start: int, count: int, width: int) -> np.ndarray
     )
 
 
-def windows(a: Tensor, start: int, count: int, width: int) -> Tensor:
-    """``window_view`` as one node. The backward adds g back into each state
-    in the order ``width`` stacked slices would, by ascending offset k; it
-    loops over whichever of k and the window i is shorter."""
-    shape = a.value.shape
-
-    def bwd(g):
-        full = np.zeros(shape)
-        if width <= count:
-            for k in range(width):
-                full[..., start + k : start + k + count] += g[..., k]
-        else:  # descending i is ascending k at each state
-            for i in reversed(range(count)):
-                full[..., start + i : start + i + width] += g[..., i, :]
-        return (full,)
-
-    return Tensor(window_view(a.value, start, count, width), (a,), bwd)
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.value.sum(axis=axis, keepdims=keepdims)
     av_shape = a.value.shape
@@ -495,20 +476,19 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 
-def _lse(a: Tensor, tau: float, axis: int, sign: int) -> Tensor:
-    """(sign/tau) * log sum exp(sign * tau * x) along ``axis``, shifted by the
-    extremum for stability; the gradient is the softmax weights."""
-    av = a.value
+def lse(av: np.ndarray, tau: float, sign: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """(sign/tau) * log sum exp(sign * tau * x) of an array along ``axis``,
+    shifted by the extremum for stability, and its gradient: the softmax
+    weights, with ``axis`` kept."""
     m = (av.max if sign > 0 else av.min)(axis=axis, keepdims=True)
     e = np.exp(sign * tau * (av - m))
     s = e.sum(axis=axis, keepdims=True)
-    out = (m + sign * (np.log(s) / tau)).squeeze(axis=axis)
-    w = e / s
+    return (m + sign * (np.log(s) / tau)).squeeze(axis=axis), e / s
 
-    def bwd(g):
-        return (g.reshape(s.shape) * w,)
 
-    return Tensor(out, (a,), bwd)
+def _lse(a: Tensor, tau: float, axis: int, sign: int) -> Tensor:
+    out, w = lse(a.value, tau, sign, axis)
+    return Tensor(out, (a,), lambda g: (np.expand_dims(g, axis) * w,))
 
 
 def softmax_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
@@ -527,27 +507,3 @@ def softmin_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     """Plain log-sum-exp (tau = 1 smooth max), for cross-entropy losses."""
     return softmax_lse(a, tau=1.0, axis=axis)
-
-
-def kth_largest(a: Tensor, k: int, axis: int = -1) -> Tensor:
-    """k-th largest value along ``axis`` (k is 1-based).
-
-    Ties resolve to the smallest original index (stable sort on descending
-    value). The gradient routes entirely to the selected element, so the
-    result is differentiable away from ties.
-    """
-    av = a.value
-    n = av.shape[axis]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for axis of size {n}")
-    moved = np.moveaxis(av, axis, -1)
-    idx = np.argsort(-moved, axis=-1, kind="stable")[..., k - 1]
-    out = np.take_along_axis(moved, idx[..., None], axis=-1)[..., 0]
-    av_shape = av.shape
-
-    def bwd(g):
-        gm = np.zeros_like(moved)
-        np.put_along_axis(gm, idx[..., None], np.expand_dims(g, -1), axis=-1)
-        return (np.moveaxis(gm, -1, axis).reshape(av_shape),)
-
-    return Tensor(out, (a,), bwd)

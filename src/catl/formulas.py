@@ -143,12 +143,11 @@ class ITrue(_True, InnerFormula):
 
 
 class Predicate(InnerFormula):
-    """Marker base of the inner-formula leaves, which every monitor backend
-    reads through two functions of states x (..., 2): ``evaluate(x)``, the
-    signed margin, >= 0 where the predicate holds, and ``vjp(x, g)``, g times
-    its gradient. ``vjp`` runs at backward time on the forward pass's array,
-    so a states array must not change between the forward pass and
-    ``backward()``; no code in catl mutates one."""
+    """Marker base of the inner-formula leaves. The boolean and classical
+    monitors read one through ``evaluate(x)``: the signed margin at states x
+    (..., 2), >= 0 where the predicate holds. The smooth monitor reads
+    ``linearize(x)``: the same margin and its gradient on x, (..., 2) or
+    broadcastable to it, which the monitor keeps for its reverse sweep."""
 
     __slots__ = ()
 
@@ -169,8 +168,8 @@ class InRegion(Predicate):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.geometry().margin(x)
 
-    def vjp(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return self.geometry().margin_vjp(x, g)
+    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.geometry().margin_grad(x)
 
     def bound(self, regions: dict[str, Region]) -> "InRegion":
         if self.region_name not in regions:
@@ -188,8 +187,8 @@ class HalfPlane(Predicate):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.offset - (x[..., 0] * self.normal[0] + x[..., 1] * self.normal[1])
 
-    def vjp(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return -g[..., None] * self.normal
+    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.evaluate(x), -np.asarray(self.normal)
 
     def bound(self, regions: dict[str, Region]) -> "HalfPlane":
         return self

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the gradient of each face of a rectangle: x - lo_x, y - lo_y, hi_x - x, hi_y - y
+_FACE_GRADS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
 @dataclass(frozen=True)
 class Region:
     """Union of axis-aligned rectangles with a signed margin function.
@@ -14,10 +18,11 @@ class Region:
     ``rects`` is a tuple of (lo, hi) corner pairs, each a 2-vector in meters.
     The margin of one rectangle is min over axes of the signed distances to
     its faces, so it is positive strictly inside, zero on the boundary and
-    negative outside; the region margin is the max over rectangles. Every
-    monitor backend reads it from ``margin``, and the smooth one its
-    gradient from ``margin_vjp``. A single rectangle is the common case - the
-    union form exists for shapes like a river interrupted by a bridge.
+    negative outside; the region margin is the max over rectangles. The
+    boolean and classical monitors read it from ``margin``, the smooth one
+    with its gradient from ``margin_grad``. A single rectangle is the common
+    case - the union form exists for shapes like a river interrupted by a
+    bridge.
     """
 
     name: str
@@ -40,24 +45,22 @@ class Region:
             best = m if best is None else np.maximum(best, m)
         return best
 
-    def margin_vjp(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g times the margin's gradient at x (..., 2): +g or -g on the
-        coordinate of the face that sets the margin. Ties go to the last tied
-        face of x - lo_x, y - lo_y, hi_x - x, hi_y - y and the first tied
-        rectangle, as ``autodiff.kth_largest`` picks them."""
-        x = np.asarray(x, dtype=np.float64)
+    def margin_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``margin(x)`` and its gradient at x (..., 2): +1 or -1 on the
+        coordinate of the face that sets the margin, 0 on the other. Ties go
+        to the last tied face of x - lo_x, y - lo_y, hi_x - x, hi_y - y and
+        the first tied rectangle."""
         px, py = x[..., 0], x[..., 1]
         best = None
         for (lx, ly), (hx, hy) in self.rects:
             faces = np.array([px - lx, py - ly, hx - px, hy - py])
-            f, m = 3 - faces[::-1].argmin(axis=0), faces.min(axis=0)
+            m, f = faces.min(axis=0), 3 - faces[::-1].argmin(axis=0)
             if best is None:
                 best, face = m, f
             else:
-                better = m > best
-                best, face = np.where(better, m, best), np.where(better, f, face)
-        signed = np.where(face < 2, g, -g)[..., None]
-        return np.where((face % 2)[..., None] == (0, 1), signed, 0.0)
+                face = np.where(m > best, f, face)
+                best = np.maximum(best, m)
+        return best, _FACE_GRADS[face]
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

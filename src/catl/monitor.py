@@ -11,8 +11,8 @@ One signal recursion (``_signal``) serves three backends:
   sign agrees with satisfaction (checked against independent oracles in the
   tests).
 * smooth (``tau`` > 0) - min/max replaced by temperature-tau log-sum-exp
-  softmin/softmax, evaluated over autodiff tensors so gradients flow to
-  states or parameters.
+  softmin/softmax, evaluated in numpy with a reverse sweep for gradients,
+  so that they flow to states or parameters.
   Task atoms select the m-th largest per-agent value by exact sort in both
   modes (differentiable almost everywhere), and predicate margins are exact
   in both modes, so |smooth - classical| is bounded by depth * log(W) / tau
@@ -26,8 +26,17 @@ the left operand required on the half-open prefix [t, t').
 Every entry point runs a plan: the flat list of ops that ``_signal`` emits
 when it recurses once over a formula for one member layout (the time length
 and the capabilities of each member's states). The boolean, classical and
-smooth backends run the same plan, one numpy call or one Tensor node per op;
-ties are still decided only in the boolean backend's predicate leaf.
+smooth backends run the same plan, a few numpy calls per op; ties are still
+decided only in the boolean backend's predicate leaf.
+
+The smooth forward keeps each op's residual: a predicate's margin gradient,
+which records the face that sets a region's margin, the softmin/softmax
+weights and the index of a k-th largest. The reverse sweep walks the ops
+once, in the reverse of the post-order of the plan's read graph, and hands
+each op's gradient to the slots it read, so gradients are summed in the
+order a graph node per op would sum them. On Tensor states the forward and
+the sweep make one graph node (``inner_rho_tensor``, ``outer_rho_tensor``);
+on arrays ``inner_rho_grad`` returns the gradient with no graph at all.
 
 A formula's cache entry (``_entry``), keyed by its identity, holds its
 horizon, computed once, and its plan per layout, compiled on first use.
@@ -40,12 +49,13 @@ reads it slices that one signal. An F/G window of width W is one
 sliding-window view reduced along its last axis; a width-1 window is a
 plain slice; a conjunction of width-1 slices, such as the pins of a
 synthesis target, is one concat of their distinct sources, one
-integer-index gather and one min. A predicate's margin and its gradient are
-the predicate's own ``evaluate`` and ``vjp``; on the smooth backend the two
-make one node.
+integer-index gather and one min. A predicate's margin is the predicate's
+own ``evaluate``, and with its gradient its own ``linearize``.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -152,32 +162,119 @@ class _ClassicalBackend(_Backend):
         return np.sort(stacked, axis=-1)[..., stacked.shape[-1] - k]
 
 
-class _SmoothBackend(_Backend):
-    def full(self, vals, length: int):
-        return Tensor(np.full(self.batch_shape + (length,), self.top))
+class _SmoothBackend(_ClassicalBackend):
+    """Smooth robustness over arrays: min and max become temperature-tau
+    log-sum-exp softmin and softmax. With ``saved`` a list, every margin and
+    reduction appends its residual to it, in plan order: the predicate's
+    (from ``linearize``), the softmin/softmax weights, or the index of the
+    k-th largest. ``sweep`` reads them back."""
+
+    def __init__(self, tau: float, batch_shape: tuple, saved: list | None = None):
+        super().__init__(tau, batch_shape)
+        self.saved = saved
+
+    def _keep(self, value, residual):
+        if self.saved is not None:
+            self.saved.append(residual)
+        return value
 
     def margin(self, vals, member: int, pred):
-        states = vals[member]
-        sv = _values(states)
-        return Tensor(pred.evaluate(sv), (states,), lambda g: (pred.vjp(sv, g),))
-
-    def stack(self, sigs):
-        return ad.stack(sigs, axis=-1)
-
-    def concat(self, sigs):
-        return ad.concat(sigs, axis=-1)
-
-    def windows(self, sig, start: int, count: int, width: int):
-        return ad.windows(sig, start, count, width)
+        if self.saved is None:
+            return pred.evaluate(vals[member])
+        return self._keep(*pred.linearize(vals[member]))
 
     def min(self, stacked):
-        return ad.softmin_lse(stacked, tau=self.tau, axis=-1)
+        return self._keep(*ad.lse(stacked, self.tau, -1))
 
     def max(self, stacked):
-        return ad.softmax_lse(stacked, tau=self.tau, axis=-1)
+        return self._keep(*ad.lse(stacked, self.tau, 1))
 
     def kth(self, stacked, k: int):
-        return ad.kth_largest(stacked, k=k, axis=-1)
+        # ties go to the first tied entry
+        index = np.argsort(-stacked, axis=-1, kind="stable")[..., k - 1 : k]
+        return self._keep(np.take_along_axis(stacked, index, axis=-1)[..., 0], index)
+
+    # -- the reverse sweep --
+
+    def sweep(self, plan: "_Plan", g: np.ndarray, shapes: list) -> list:
+        """The gradient of the plan's value on each slot, from g on the value,
+        after a run that saved residuals; ``shapes`` holds each member's
+        states shape. Each op hands the gradient on its value to the slots
+        it read, in ``plan.sweep`` order, so every slot sums the gradients
+        it gets in the order ``Tensor.backward`` would sum them, were each
+        op a node reading its slots in order."""
+        members = len(shapes)
+        self.shapes = shapes + [self.batch_shape + (n,) for n in plan.lengths[members:]]
+        self.grads = [None] * len(self.shapes)
+        self.grads[-1] = g
+        for k, r in plan.sweep:
+            name, args, _ = plan.ops[k]
+            residual = None if r is None else self.saved[r]
+            getattr(self, "d_" + name)(self.grads[members + k], residual, *args)
+        return self.grads
+
+    def _add(self, i: int, g, key=None) -> None:
+        """Add g to slot i's gradient, or to its time steps ``key``. A whole
+        g is a new array, or a view of one, that nothing else reads, so it
+        becomes the gradient as it is."""
+        grads = self.grads
+        if key is not None:
+            if grads[i] is None:
+                grads[i] = np.zeros(self.shapes[i])
+            grads[i][..., key] += g
+        elif grads[i] is None:
+            grads[i] = g
+        else:
+            grads[i] += g
+
+    @staticmethod
+    def _reduced(g, residual, how: tuple, n: int):
+        """The gradient on the (..., n) entries that were reduced to g."""
+        if how[0] == "kth":
+            out = np.zeros(g.shape + (n,))
+            np.put_along_axis(out, residual, g[..., None], axis=-1)
+            return out
+        return g[..., None] * residual
+
+    def d_margin(self, g, gradient, member: int, pred):
+        self._add(member, g[..., None] * gradient)
+
+    def d_neg(self, g, residual, i: int):
+        self._add(i, -g)
+
+    def d_slice(self, g, residual, i: int, start: int, length: int):
+        self._add(i, g, slice(start, start + length))
+
+    def d_at(self, g, residual, i: int, t: int):
+        self._add(i, g, t)
+
+    def d_window(self, g, residual, i: int, start: int, count: int, width: int, how: tuple):
+        # summed into each state by ascending offset k, as width stacked
+        # slices would be, looping over whichever of k and window j is shorter
+        gw = self._reduced(g, residual, how, width)
+        span = np.zeros(g.shape[:-1] + (count + width - 1,))
+        if width <= count:
+            for k in range(width):
+                span[..., k : k + count] += gw[..., k]
+        else:  # descending j is ascending k at each state
+            for j in reversed(range(count)):
+                span[..., j : j + width] += gw[..., j, :]
+        self._add(i, span, slice(start, start + count + width - 1))
+
+    def d_stacked(self, g, residual, ins: tuple, how: tuple):
+        gs = self._reduced(g, residual, how, len(ins))
+        for j, i in enumerate(ins):
+            self._add(i, gs[..., j])
+
+    def d_gathered(self, g, residual, ins: tuple, index: np.ndarray, how: tuple):
+        # one gradient over the concat of the sources, entries read more
+        # than once adding up, then cut at the sources' ends
+        sig = np.zeros(g.shape[:-1] + (sum(self.shapes[i][-1] for i in ins),))
+        np.add.at(sig, (Ellipsis, index), self._reduced(g, residual, how, index.shape[-1]))
+        end = 0
+        for i in ins:
+            start, end = end, end + self.shapes[i][-1]
+            self._add(i, sig[..., start:end])
 
 
 class _BooleanBackend(_ClassicalBackend):
@@ -188,15 +285,6 @@ class _BooleanBackend(_ClassicalBackend):
 
     def margin(self, vals, member: int, pred):
         return np.where(pred.evaluate(vals[member]) >= 0.0, 1.0, -1.0)
-
-
-def _backend(tau: float | None, batch_shape: tuple) -> _Backend:
-    """Classical backend when tau is None, smooth at temperature tau otherwise."""
-    if tau is None:
-        return _ClassicalBackend(None, batch_shape)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return _SmoothBackend(tau, batch_shape)
 
 
 def _values(x) -> np.ndarray:
@@ -214,13 +302,15 @@ class _Plan:
     """The flat op list of one formula and member layout. ``ops`` holds
     (backend method name, arguments, slots read for the last time) triples;
     op i computes slot len(members) + i, its integer arguments name the
-    slots it reads, and the run drops each signal after its last read, as
-    a recursion would."""
+    slots it reads (``reads[i]``, in order), and the run drops each signal
+    after its last read, as a recursion would. ``lengths`` is every slot's
+    time length, members first."""
 
-    __slots__ = ("ops",)
+    __slots__ = ("ops", "lengths", "reads", "_sweep")
 
-    def __init__(self, ops: list):
-        self.ops = ops
+    def __init__(self, ops: list, lengths: list, reads: list):
+        self.ops, self.lengths, self.reads = ops, lengths, reads
+        self._sweep = None
 
     def run(self, states: list, be: _Backend):
         vals = list(states)
@@ -229,6 +319,33 @@ class _Plan:
             for i in done:
                 vals[i] = None
         return vals[-1]
+
+    @property
+    def sweep(self) -> list:
+        """The reverse sweep's order, made on first use: (op index, position
+        of its residual among those the run saved, or None) for each op that
+        reads a slot, in the reverse of the post-order that
+        ``autodiff._toposort`` gives on the read graph. The plain reverse of
+        the op list would sum some gradients in another order than
+        ``Tensor.backward`` does on a node per op, and so drift by an ulp."""
+        if self._sweep is None:
+            members = len(self.lengths) - len(self.ops)
+            nodes = [SimpleNamespace(slot=i, _parents=()) for i in range(members)]
+            for reads in self.reads:
+                nodes.append(SimpleNamespace(slot=len(nodes),
+                                             _parents=tuple(nodes[i] for i in reads)))
+            post = [node.slot for node in ad._toposort(nodes[-1])]
+            position = {}
+            for k, (name, _, _) in enumerate(self.ops):
+                if name in _SAVING:
+                    position[k] = len(position)
+            ops = [k - members for k in reversed(post) if k >= members]
+            self._sweep = [(k, position.get(k)) for k in ops if self.reads[k]]
+        return self._sweep
+
+
+# the ops whose smooth run saves a residual for the sweep
+_SAVING = ("margin", "window", "stacked", "gathered")
 
 
 class _Recorder:
@@ -253,7 +370,7 @@ class _Recorder:
     def emit(self, length: int, reads: tuple, name: str, *args) -> tuple:
         for i in reads:
             self.last_read[i] = len(self.ops)
-        self.ops.append((name, args))
+        self.ops.append((name, args, reads))
         self.lengths.append(length)
         return len(self.lengths) - 1, 0, length
 
@@ -261,7 +378,8 @@ class _Recorder:
         done = [[] for _ in self.ops]
         for i, k in self.last_read.items():
             done[k].append(i)
-        return _Plan([(name, args, tuple(d)) for (name, args), d in zip(self.ops, done)])
+        ops = [(name, args, tuple(d)) for (name, args, _), d in zip(self.ops, done)]
+        return _Plan(ops, self.lengths, [reads for _, _, reads in self.ops])
 
     def slot(self, view: tuple) -> int:
         """The slot holding exactly the view's signal, sliced if need be."""
@@ -276,7 +394,7 @@ class _Recorder:
     def margin(self, member: int, pred) -> tuple:
         key = (pred, member)
         if key not in self.memo:
-            self.memo[key] = self.emit(self.lengths[member], (), "margin", member, pred)
+            self.memo[key] = self.emit(self.lengths[member], (member,), "margin", member, pred)
         return self.memo[key]
 
     def neg_margin(self, member: int, pred) -> tuple:
@@ -409,7 +527,8 @@ def _entry(phi) -> _Entry:
     return entry
 
 
-def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool = False):
+def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool = False,
+             grad: bool = False):
     """Truth (+1/-1) of phi at time t when ``boolean``, else its robustness:
     classical when tau is None, smooth at temperature tau otherwise.
 
@@ -418,34 +537,58 @@ def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool
     cut: HorizonError unless t >= 0 and every member has states up to
     t + horizon(phi), NonFiniteError if a state is NaN or infinite. Array
     states are cut to [t, t + horizon(phi)] as a view and give an array,
-    without a graph. Tensor states are read whole at t = 0, so the graph
-    keeps their nodes, and give a graph node."""
+    without a graph; with ``grad`` the smooth robustness comes with its
+    gradient on each member's states. Tensor states are read whole at t = 0
+    and give one graph node whose backward is the reverse sweep."""
     entry = _entry(phi)
     end = t + entry.horizon
-    states, layout = [], []
+    values, layout, tensors = [], [], []
     for k, (x, caps) in enumerate(members):
-        values = _values(x)
-        last = values.shape[-2] - 1
+        whole = _values(x)
+        last = whole.shape[-2] - 1
         if t < 0 or end > last:
             raise HorizonError(f"evaluating at t={t} needs {end} steps, member {k} has {last}")
-        if not np.isfinite(values).all():
-            bad = np.argwhere(~np.isfinite(values).all(axis=-1))
+        if not np.isfinite(whole).all():
+            bad = np.argwhere(~np.isfinite(whole).all(axis=-1))
             raise NonFiniteError(
                 f"member {k} has {len(bad)} non-finite states, first at index "
                 f"(batch..., t) {tuple(int(i) for i in bad[0])}"
             )
-        states.append(x if isinstance(x, Tensor) else values[..., t : end + 1, :])
-        layout.append((states[-1].shape[-2], caps))
+        if isinstance(x, Tensor):
+            tensors.append(k)
+            values.append(whole)
+        else:
+            values.append(whole[..., t : end + 1, :])
+        layout.append((values[-1].shape[-2], caps))
     layout = tuple(layout)
     plan = entry.plans.get(layout)
     if plan is None:
         plan = entry.plans[layout] = _compile(phi, layout)
-    batch_shape = states[0].shape[:-2] if states else ()
-    be = _BooleanBackend(None, batch_shape) if boolean else _backend(tau, batch_shape)
-    if any(isinstance(s, Tensor) for s in states):
-        return plan.run(states, be)
-    with ad.no_grad():
-        return _values(plan.run(states, be))
+    batch_shape = values[0].shape[:-2] if values else ()
+    if boolean or tau is None:
+        be = _BooleanBackend if boolean else _ClassicalBackend
+        return plan.run(values, be(None, batch_shape))
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if not grad and not (tensors and ad.grad_enabled()):
+        value = plan.run(values, _SmoothBackend(tau, batch_shape))
+        return Tensor(value) if tensors else value
+    be = _SmoothBackend(tau, batch_shape, saved=[])
+    value = plan.run(values, be)
+    shapes = [v.shape for v in values]
+    if grad:
+        grads = []
+        for (x, _), g in zip(members, be.sweep(plan, np.ones(batch_shape), shapes)):
+            grads.append(np.zeros(_values(x).shape))
+            if g is not None:
+                grads[-1][..., t : t + g.shape[-2], :] = g
+        return value, grads
+
+    def backward(g):
+        grads = be.sweep(plan, g, shapes)
+        return tuple(grads[k] for k in tensors)
+
+    return Tensor(value, [members[k][0] for k in tensors], backward)
 
 
 # -- public entry points -------------------------------------------------------
@@ -482,6 +625,13 @@ def inner_rho_tensor(states: Tensor, phi: InnerFormula, tau: float) -> Tensor:
     """Smooth robustness at temperature tau and time 0 as a graph node;
     states is (..., T, 2)."""
     return _monitor(phi, [(states, None)], 0, tau)
+
+
+def inner_rho_grad(states: np.ndarray, phi: InnerFormula, tau: float) -> tuple[float, np.ndarray]:
+    """Smooth robustness at temperature tau and time 0 of one agent's states
+    (T, 2), and its gradient on the states, without a graph."""
+    rho, (grad,) = _monitor(phi, [(states, None)], 0, tau, grad=True)
+    return float(rho), grad
 
 
 def outer_rho(

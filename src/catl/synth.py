@@ -11,8 +11,10 @@ restart r draws its weights from ``default_rng([seed, r])``, a warm start
 ``w_init`` replacing restart 0's draw. Restarts run one after another and the
 first check above the success margin 1e-3 ends the search.
 
-The states are one running sum over [x0, u0, u1, ...], added in that order,
-so the unrolled dynamics are a single graph node.
+The states are one running sum over [x0, u0, u1, ...], added in that order.
+An iteration takes the smooth robustness and its gradient on the states
+from ``inner_rho_grad``, without a graph, and carries that gradient back to
+w by hand: the reverse running sum, times u_max, times 1 - tanh(w)^2.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .formulas import IAnd, IEventually, InnerFormula, ITrue, SpecError, horizon
-from .monitor import TOP, inner_rho, inner_rho_tensor
+# inner_rho_tensor is unused here but stays a module name: bench/tracing.py wraps it
+from .monitor import TOP, inner_rho, inner_rho_grad, inner_rho_tensor  # noqa: F401
 from .nn import Adam
 from .trajectories import IndividualTrajectory
 
@@ -37,12 +39,23 @@ class SynthResult:
     restarts_used: int = 0
 
 
-def _unroll(x0: Tensor, w: Tensor, u_max: Tensor) -> tuple[Tensor, Tensor]:
-    """States (H+1, 2) and controls (H, 2) from the unconstrained weights and
-    the constants x0 (1, 2) and u_max (2,); state t is
-    ((x0 + u0) + u1) + ... + u(t-1), one running-sum node."""
-    u = ad.tanh(w) * u_max
-    return ad.cumsum(ad.concat([x0, u], axis=0), axis=0), u
+def _unroll(x0: np.ndarray, w: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States (H+1, 2) and controls (H, 2) from the unconstrained weights w
+    (H, 2), x0 (2,) and u_max (2,); state t is ((x0 + u0) + u1) + ... + u(t-1)."""
+    u = np.tanh(w) * u_max
+    return np.cumsum(np.concatenate([x0[None], u]), axis=0), u
+
+
+def _descent_grad(x0: np.ndarray, w: np.ndarray, u_max: np.ndarray, target: InnerFormula,
+                  tau: float) -> np.ndarray:
+    """The gradient on w of minus the smooth robustness of the unrolled
+    states: the monitor's gradient on the states, through the running sum
+    (a reverse running sum, less its x0 row) and u = u_max * tanh(w), each
+    product in the order the graph of ``_unroll`` would take it."""
+    states, _ = _unroll(x0, w, u_max)
+    _, g_states = inner_rho_grad(states, target, tau)
+    tanh_w = np.tanh(w)
+    return (np.cumsum(-g_states[::-1], axis=0)[::-1][1:] * u_max) * (1.0 - tanh_w * tanh_w)
 
 
 def synthesize(
@@ -70,9 +83,14 @@ def synthesize(
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     if x0.shape != (2,) or not np.isfinite(x0).all():
         raise SpecError(f"initial state must be two finite numbers, got {x0.tolist()}")
-    u_max = np.asarray(u_max, dtype=np.float64).reshape(2)
-    if np.any(u_max <= 0):
-        raise SpecError("control bounds must be positive")
+    u_max = np.asarray(u_max, dtype=np.float64).ravel()
+    if u_max.shape != (2,) or not np.isfinite(u_max).all() or np.any(u_max <= 0):
+        raise SpecError(f"u_max must be two finite positive numbers, got {u_max.tolist()}")
+    if w_init is not None:
+        w_init = np.asarray(w_init, dtype=np.float64)
+        if w_init.shape != (horizon_steps, 2) or not np.isfinite(w_init).all():
+            raise SpecError(f"w_init must be finite and of shape ({horizon_steps}, 2), "
+                            f"got shape {w_init.shape}")
     if horizon(target) > horizon_steps:
         raise SpecError(
             f"target horizon {horizon(target)} exceeds request horizon {horizon_steps}"
@@ -82,8 +100,6 @@ def synthesize(
         states = np.tile(x0, (horizon_steps + 1, 1))
         return SynthResult(IndividualTrajectory(states, u), TOP, True)
 
-    # the constants of _unroll, one leaf each that every iteration shares
-    x0_row, u_bound = Tensor(x0.reshape(1, 2)), Tensor(u_max)
     best_rho = -np.inf
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
@@ -94,16 +110,13 @@ def synthesize(
         opt = Adam({"w": w}, lr=0.05)
         for it in range(iterations):
             tau = min(2.0 * (2.0 ** (it // 100)), 32.0)
-            opt.zero_grad()
-            states, _ = _unroll(x0_row, w, u_bound)
-            (-inner_rho_tensor(states, target, tau)).backward()
+            w.grad = _descent_grad(x0, w.value, u_max, target, tau)
             opt.step()
             if it % 20 == 19 or it == iterations - 1:
-                with ad.no_grad():
-                    states, u = _unroll(x0_row, w, u_bound)
-                rho_c = inner_rho(states.value, target, 0)
+                states, u = _unroll(x0, w.value, u_max)
+                rho_c = inner_rho(states, target, 0)
                 if rho_c > best_rho:
-                    best_rho, best = rho_c, (states.value, u.value)
+                    best_rho, best = rho_c, (states, u)
                 if rho_c > 1e-3:
                     break
         # best_rho passes the margin exactly when a check did and ended the restart

@@ -5,9 +5,9 @@ import pytest
 
 from catl import autodiff as ad
 from catl.autodiff import Tensor
-from catl.formulas import HalfPlane, InRegion
+from catl.formulas import HalfPlane, IAlways, IAnd, IEventually, InRegion, OAnd, Task, TimedTask
 from catl.geometry import Region
-from catl.monitor import inner_rho_tensor
+from catl.monitor import inner_rho_tensor, outer_rho_tensor
 from catl.nn import Adam, Dense, RecurrentCell, bidirectional_scan, load_checkpoint, save_checkpoint
 
 from oracles import finite_difference
@@ -59,6 +59,15 @@ def test_composite_graph_matches_finite_differences():
     assert rel_err(x.grad, fd) < 1e-6
 
 
+# a predicate whose margin is a state's x coordinate
+X_COORD = HalfPlane((-1.0, 0.0), 0.0)
+
+
+def signal_states(x: Tensor) -> Tensor:
+    """States (..., T, 2) whose X_COORD margins are the signal x (..., T)."""
+    return ad.stack([x, x * 0.0], axis=-1)
+
+
 @pytest.mark.parametrize("op,extra", [
     ("softmin", {}),
     ("softmax", {}),
@@ -78,13 +87,17 @@ def test_primitive_gradients(op, extra):
             return ad.sum_(ad.softmin_lse(x, tau=4.0, axis=-1))
         if op == "softmax":
             return ad.sum_(ad.softmax_lse(x, tau=4.0, axis=-1))
-        if op == "kth":
-            return ad.sum_(ad.kth_largest(x, k=extra["k"], axis=-1))
+        if op == "kth":  # the smooth node's task op: the 2nd largest of 3 rows per step
+            members = [(signal_states(x[j]), frozenset({"red"})) for j in range(3)]
+            pick = Task(X_COORD, "red", extra["k"])
+            return outer_rho_tensor(members, OAnd(tuple(TimedTask(pick, t) for t in range(6))),
+                                    tau=4.0)
         if op == "stack_slice":
             parts = [x[..., i : i + 2] for i in range(3)]
             return ad.sum_(ad.square(ad.stack(parts, axis=-1)))
-        if op == "windows":  # three overlapping windows of width 3
-            return ad.sum_(ad.square(ad.windows(x, start=1, count=3, width=3)))
+        if op == "windows":  # the smooth node's window ops: G of width 3 at 3 starts, then F
+            phi = IEventually(IAlways(X_COORD, 0, 2), 1, 3)
+            return ad.sum_(inner_rho_tensor(signal_states(x), phi, tau=4.0))
         if op == "cumsum":
             return ad.sum_(ad.square(ad.cumsum(x, axis=0)))
         if op == "gather":  # entries read twice and three times
@@ -153,17 +166,25 @@ def in_rects(rects) -> InRegion:
     return InRegion("X", Region("X", rects))
 
 
+def kth_largest(a: Tensor, k: int) -> Tensor:
+    """The k-th largest entry along the last axis as a gather of a's entries,
+    ties going to the first tied entry: the index is a stable sort's."""
+    index = np.argsort(-a.value, axis=-1, kind="stable")[..., k - 1 : k]
+    rows = np.indices(index.shape)[:-1]
+    return ad.getitem(a, (*rows, index))[..., 0]
+
+
 def composed_region_margin(states: Tensor, rects) -> Tensor:
     """The region margin as separate nodes: the four faces stacked, their 4th
     largest per rectangle, the largest rectangle."""
     x, y = states[..., 0], states[..., 1]
     rect_margins = [
-        ad.kth_largest(ad.stack([x - lo[0], y - lo[1], hi[0] - x, hi[1] - y], axis=-1), k=4)
+        kth_largest(ad.stack([x - lo[0], y - lo[1], hi[0] - x, hi[1] - y], axis=-1), k=4)
         for lo, hi in rects
     ]
     if len(rect_margins) == 1:
         return rect_margins[0]
-    return ad.kth_largest(ad.stack(rect_margins, axis=-1), k=1)
+    return kth_largest(ad.stack(rect_margins, axis=-1), k=1)
 
 
 def check_predicate_gradient(pred, x0: np.ndarray, weights: Tensor) -> None:
@@ -209,21 +230,41 @@ def test_region_margin_ties_match_composition_bitwise(rects, point):
     assert np.array_equal(fused.grad, composed.grad)
 
 
-@pytest.mark.parametrize("count", [1, 2, 5])
+def test_region_margin_gradient_takes_last_tied_face_and_first_tied_rectangle():
+    # below R's gap at (5, 4.5 - d), d = 5 - 4.4 = 5.6 - 5 in floating point,
+    # each rectangle's margin is -d with two tied faces: y - lo_y and hi_x - x
+    # on the first, x - lo_x and y - lo_y on the second; the gradient is the
+    # first rectangle's last tied face, hi_x - x
+    d = 5.0 - 4.4
+    assert d == 5.6 - 5.0
+    states = Tensor(np.array([[5.0, 4.5 - d]]))
+    rho = predicate_node(states, in_rects(RIVER))
+    rho.backward()
+    assert rho.item() == -d
+    assert np.array_equal(states.grad, [[-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
 def test_windows_match_stacked_slices_bitwise(count):
-    # one window node sums its gradient in the order W stacked slices did
+    # the smooth node's window op sums its gradient in the order W stacked
+    # slices do: G[2,5] p against the conjunction of p pinned at 2..5, each
+    # read at count start times
     rng = np.random.default_rng(count)
-    x0 = rng.normal(size=(3, 12))
+    x0 = rng.normal(size=(3, count + 6, 1, 2))
+    p = HalfPlane((0.6, -0.8), 0.25)
     start, width = 2, 4
-    fused, stacked = Tensor(x0.copy()), Tensor(x0.copy())
-    a = ad.softmin_lse(ad.windows(fused, start, count, width), tau=3.0)
-    b = ad.softmin_lse(ad.stack([stacked[..., start + k : start + k + count]
-                                 for k in range(width)], axis=-1), tau=3.0)
-    weights = Tensor(rng.normal(size=a.shape))
-    ad.sum_(a * weights).backward()
-    ad.sum_(b * weights).backward()
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(fused.grad, stacked.grad)
+    windowed = IAlways(p, start, start + width - 1)
+    stacked = IAnd(tuple(IEventually(p, start + k, start + k) for k in range(width)))
+    weights = Tensor(rng.normal(size=3))
+    grads, values = [], []
+    for inner in (windowed, stacked):
+        x = Tensor(x0[..., 0, :].copy())
+        rho = inner_rho_tensor(x, IEventually(inner, 0, count - 1), tau=3.0)
+        ad.sum_(rho * weights).backward()
+        grads.append(x.grad)
+        values.append(rho.value)
+    assert np.array_equal(values[0], values[1])
+    assert np.array_equal(grads[0], grads[1])
 
 
 def test_cumsum_matches_chained_adds_bitwise():

@@ -480,10 +480,8 @@ class TestMarginMemo:
     def test_pinned_conjunction_tape_size(self):
         # Repair's typical target on the reduced scenario: in(M) and !in(R)
         # pinned at each of the 26 steps, plus F[0,8] in(C). The graph holds
-        # the states leaf, one node per distinct predicate, the negation, two
-        # for the window, then one concat, one gather and one softmin for all
-        # 53 pins and the pick of time 0: 11 nodes, where one slice per pin
-        # took 62 and per-pin margin graphs 1,095.
+        # the states leaf and the plan's one node: 2 nodes, where a node per
+        # plan op took 11, one slice per pin 62 and per-pin margin graphs 1,095.
         sc, _, _ = builtin("reduced")
         pred = {name: in_region(region) for name, region in sc.regions.items()}
         pins = [(0, IEventually(pred["C"], 0, 8))]
@@ -491,7 +489,7 @@ class TestMarginMemo:
         pins += [(t, INot(pred["R"])) for t in range(26)]
         states = Tensor(np.random.default_rng(67).uniform(0.0, 10.0, size=(26, 2)))
         rho = inner_rho_tensor(states, pinned_conjunction(pins), TAU)
-        assert len(ad._toposort(rho)) <= 11
+        assert len(ad._toposort(rho)) <= 2
 
 
 class TestPlan:
@@ -599,6 +597,85 @@ class TestPlan:
             states = on_grid(random_states(rng, horizon(phi) + 1))
             assert inner_sat(states, phi, 0) == individual_sat(states, phi)
             del phi
+
+
+class TestPlanNode:
+    """The smooth plan as one graph node whose backward is the reverse sweep,
+    and the array entry point that runs the same sweep."""
+
+    @staticmethod
+    def matches_finite_differences(value, grad: np.ndarray, x0: np.ndarray) -> bool:
+        fd = finite_difference(value, x0.copy())
+        scale = max(np.abs(fd).max(), np.abs(grad).max(), 1e-8)
+        return np.abs(fd - grad).max() / scale < 1e-4
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["rank0", "rank1"])
+    def test_inner_gradient_matches_finite_differences(self, batch):
+        rng = np.random.default_rng(90 + len(batch))
+        hits = 0
+        for _ in range(40):
+            phi = random_inner(rng, depth=int(rng.integers(1, 4)), budget=int(rng.integers(1, 5)))
+            length = horizon(phi) + 1 + int(rng.integers(0, 2))
+            rows = batch[0] if batch else 1
+            x0 = np.stack([random_states(rng, length) for _ in range(rows)])
+            x0 = x0.reshape(batch + (length, 2))
+            weights = Tensor(rng.normal(size=batch))
+            x = Tensor(x0.copy())
+            ad.sum_(inner_rho_tensor(x, phi, TAU) * weights).backward()
+            grad = np.zeros_like(x0) if x.grad is None else x.grad
+            hits += self.matches_finite_differences(
+                lambda v: ad.sum_(inner_rho_tensor(Tensor(v), phi, TAU) * weights).item(), grad, x0)
+        assert hits >= 36  # a probe may sit near a sort or face tie
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["rank0", "rank1"])
+    def test_outer_gradient_matches_finite_differences(self, batch):
+        rng = np.random.default_rng(92 + len(batch))
+        hits = 0
+        for _ in range(30):
+            phi = random_outer(rng, depth=int(rng.integers(1, 3)), budget=int(rng.integers(1, 4)))
+            length = horizon(phi) + 1
+            rows = batch[0] if batch else 1
+            x0 = np.stack([[random_states(rng, length) for _ in TEAM_CAPS] for _ in range(rows)])
+            x0 = x0.reshape(batch + (len(TEAM_CAPS), length, 2))
+            weights = Tensor(rng.normal(size=batch))
+
+            def objective(v: np.ndarray, leaves=None) -> Tensor:
+                leaves = leaves or [Tensor(v[..., j, :, :]) for j in range(len(TEAM_CAPS))]
+                members = list(zip(leaves, TEAM_CAPS))
+                return ad.sum_(outer_rho_tensor(members, phi, TAU) * weights)
+
+            leaves = [Tensor(x0[..., j, :, :].copy()) for j in range(len(TEAM_CAPS))]
+            objective(x0, leaves).backward()
+            grad = np.stack([np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
+                             for leaf in leaves], axis=-3)
+            hits += self.matches_finite_differences(
+                lambda v: objective(v).item(), grad, x0)
+        assert hits >= 27
+
+    def test_array_entry_point_is_the_node_bitwise(self):
+        # inner_rho_grad runs the node's sweep on cut arrays: the same value,
+        # and the node's gradient with zeros past the horizon
+        rng = np.random.default_rng(95)
+        for _ in range(60):
+            phi = random_inner(rng, depth=int(rng.integers(0, 4)), budget=int(rng.integers(0, 5)))
+            states = random_states(rng, horizon(phi) + 1 + int(rng.integers(0, 3)))
+            x = Tensor(states.copy())
+            node = inner_rho_tensor(x, phi, TAU)
+            node.backward()
+            rho, grad = monitor.inner_rho_grad(states, phi, TAU)
+            assert rho == node.item()
+            assert np.array_equal(grad, np.zeros_like(states) if x.grad is None else x.grad)
+
+    def test_array_entry_point_checks_its_input(self):
+        phi = IEventually(in_region(C_REGION), 0, 3)
+        with pytest.raises(HorizonError, match="needs 3 steps, member 0 has 2"):
+            monitor.inner_rho_grad(np.zeros((3, 2)), phi, TAU)
+        states = np.zeros((4, 2))
+        states[2, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="member 0 has 1 non-finite"):
+            monitor.inner_rho_grad(states, phi, TAU)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            monitor.inner_rho_grad(np.zeros((4, 2)), phi, 0.0)
 
 
 class TestSmoothGradients:

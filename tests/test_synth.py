@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from catl import autodiff as ad
+from catl.autodiff import Tensor
 from catl.formulas import IAlways, IEventually, INot, InRegion, ITrue, SpecError
 from catl.geometry import Region
-from catl.monitor import inner_sat
-from catl.autodiff import Tensor
-from catl.synth import SynthResult, _unroll, synthesize, synthesize_conjunction
+from catl.monitor import inner_rho_tensor, inner_sat
+from catl.synth import (
+    SynthResult,
+    _descent_grad,
+    _unroll,
+    pinned_conjunction,
+    synthesize,
+    synthesize_conjunction,
+)
 
 C = Region.box("C", (2.5, -0.5), (3.5, 0.5))  # unit square centered (3, 0)
 FAR = Region.box("Far", (7.0, 7.0), (8.0, 8.0))
@@ -67,9 +75,29 @@ class TestSynthesize:
         u_max = np.array([0.7, 1.3])
         for _ in range(50):
             x0, w = rng.normal(size=2) * 5.0, rng.normal(size=(25, 2))
-            unrolled = _unroll(Tensor(x0.reshape(1, 2)), Tensor(w), Tensor(u_max))
-            states, u = (a.value for a in unrolled)
+            states, u = _unroll(x0, w, u_max)
+            assert np.array_equal(states[0], x0)
             assert np.array_equal(states[1:], states[:-1] + u)
+
+    def test_descent_gradient_is_the_graph_of_unroll_bitwise(self):
+        # the hand-carried gradient on w equals backward() through tanh, the
+        # u_max product, the concat with x0 and the running sum composed with
+        # the monitor's node, on random repair-like targets
+        a, b = InRegion("C", C), InRegion("Far", FAR)
+        rng = np.random.default_rng(17)
+        u_max = np.array([0.7, 1.3])
+        for _ in range(30):
+            pins = [(int(t), a if rng.random() < 0.5 else INot(b))
+                    for t in rng.integers(0, 9, size=int(rng.integers(1, 8)))]
+            pins.append((int(rng.integers(0, 4)), IEventually(a, 0, int(rng.integers(1, 5)))))
+            target = pinned_conjunction(pins)
+            x0, w0 = rng.normal(size=2), rng.normal(size=(10, 2))
+            for tau in (2.0, 32.0):
+                w = Tensor(w0.copy())
+                u = ad.tanh(w) * Tensor(u_max)
+                states = ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0)
+                (-inner_rho_tensor(states, target, tau)).backward()
+                assert np.array_equal(_descent_grad(x0, w0, u_max, target, tau), w.grad)
 
     def test_deterministic_given_seed(self):
         a = reach()
@@ -85,6 +113,27 @@ class TestSynthesize:
         for x0 in ([np.nan, 1.0], [1.0, -np.inf], [1.0], [0.0, 0.0, 0.0]):
             with pytest.raises(SpecError, match="initial state must be two finite numbers"):
                 reach(x0=np.array(x0))
+
+    @pytest.mark.parametrize("u_max", [[np.nan, 1.0], [1.0, np.inf], [1.0, 1.0, 1.0], [1.0],
+                                       [0.0, 1.0], [1.0, -2.0]])
+    def test_control_bound_must_be_two_finite_positive_numbers(self, u_max):
+        with pytest.raises(SpecError, match="u_max must be two finite positive numbers"):
+            reach(u_max=np.array(u_max))
+
+    @pytest.mark.parametrize("w_init", [np.zeros((4, 2)), np.zeros((6, 2)), np.zeros((5, 3)),
+                                        np.zeros(10), np.full((5, 2), np.nan),
+                                        np.full((5, 2), -np.inf)],
+                             ids=["short", "long", "wide", "flat", "nan", "inf"])
+    def test_warm_start_must_be_finite_and_one_row_per_step(self, w_init):
+        # a short w_init used to return horizon_steps states, one too few
+        with pytest.raises(SpecError, match=r"w_init must be finite and of shape \(5, 2\)"):
+            reach(w_init=w_init)
+
+    def test_warm_start_replaces_the_first_draw(self):
+        w_init = np.full((5, 2), 0.5)
+        res = reach(w_init=w_init, iterations=1, restarts=1)
+        assert res.trajectory.states.shape == (6, 2)
+        assert res.trajectory.controls.shape == (5, 2)
 
 
 class TestSynthesizeConjunction:
