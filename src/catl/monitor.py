@@ -622,8 +622,8 @@ def inner_rho(
 
 
 def inner_rho_tensor(states: Tensor, phi: InnerFormula, tau: float) -> Tensor:
-    """Smooth robustness at temperature tau and time 0 as a graph node;
-    states is (..., T, 2)."""
+    """Smooth robustness at temperature tau and time 0 as one graph node,
+    whose backward is the plan's reverse sweep; states is (..., T, 2)."""
     return _monitor(phi, [(states, None)], 0, tau)
 
 
@@ -661,8 +661,8 @@ def outer_rho_tensor(
     Phi: OuterFormula,
     tau: float,
 ) -> Tensor:
-    """Smooth robustness at temperature tau and time 0 as a graph node; member
-    states are (..., T, 2)."""
+    """Smooth robustness at temperature tau and time 0 as one graph node,
+    whose backward is the plan's reverse sweep; member states are (..., T, 2)."""
     return _monitor(Phi, members, 0, tau)
 
 
