@@ -31,12 +31,13 @@ decided only in the boolean backend's predicate leaf.
 
 The smooth forward keeps each op's residual: a predicate's margin gradient,
 which records the face that sets a region's margin, the softmin/softmax
-weights and the index of a k-th largest. The reverse sweep walks the ops
-once, in the reverse of the post-order of the plan's read graph, and hands
-each op's gradient to the slots it read, so gradients are summed in the
-order a graph node per op would sum them. On Tensor states the forward and
-the sweep make one graph node (``inner_rho_tensor``, ``outer_rho_tensor``);
-on arrays ``inner_rho_grad`` returns the gradient with no graph at all.
+weights and the index of a k-th largest. The gradient is one walk of the
+ops from last to first that hands each op's gradient to the slots it read;
+every op comes after the slots it reads, so the reverse op order reaches an
+op only once all of its readers have passed on their gradients. Array and
+Tensor states give the same gradient, computed with the value:
+``inner_rho_grad`` returns it, and on Tensor states (``inner_rho_tensor``,
+``outer_rho_tensor``) it is the backward of one graph node.
 
 A formula's cache entry (``_entry``), keyed by its identity, holds its
 horizon, computed once, and its plan per layout, compiled on first use.
@@ -54,8 +55,6 @@ own ``evaluate``, and with its gradient its own ``linearize``.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -90,8 +89,8 @@ TOP = 1e6  # the finite robustness of True
 #
 # Signals are arrays whose last axis is time: value i is the robustness (or
 # truth) when evaluation starts at time i. Leading axes (if any) are batch
-# dimensions. The boolean and classical backends work on ndarrays, the smooth
-# one on Tensors; all three run the same plan, which _signal compiles.
+# dimensions. All three backends work on ndarrays and run the same plan,
+# which _signal compiles.
 
 
 class _Backend:
@@ -103,8 +102,7 @@ class _Backend:
     share: ``stack`` (signals along a new last axis), ``concat`` (signals end
     to end along the time axis), ``windows`` (sliding windows of one signal
     along a new last axis) and ``min``, ``max`` and ``kth`` reductions of
-    that last axis. Negation, slicing and integer-index gathers use the
-    operators that ndarrays and Tensors share."""
+    that last axis."""
 
     top = TOP
 
@@ -167,7 +165,7 @@ class _SmoothBackend(_ClassicalBackend):
     log-sum-exp softmin and softmax. With ``saved`` a list, every margin and
     reduction appends its residual to it, in plan order: the predicate's
     (from ``linearize``), the softmin/softmax weights, or the index of the
-    k-th largest. ``sweep`` reads them back."""
+    k-th largest. ``sweep`` pops them back off in reverse op order."""
 
     def __init__(self, tau: float, batch_shape: tuple, saved: list | None = None):
         super().__init__(tau, batch_shape)
@@ -196,22 +194,21 @@ class _SmoothBackend(_ClassicalBackend):
 
     # -- the reverse sweep --
 
-    def sweep(self, plan: "_Plan", g: np.ndarray, shapes: list) -> list:
-        """The gradient of the plan's value on each slot, from g on the value,
-        after a run that saved residuals; ``shapes`` holds each member's
-        states shape. Each op hands the gradient on its value to the slots
-        it read, in ``plan.sweep`` order, so every slot sums the gradients
-        it gets in the order ``Tensor.backward`` would sum them, were each
-        op a node reading its slots in order."""
+    def sweep(self, plan: "_Plan", shapes: list) -> list:
+        """The gradient of the plan's value on each member's states (None
+        where the plan reads none), after a run that saved residuals;
+        ``shapes`` holds each member's states shape."""
         members = len(shapes)
         self.shapes = shapes + [self.batch_shape + (n,) for n in plan.lengths[members:]]
         self.grads = [None] * len(self.shapes)
-        self.grads[-1] = g
-        for k, r in plan.sweep:
+        self.grads[-1] = np.ones(self.batch_shape)
+        for k in reversed(range(len(plan.ops))):
             name, args, _ = plan.ops[k]
-            residual = None if r is None else self.saved[r]
-            getattr(self, "d_" + name)(self.grads[members + k], residual, *args)
-        return self.grads
+            residual = self.saved.pop() if name in _SAVING else None
+            g, self.grads[members + k] = self.grads[members + k], None
+            if g is not None and name != "full":
+                getattr(self, "d_" + name)(g, residual, *args)
+        return self.grads[:members]
 
     def _add(self, i: int, g, key=None) -> None:
         """Add g to slot i's gradient, or to its time steps ``key``. A whole
@@ -249,15 +246,15 @@ class _SmoothBackend(_ClassicalBackend):
         self._add(i, g, t)
 
     def d_window(self, g, residual, i: int, start: int, count: int, width: int, how: tuple):
-        # summed into each state by ascending offset k, as width stacked
-        # slices would be, looping over whichever of k and window j is shorter
+        # loops over offsets k or windows j, whichever is shorter: an F[0,25]
+        # at t = 0 is one window of width 26
         gw = self._reduced(g, residual, how, width)
         span = np.zeros(g.shape[:-1] + (count + width - 1,))
         if width <= count:
             for k in range(width):
                 span[..., k : k + count] += gw[..., k]
-        else:  # descending j is ascending k at each state
-            for j in reversed(range(count)):
+        else:
+            for j in range(count):
                 span[..., j : j + width] += gw[..., j, :]
         self._add(i, span, slice(start, start + count + width - 1))
 
@@ -299,18 +296,17 @@ def _values(x) -> np.ndarray:
 
 
 class _Plan:
-    """The flat op list of one formula and member layout. ``ops`` holds
-    (backend method name, arguments, slots read for the last time) triples;
-    op i computes slot len(members) + i, its integer arguments name the
-    slots it reads (``reads[i]``, in order), and the run drops each signal
-    after its last read, as a recursion would. ``lengths`` is every slot's
-    time length, members first."""
+    """The flat op list of one formula and member layout, in post-order: each
+    op comes after the ops whose slots it reads. ``ops`` holds (backend
+    method name, arguments, slots read for the last time) triples; op i
+    computes slot len(members) + i, its integer arguments name the slots it
+    reads, and the run drops each signal after its last read, as a recursion
+    would. ``lengths`` is every slot's time length, members first."""
 
-    __slots__ = ("ops", "lengths", "reads", "_sweep")
+    __slots__ = ("ops", "lengths")
 
-    def __init__(self, ops: list, lengths: list, reads: list):
-        self.ops, self.lengths, self.reads = ops, lengths, reads
-        self._sweep = None
+    def __init__(self, ops: list, lengths: list):
+        self.ops, self.lengths = ops, lengths
 
     def run(self, states: list, be: _Backend):
         vals = list(states)
@@ -319,29 +315,6 @@ class _Plan:
             for i in done:
                 vals[i] = None
         return vals[-1]
-
-    @property
-    def sweep(self) -> list:
-        """The reverse sweep's order, made on first use: (op index, position
-        of its residual among those the run saved, or None) for each op that
-        reads a slot, in the reverse of the post-order that
-        ``autodiff._toposort`` gives on the read graph. The plain reverse of
-        the op list would sum some gradients in another order than
-        ``Tensor.backward`` does on a node per op, and so drift by an ulp."""
-        if self._sweep is None:
-            members = len(self.lengths) - len(self.ops)
-            nodes = [SimpleNamespace(slot=i, _parents=()) for i in range(members)]
-            for reads in self.reads:
-                nodes.append(SimpleNamespace(slot=len(nodes),
-                                             _parents=tuple(nodes[i] for i in reads)))
-            post = [node.slot for node in ad._toposort(nodes[-1])]
-            position = {}
-            for k, (name, _, _) in enumerate(self.ops):
-                if name in _SAVING:
-                    position[k] = len(position)
-            ops = [k - members for k in reversed(post) if k >= members]
-            self._sweep = [(k, position.get(k)) for k in ops if self.reads[k]]
-        return self._sweep
 
 
 # the ops whose smooth run saves a residual for the sweep
@@ -356,10 +329,7 @@ class _Recorder:
     Each distinct predicate and negated predicate is one margin op per
     member; equal predicates share it. A reduction of width-1 views becomes
     one concat of their distinct source signals and one integer-index
-    gather in child order, where a stack would need one slice per child.
-    The sources go into the concat in the order of each one's last use:
-    backward() then reaches them in the order it would reach them through
-    the slices of a stack, so gradients are summed in the same order."""
+    gather in child order, where a stack would need one slice per child."""
 
     def __init__(self, lengths: list[int]):
         self.lengths = list(lengths)  # time length per slot; members first
@@ -379,7 +349,7 @@ class _Recorder:
         for i, k in self.last_read.items():
             done[k].append(i)
         ops = [(name, args, tuple(d)) for (name, args, _), d in zip(self.ops, done)]
-        return _Plan(ops, self.lengths, [reads for _, _, reads in self.ops])
+        return _Plan(ops, self.lengths)
 
     def slot(self, view: tuple) -> int:
         """The slot holding exactly the view's signal, sliced if need be."""
@@ -417,8 +387,7 @@ class _Recorder:
             return views[0]
         length = min(v[2] for v in views)
         if length == 1 and any(self.lengths[i] > 1 for i, _, _ in views):
-            last = {i: k for k, (i, _, _) in enumerate(views)}
-            sources = sorted(last, key=last.get)
+            sources = list(dict.fromkeys(i for i, _, _ in views))
             offset = dict(zip(sources, np.cumsum([0] + [self.lengths[i] for i in sources])))
             index = np.array([[offset[i] + start for i, start, _ in views]])
             return self.emit(1, tuple(sources), "gathered", tuple(sources), index, how)
@@ -535,14 +504,14 @@ def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool
     ``members`` is a list of (states (..., T, 2), capabilities), one agent
     being one member. This is the one place monitor inputs are checked and
     cut: HorizonError unless t >= 0 and every member has states up to
-    t + horizon(phi), NonFiniteError if a state is NaN or infinite. Array
-    states are cut to [t, t + horizon(phi)] as a view and give an array,
-    without a graph; with ``grad`` the smooth robustness comes with its
-    gradient on each member's states. Tensor states are read whole at t = 0
-    and give one graph node whose backward is the reverse sweep."""
+    t + horizon(phi), NonFiniteError if a state is NaN or infinite. States
+    are cut to [t, t + horizon(phi)] as a view. Array states give an array;
+    with ``grad`` the smooth robustness comes with its gradient on each
+    member's states. Tensor states give a Tensor, with grad enabled one graph
+    node whose backward scales that gradient by the incoming one."""
     entry = _entry(phi)
     end = t + entry.horizon
-    values, layout, tensors = [], [], []
+    values, layout = [], []
     for k, (x, caps) in enumerate(members):
         whole = _values(x)
         last = whole.shape[-2] - 1
@@ -554,11 +523,7 @@ def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool
                 f"member {k} has {len(bad)} non-finite states, first at index "
                 f"(batch..., t) {tuple(int(i) for i in bad[0])}"
             )
-        if isinstance(x, Tensor):
-            tensors.append(k)
-            values.append(whole)
-        else:
-            values.append(whole[..., t : end + 1, :])
+        values.append(whole[..., t : end + 1, :])
         layout.append((values[-1].shape[-2], caps))
     layout = tuple(layout)
     plan = entry.plans.get(layout)
@@ -570,25 +535,21 @@ def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool
         return plan.run(values, be(None, batch_shape))
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    tensors = [k for k, (x, _) in enumerate(members) if isinstance(x, Tensor)]
     if not grad and not (tensors and ad.grad_enabled()):
         value = plan.run(values, _SmoothBackend(tau, batch_shape))
         return Tensor(value) if tensors else value
     be = _SmoothBackend(tau, batch_shape, saved=[])
     value = plan.run(values, be)
-    shapes = [v.shape for v in values]
+    grads = []
+    for (x, _), g in zip(members, be.sweep(plan, [v.shape for v in values])):
+        grads.append(np.zeros(_values(x).shape))
+        if g is not None:
+            grads[-1][..., t : t + g.shape[-2], :] = g
     if grad:
-        grads = []
-        for (x, _), g in zip(members, be.sweep(plan, np.ones(batch_shape), shapes)):
-            grads.append(np.zeros(_values(x).shape))
-            if g is not None:
-                grads[-1][..., t : t + g.shape[-2], :] = g
         return value, grads
-
-    def backward(g):
-        grads = be.sweep(plan, g, shapes)
-        return tuple(grads[k] for k in tensors)
-
-    return Tensor(value, [members[k][0] for k in tensors], backward)
+    return Tensor(value, [members[k][0] for k in tensors],
+                  lambda g: tuple(g[..., None, None] * grads[k] for k in tensors))
 
 
 # -- public entry points -------------------------------------------------------
@@ -623,7 +584,8 @@ def inner_rho(
 
 def inner_rho_tensor(states: Tensor, phi: InnerFormula, tau: float) -> Tensor:
     """Smooth robustness at temperature tau and time 0 as one graph node,
-    whose backward is the plan's reverse sweep; states is (..., T, 2)."""
+    whose gradient the plan's reverse sweep computes with the value; states
+    is (..., T, 2)."""
     return _monitor(phi, [(states, None)], 0, tau)
 
 
@@ -662,7 +624,8 @@ def outer_rho_tensor(
     tau: float,
 ) -> Tensor:
     """Smooth robustness at temperature tau and time 0 as one graph node,
-    whose backward is the plan's reverse sweep; member states are (..., T, 2)."""
+    whose gradient the plan's reverse sweep computes with the value; member
+    states are (..., T, 2)."""
     return _monitor(Phi, members, 0, tau)
 
 

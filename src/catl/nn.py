@@ -163,7 +163,10 @@ def _decode_array(block) -> np.ndarray:
     raw = base64.b64decode(block["data"])
     if len(raw) != 8 * int(np.prod(shape)):
         raise ValueError(f"data holds {len(raw)} bytes, not 8 per entry of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.isfinite(a).all():
+        raise ValueError("holds NaN or infinite values")
+    return a
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor], dims: dict) -> None:
@@ -178,7 +181,8 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor], dims: dict) -> 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
     """Read a ``save_checkpoint`` file; ValueError naming the file and the
-    block unless ``dims`` and ``params`` are objects whose blocks fill their shapes."""
+    block unless ``dims`` and ``params`` are objects whose blocks fill their
+    shapes with finite values."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: checkpoint is a JSON {type(doc).__name__}, want an object")

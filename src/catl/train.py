@@ -35,6 +35,18 @@ from .trajectories import TeamTrajectory, read_json, require_keys
 _JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
+# (keys, range test, wanted range) of TrainConfig's values
+_CONFIG_RANGES = (
+    (("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states", "gate_states",
+      "n_c", "hidden", "repair_iterations", "repair_restarts", "steps_a", "steps_b", "rounds_b",
+      "steps_c", "steps_e", "gate_steps"), lambda v: v >= 1, "at least 1"),
+    (("lr", "gate_lr", "tau", "tau_start"), lambda v: v > 0, "above 0"),
+    (("gamma", "gate_eps_rel", "gate_eps_floor"), lambda v: v >= 0, "at least 0"),
+    (("beta",), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("val_fraction",), lambda v: 0 <= v < 1, "in [0, 1)"),
+)
+
+
 @dataclass
 class TrainConfig:
     # objective
@@ -71,14 +83,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",
-                    "gate_states", "n_c", "hidden", "repair_iterations", "repair_restarts",
-                    "steps_a", "steps_b", "steps_c", "steps_e"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"config key {key!r} is {getattr(self, key)}, want at least 1")
-        for key in ("tau", "tau_start"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"config key {key!r} is {getattr(self, key)}, want above 0")
+        """ValueError naming the first key whose value is out of its range;
+        every float but an unset gamma must be finite, and NaN is in no range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "int" and value is not None and not np.isfinite(value):
+                raise ValueError(f"config key {f.name!r} is {value}, want a finite number")
+        for keys, holds, want in _CONFIG_RANGES:
+            for key in keys:
+                value = getattr(self, key)
+                if value is not None and not holds(value):
+                    raise ValueError(f"config key {key!r} is {value}, want {want}")
 
     def tau_at(self, step: int | None = None) -> float:
         """Training temperature: anneals from tau_start, doubling every

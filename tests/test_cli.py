@@ -239,7 +239,9 @@ def test_parse_names_the_fault_in_a_scenario_file(change, why, tmp_path, capsys)
 # counts that crash training at 0 (stack of nothing, division or overflow), and
 # stage lengths, which at 0 leave a stage untrained; --stages skips a stage
 ZERO_COUNTS = ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val_states",
-               "gate_states", "n_c", "hidden", "steps_a", "steps_b", "steps_c", "steps_e")
+               "gate_states", "n_c", "hidden", "steps_a", "steps_b", "steps_c", "steps_e",
+               "gate_steps", "rounds_b")
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
 
 
 @pytest.mark.parametrize("doc, why", [
@@ -253,9 +255,24 @@ ZERO_COUNTS = ("m_samples", "n_rollouts", "tau_anneal_every", "eval_every", "val
     *(({key: 0}, f"config key {key!r} is 0, want at least 1") for key in ZERO_COUNTS),
     ({"tau": 0.0}, "config key 'tau' is 0.0, want above 0"),
     ({"tau_start": -1.0}, "config key 'tau_start' is -1.0, want above 0"),
+    ({"lr": NAN}, "config key 'lr' is nan, want a finite number"),
+    ({"gamma": NAN}, "config key 'gamma' is nan, want a finite number"),
+    ({"beta": INF}, "config key 'beta' is inf, want a finite number"),
+    ({"tau": INF}, "config key 'tau' is inf, want a finite number"),
+    ({"gate_eps_floor": NAN}, "config key 'gate_eps_floor' is nan, want a finite number"),
+    ({"convergence_pp": -INF}, "config key 'convergence_pp' is -inf, want a finite number"),
+    ({"gate_lr": -1}, "config key 'gate_lr' is -1, want above 0"),
+    ({"gamma": -0.5}, "config key 'gamma' is -0.5, want at least 0"),
+    ({"beta": 1.5}, "config key 'beta' is 1.5, want in [0, 1]"),
+    ({"val_fraction": 2.0}, "config key 'val_fraction' is 2.0, want in [0, 1)"),
+    ({"val_fraction": 1}, "config key 'val_fraction' is 1, want in [0, 1)"),
+    ({"rounds_b": -3}, "config key 'rounds_b' is -3, want at least 1"),
 ], ids=["unknown_key", "not_an_object", "str_for_int", "bool_for_int", "str_for_gamma",
         "zero_repair_restarts", "zero_repair_iterations",
-        *(f"zero_{key}" for key in ZERO_COUNTS), "zero_tau", "negative_tau_start"])
+        *(f"zero_{key}" for key in ZERO_COUNTS), "zero_tau", "negative_tau_start",
+        "nan_lr", "nan_gamma", "inf_beta", "inf_tau", "nan_gate_eps_floor",
+        "inf_convergence_pp", "negative_gate_lr", "negative_gamma", "beta_above_1",
+        "val_fraction_2", "val_fraction_1", "negative_rounds_b"])
 def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     _, _, text = builtin("toy")
     config = tmp_path / "cfg.json"

@@ -575,9 +575,8 @@ class TestPlan:
             inner_rho(states, target, 0)
             inner_rho_tensor(Tensor(states), target, TAU)
             assert len(monitor._FORMULAS) <= monitor.FORMULA_CACHE_SIZE
-            # one layout for the cut array states, one for the whole Tensor
-            lengths = {horizon(target) + 1, len(states)}
-            assert set(monitor._entry(target).plans) == {((n, None),) for n in lengths}
+            # array and Tensor states are cut alike and share one layout
+            assert set(monitor._entry(target).plans) == {((horizon(target) + 1, None),)}
 
     def test_a_reused_id_never_gets_a_stale_plan(self, monkeypatch):
         # an entry filed under the id of a new formula, as if the formula it
@@ -600,8 +599,8 @@ class TestPlan:
 
 
 class TestPlanNode:
-    """The smooth plan as one graph node whose backward is the reverse sweep,
-    and the array entry point that runs the same sweep."""
+    """The smooth plan as one graph node whose gradient is the reverse sweep,
+    and the array entry point that returns the same gradient."""
 
     @staticmethod
     def matches_finite_differences(value, grad: np.ndarray, x0: np.ndarray) -> bool:
@@ -653,8 +652,8 @@ class TestPlanNode:
         assert hits >= 27
 
     def test_array_entry_point_is_the_node_bitwise(self):
-        # inner_rho_grad runs the node's sweep on cut arrays: the same value,
-        # and the node's gradient with zeros past the horizon
+        # inner_rho_grad runs the node's sweep on the same cut states: the
+        # same value, and the node's gradient with zeros past the horizon
         rng = np.random.default_rng(95)
         for _ in range(60):
             phi = random_inner(rng, depth=int(rng.integers(0, 4)), budget=int(rng.integers(0, 5)))
@@ -665,6 +664,28 @@ class TestPlanNode:
             rho, grad = monitor.inner_rho_grad(states, phi, TAU)
             assert rho == node.item()
             assert np.array_equal(grad, np.zeros_like(states) if x.grad is None else x.grad)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["rank0", "rank1"])
+    def test_tensor_states_past_the_horizon_are_cut_like_arrays(self, batch):
+        # the node's value and gradient are those of the states cut to the
+        # horizon, scaled by the incoming gradient, and zero past the horizon
+        rng = np.random.default_rng(96 + len(batch))
+        for _ in range(30):
+            phi = random_inner(rng, depth=int(rng.integers(1, 4)), budget=int(rng.integers(1, 5)))
+            n = horizon(phi) + 1
+            length = n + int(rng.integers(1, 4))
+            rows = batch[0] if batch else 1
+            long = np.stack([random_states(rng, length) for _ in range(rows)])
+            long = long.reshape(batch + (length, 2))
+            weights = rng.normal(size=batch)
+            x = Tensor(long.copy())
+            node = inner_rho_tensor(x, phi, TAU)
+            ad.sum_(node * Tensor(weights)).backward()
+            for row in np.ndindex(batch):
+                rho, grad = monitor.inner_rho_grad(long[row][:n], phi, TAU)
+                assert node.value[row] == rho
+                assert np.array_equal(x.grad[row][:n], weights[row] * grad)
+                assert not x.grad[row][n:].any()
 
     def test_array_entry_point_checks_its_input(self):
         phi = IEventually(in_region(C_REGION), 0, 3)

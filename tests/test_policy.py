@@ -30,6 +30,8 @@ from catl.train import control_cost
 from oracles import finite_difference
 
 FOUR_ZEROS = base64.b64encode(bytes(32)).decode("ascii")  # four little-endian f64 zeros
+ONE_NAN = base64.b64encode(np.array([0.0, np.nan, 0.0, 0.0], "<f8").tobytes()).decode("ascii")
+TWO_INF = base64.b64encode(np.array([np.inf, 0.0, -np.inf, 0.0], "<f8").tobytes()).decode("ascii")
 
 
 def small_policy(seed=0, n_agents=2, n_c=4, hidden=8, u_max=1.0) -> PolicyParams:
@@ -275,8 +277,13 @@ class TestRollout:
          "parameter 'enc.b': has no 'shape' list of sizes"),
         ('{"format_version": 1, "dims": {}, "params": {"enc.b": {"shape": [7], "data": "%s"}}}'
          % FOUR_ZEROS, "parameter 'enc.b': data holds 32 bytes, not 8 per entry of shape [7]"),
+        ('{"format_version": 1, "dims": {}, "params": {"enc.b": {"shape": [4], "data": "%s"}}}'
+         % ONE_NAN, "parameter 'enc.b': holds NaN or infinite values"),
+        ('{"format_version": 1, "dims": {}, "params": {"enc.w": {"shape": [2, 2], "data": "%s"}}}'
+         % TWO_INF, "parameter 'enc.w': holds NaN or infinite values"),
     ], ids=["not_an_object", "no_params", "params_list", "dims_list", "block_without_data",
-            "block_without_shape", "block_not_an_object", "data_short_of_shape"])
+            "block_without_shape", "block_not_an_object", "data_short_of_shape", "nan_block",
+            "inf_block"])
     def test_malformed_checkpoint_document_rejected(self, tmp_path, text, message):
         # raw text, so the document need not be an object at all
         path = tmp_path / "p.json"
