@@ -165,7 +165,7 @@ class _SmoothBackend(_ClassicalBackend):
     log-sum-exp softmin and softmax. With ``saved`` a list, every margin and
     reduction appends its residual to it, in plan order: the predicate's
     (from ``linearize``), the softmin/softmax weights, or the index of the
-    k-th largest. ``sweep`` pops them back off in reverse op order."""
+    k-th largest. The reverse sweep pops them back off, last op first."""
 
     def __init__(self, tau: float, batch_shape: tuple, saved: list | None = None):
         super().__init__(tau, batch_shape)
@@ -198,17 +198,13 @@ class _SmoothBackend(_ClassicalBackend):
         """The gradient of the plan's value on each member's states (None
         where the plan reads none), after a run that saved residuals;
         ``shapes`` holds each member's states shape."""
-        members = len(shapes)
-        self.shapes = shapes + [self.batch_shape + (n,) for n in plan.lengths[members:]]
-        self.grads = [None] * len(self.shapes)
-        self.grads[-1] = np.ones(self.batch_shape)
-        for k in reversed(range(len(plan.ops))):
-            name, args, _ = plan.ops[k]
-            residual = self.saved.pop() if name in _SAVING else None
-            g, self.grads[members + k] = self.grads[members + k], None
-            if g is not None and name != "full":
-                getattr(self, "d_" + name)(g, residual, *args)
-        return self.grads[:members]
+        self.shapes = shapes + [self.batch_shape + (n,) for n in plan.lengths[len(shapes):]]
+        self.grads = [None] * (len(self.shapes) - 1) + [np.ones(self.batch_shape)]
+        # ops read only earlier slots, so once the ops after it are swept the
+        # last slot left holds the whole gradient of the op that computed it
+        for name, args, _ in reversed(plan.ops):
+            getattr(self, "d_" + name)(self.grads.pop(), *args)
+        return self.grads
 
     def _add(self, i: int, g, key=None) -> None:
         """Add g to slot i's gradient, or to its time steps ``key``. A whole
@@ -224,31 +220,34 @@ class _SmoothBackend(_ClassicalBackend):
         else:
             grads[i] += g
 
-    @staticmethod
-    def _reduced(g, residual, how: tuple, n: int):
+    def _reduced(self, g, how: tuple, n: int):
         """The gradient on the (..., n) entries that were reduced to g."""
+        residual = self.saved.pop()
         if how[0] == "kth":
             out = np.zeros(g.shape + (n,))
             np.put_along_axis(out, residual, g[..., None], axis=-1)
             return out
         return g[..., None] * residual
 
-    def d_margin(self, g, gradient, member: int, pred):
-        self._add(member, g[..., None] * gradient)
+    def d_full(self, g, length: int):
+        pass  # a constant reads no slot
 
-    def d_neg(self, g, residual, i: int):
+    def d_margin(self, g, member: int, pred):
+        self._add(member, g[..., None] * self.saved.pop())
+
+    def d_neg(self, g, i: int):
         self._add(i, -g)
 
-    def d_slice(self, g, residual, i: int, start: int, length: int):
+    def d_slice(self, g, i: int, start: int, length: int):
         self._add(i, g, slice(start, start + length))
 
-    def d_at(self, g, residual, i: int, t: int):
+    def d_at(self, g, i: int, t: int):
         self._add(i, g, t)
 
-    def d_window(self, g, residual, i: int, start: int, count: int, width: int, how: tuple):
+    def d_window(self, g, i: int, start: int, count: int, width: int, how: tuple):
         # loops over offsets k or windows j, whichever is shorter: an F[0,25]
         # at t = 0 is one window of width 26
-        gw = self._reduced(g, residual, how, width)
+        gw = self._reduced(g, how, width)
         span = np.zeros(g.shape[:-1] + (count + width - 1,))
         if width <= count:
             for k in range(width):
@@ -258,16 +257,16 @@ class _SmoothBackend(_ClassicalBackend):
                 span[..., j : j + width] += gw[..., j, :]
         self._add(i, span, slice(start, start + count + width - 1))
 
-    def d_stacked(self, g, residual, ins: tuple, how: tuple):
-        gs = self._reduced(g, residual, how, len(ins))
+    def d_stacked(self, g, ins: tuple, how: tuple):
+        gs = self._reduced(g, how, len(ins))
         for j, i in enumerate(ins):
             self._add(i, gs[..., j])
 
-    def d_gathered(self, g, residual, ins: tuple, index: np.ndarray, how: tuple):
+    def d_gathered(self, g, ins: tuple, index: np.ndarray, how: tuple):
         # one gradient over the concat of the sources, entries read more
         # than once adding up, then cut at the sources' ends
         sig = np.zeros(g.shape[:-1] + (sum(self.shapes[i][-1] for i in ins),))
-        np.add.at(sig, (Ellipsis, index), self._reduced(g, residual, how, index.shape[-1]))
+        np.add.at(sig, (Ellipsis, index), self._reduced(g, how, index.shape[-1]))
         end = 0
         for i in ins:
             start, end = end, end + self.shapes[i][-1]
@@ -297,11 +296,12 @@ def _values(x) -> np.ndarray:
 
 class _Plan:
     """The flat op list of one formula and member layout, in post-order: each
-    op comes after the ops whose slots it reads. ``ops`` holds (backend
-    method name, arguments, slots read for the last time) triples; op i
-    computes slot len(members) + i, its integer arguments name the slots it
-    reads, and the run drops each signal after its last read, as a recursion
-    would. ``lengths`` is every slot's time length, members first."""
+    op comes after the ops whose slots it reads, and some later op reads the
+    slot of every op but the last. ``ops`` holds (backend method name,
+    arguments, slots read for the last time) triples; op i computes slot
+    len(members) + i, its integer arguments name the slots it reads, and the
+    run drops each signal after its last read, as a recursion would.
+    ``lengths`` is every slot's time length, members first."""
 
     __slots__ = ("ops", "lengths")
 
@@ -315,10 +315,6 @@ class _Plan:
             for i in done:
                 vals[i] = None
         return vals[-1]
-
-
-# the ops whose smooth run saves a residual for the sweep
-_SAVING = ("margin", "window", "stacked", "gathered")
 
 
 class _Recorder:
@@ -435,7 +431,8 @@ def _signal(x, phi, length: int, rec: _Recorder) -> tuple:
             how = "min" if isinstance(phi, _Always) else "max"
             return rec.window(sig, a, length, b - a + 1, how)
         case _Until(left=l, right=r, a=a, b=b):
-            sig1 = _signal(x, l, length + b, rec)
+            # the left operand is read only before a witness at s >= 1
+            sig1 = _signal(x, l, length + b, rec) if b > 0 else None
             sig2 = _signal(x, r, length + b, rec)
             return _until_signal(sig1, sig2, a, b, length, rec)
         case _:
