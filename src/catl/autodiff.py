@@ -58,17 +58,10 @@ class Tensor:
     def shape(self) -> tuple:
         return self.value.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.value.ndim
-
     def item(self) -> float:
         if self.value.size != 1:
             raise ValueError(f"item() needs a single element, got shape {self.shape}")
         return float(self.value.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``grad`` of every reachable node.
@@ -486,24 +479,7 @@ def lse(av: np.ndarray, tau: float, sign: int, axis: int = -1) -> tuple[np.ndarr
     return (m + sign * (np.log(s) / tau)).squeeze(axis=axis), e / s
 
 
-def _lse(a: Tensor, tau: float, axis: int, sign: int) -> Tensor:
-    out, w = lse(a.value, tau, sign, axis)
-    return Tensor(out, (a,), lambda g: (np.expand_dims(g, axis) * w,))
-
-
-def softmax_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
-    """Smooth maximum: (1/tau) * log sum exp(tau * x) along ``axis``.
-
-    Satisfies max(x) <= out <= max(x) + log(n)/tau.
-    """
-    return _lse(a, tau, axis, 1)
-
-
-def softmin_lse(a: Tensor, tau: float, axis: int = -1) -> Tensor:
-    """Smooth minimum: -softmax_lse(-x). min(x) - log(n)/tau <= out <= min(x)."""
-    return _lse(a, tau, axis, -1)
-
-
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """Plain log-sum-exp (tau = 1 smooth max), for cross-entropy losses."""
-    return softmax_lse(a, tau=1.0, axis=axis)
+    """Plain log-sum-exp along ``axis``, for cross-entropy losses."""
+    out, w = lse(a.value, 1.0, 1, axis)
+    return Tensor(out, (a,), lambda g: (np.expand_dims(g, axis) * w,))

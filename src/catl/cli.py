@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,13 @@ def _file_or_inline(value: str) -> str:
 def _load_spec(value: str, scenario: Scenario):
     """Spec from a .catl file or an inline formula string."""
     return scenario.parse_spec(_file_or_inline(value))
+
+
+def _seed(value: str) -> int:
+    """argparse type of ``--seed``: an integer of at least 0, as numpy seeds are."""
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer of at least 0")
+    return int(value)
 
 
 def _load_team(path: str, caps: str | None):
@@ -171,7 +179,7 @@ def cmd_train(args) -> int:
     phi = _load_spec(args.spec, scenario)
     cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     result = run_pipeline(scenario, phi, cfg, out_dir=args.out, stages=args.stages)
     summary = {"stage_success": result.stage_success, "dataset_size": len(result.dataset)}
     print(json.dumps(summary, sort_keys=True))
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--formula", required=True, help="inner formula (inline or file)")
     p.add_argument("--x0", help="initial state 'x,y' (default: sample init region)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--iterations", type=int, default=500)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--out", help="write trajectory CSV here")
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--traj", required=True)
     p.add_argument("--caps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--iterations", type=int, default=300)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--out", default="repair-out")
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--params", required=True, help="policy checkpoint JSON")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--gate-mode", default="full", choices=["full", "none", "learned"])
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(func=cmd_eval)
@@ -307,10 +315,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecError, ValueError, OSError, KeyError) as exc:
+    except (_CliError, SpecError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

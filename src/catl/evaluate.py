@@ -11,8 +11,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .formulas import OuterFormula
-from .monitor import outer_rho_batch
-from .policy import PolicyParams, rollout
+from .monitor import outer_rho_batch, outer_sat_batch
+from .policy import PolicyParams, RolloutResult, rollout
 from .scenario import Scenario
 
 _CHUNK = 250
@@ -47,16 +47,23 @@ def scored_rollouts(
     phi: OuterFormula,
     x0: np.ndarray,
     gate_mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """No-grad rollouts of the teams x0 (B, J, n_x): per team its classical
-    robustness, its success and its channel accesses, each (B,). This is the
-    one place success is decided: classical robustness >= 0."""
+) -> tuple[RolloutResult, np.ndarray, np.ndarray]:
+    """No-grad rollouts of the teams x0 (B, J, n_x), with per team its
+    classical robustness and its success, each (B,). This is the one place
+    success is decided: robustness > 0 succeeds, below 0 fails, and a row
+    tied at exactly 0 gets the boolean monitor's verdict, where a state on a
+    region's edge is in the region."""
     member_caps = scenario.member_caps()
     with ad.no_grad():
-        res = rollout(params, x0, scenario.horizon, gate_mode)
+        res = rollout(params, x0, scenario.horizon, gate_mode, member_caps=member_caps)
     states = res.states_numpy()
-    eta = outer_rho_batch([(states[:, j], caps) for j, caps in enumerate(member_caps)], phi)
-    return eta, eta >= 0, res.comm_counts()
+    members = [(states[:, j], caps) for j, caps in enumerate(member_caps)]
+    eta = outer_rho_batch(members, phi)
+    success = eta > 0
+    tied = np.flatnonzero(eta == 0)
+    if tied.size:
+        success[tied] = outer_sat_batch([(x[tied], caps) for x, caps in members], phi)
+    return res, eta, success
 
 
 def evaluate(
@@ -78,7 +85,9 @@ def evaluate(
         batch = min(_CHUNK, remaining)
         remaining -= batch
         x0 = scenario.sample_initial_batch(rng, batch)
-        scores.append(scored_rollouts(params, scenario, phi, x0, gate_mode))
+        res, eta, success = scored_rollouts(params, scenario, phi, x0, gate_mode)
+        scores.append((eta, success, res.comm_counts()))
+        del res  # one chunk's rollout at a time
     elapsed = time.perf_counter() - t0
     eta, success, comm = (np.concatenate(part) for part in zip(*scores))
     successes = int(success.sum())

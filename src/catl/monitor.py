@@ -7,9 +7,10 @@ One signal recursion (``_signal``) serves three backends:
   holders". Its predicate leaf is the one place ties are decided: a state
   whose margin is exactly 0 satisfies the predicate. Robustness cannot
   decide ties by its sign, since at margin 0 both p and not p get 0.
-* classical (``tau`` None) - exact min/max robustness. Away from ties its
-  sign agrees with satisfaction (checked against independent oracles in the
-  tests).
+* classical (``tau`` None) - exact min/max robustness. Where it is nonzero
+  its sign is the boolean verdict (checked against independent oracles in
+  the tests). So success has one rule, ``evaluate.scored_rollouts``'s: the
+  sign of the robustness, and the boolean verdict where it is exactly 0.
 * smooth (``tau`` > 0) - min/max replaced by temperature-tau log-sum-exp
   softmin/softmax, evaluated in numpy with a reverse sweep for gradients,
   so that they flow to states or parameters.
@@ -26,8 +27,7 @@ the left operand required on the half-open prefix [t, t').
 Every entry point runs a plan: the flat list of ops that ``_signal`` emits
 when it recurses once over a formula for one member layout (the time length
 and the capabilities of each member's states). The boolean, classical and
-smooth backends run the same plan, a few numpy calls per op; ties are still
-decided only in the boolean backend's predicate leaf.
+smooth backends run the same plan, a few numpy calls per op.
 
 The smooth forward keeps each op's residual: a predicate's margin gradient,
 which records the face that sets a region's margin, the softmin/softmax
@@ -603,6 +603,11 @@ def outer_rho(
     temperature tau otherwise."""
     members = [(m.trajectory, m.capabilities) for m in X.members]
     return float(_monitor(Phi, members, t, tau))
+
+
+def outer_sat_batch(members: list[tuple[np.ndarray, frozenset]], Phi: OuterFormula) -> np.ndarray:
+    """Team-level satisfaction at time 0 for a batch: states are (B, T, 2)."""
+    return _monitor(Phi, members, 0, boolean=True) > 0
 
 
 def outer_rho_batch(

@@ -75,7 +75,6 @@ class RecurrentCell:
     w_x: Tensor
     w_h: Tensor
     b: Tensor
-    hidden_dim: int
 
     @staticmethod
     def create(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> "RecurrentCell":
@@ -83,7 +82,6 @@ class RecurrentCell:
             w_x=Tensor(init_weight(rng, input_dim, 4 * hidden_dim)),
             w_h=Tensor(init_weight(rng, hidden_dim, 4 * hidden_dim)),
             b=Tensor(np.zeros(4 * hidden_dim)),
-            hidden_dim=hidden_dim,
         )
 
     def step(self, x: Tensor, state: Tensor, carry: np.ndarray | None) -> Tensor:

@@ -41,7 +41,7 @@ _CONFIG_RANGES = (
       "n_c", "hidden", "repair_iterations", "repair_restarts", "steps_a", "steps_b", "rounds_b",
       "steps_c", "steps_e", "gate_steps"), lambda v: v >= 1, "at least 1"),
     (("lr", "gate_lr", "tau", "tau_start"), lambda v: v > 0, "above 0"),
-    (("gamma", "gate_eps_rel", "gate_eps_floor"), lambda v: v >= 0, "at least 0"),
+    (("gamma", "gate_eps_rel", "gate_eps_floor", "seed"), lambda v: v >= 0, "at least 0"),
     (("beta",), lambda v: 0 <= v <= 1, "in [0, 1]"),
     (("val_fraction",), lambda v: 0 <= v < 1, "in [0, 1)"),
 )
@@ -246,17 +246,14 @@ def aggregate_dataset(
     rng: np.random.Generator,
     round_index: int,
 ) -> dict:
-    """Roll out with full communication, repair violators, insert every
-    satisfying trajectory."""
+    """Roll out with full communication, scored as ``evaluate`` scores them;
+    repair violators, insert every satisfying trajectory."""
     x0 = scenario.sample_initial_batch(rng, cfg.n_rollouts)
-    with ad.no_grad():
-        res = rollout(params, x0, scenario.horizon, "full", member_caps=scenario.member_caps())
+    res, _, success = scored_rollouts(params, scenario, phi, x0, "full")
     stats = {"rollouts": cfg.n_rollouts, "satisfying": 0, "repaired": 0, "failed": 0}
     form = dnf.to_dnf(phi, scenario.jc_sizes())  # one DNF for every violator
     for i, team in enumerate(res.to_teams()):
-        # the boolean monitor decides, as Dataset.add does: a rollout that
-        # ties at robustness -0.0 can still violate
-        if outer_sat(team, phi, 0):
+        if success[i]:
             stats["satisfying"] += 1
             dataset.add(team, phi, "rollout", round_index)
             continue
@@ -344,7 +341,7 @@ def success_rate(
     gate_mode: str,
 ) -> float:
     """Share of the teams x0_batch that succeed, scored as ``evaluate`` scores them."""
-    _, success, _ = scored_rollouts(params, scenario, phi, x0_batch, gate_mode)
+    _, _, success = scored_rollouts(params, scenario, phi, x0_batch, gate_mode)
     return float(success.mean())
 
 

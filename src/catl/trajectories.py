@@ -261,9 +261,15 @@ def load_team_json(path: str | Path) -> TeamTrajectory:
         raise ValueError(f"{path}: want a JSON object with an 'agents' list")
     members = []
     for k, entry in enumerate(agents):
-        require_keys(entry, ("id", "capabilities", "states"), f"{path}: agents[{k}]")
-        controls = np.array(entry["controls"]) if "controls" in entry else None
-        members.append(TeamMember(entry["id"],
-                                  IndividualTrajectory(np.array(entry["states"]), controls),
-                                  capability_set(entry["capabilities"], f"{path}: agents[{k}]")))
+        where = f"{path}: agents[{k}]"
+        require_keys(entry, ("id", "capabilities", "states"), where)
+        if type(entry["id"]) is not int:
+            raise ValueError(f"{where}: 'id' is {entry['id']!r}, want an integer")
+        try:
+            controls = np.array(entry["controls"], dtype=float) if "controls" in entry else None
+            trajectory = IndividualTrajectory(np.array(entry["states"], dtype=float), controls)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        members.append(TeamMember(entry["id"], trajectory,
+                                  capability_set(entry["capabilities"], where)))
     return TeamTrajectory(members)

@@ -44,14 +44,14 @@ def test_composite_graph_matches_finite_differences():
         h = ad.tanh(ad.matmul(x, Tensor(w1)))
         g = ad.sigmoid(ad.matmul(h, Tensor(w2)))
         mixed = ad.concat([h, g], axis=-1)
-        s = ad.softmax_lse(mixed, tau=3.0, axis=-1)
+        s = ad.logsumexp(mixed, axis=-1)
         return ad.sum_(ad.square(s) + s * 0.5).item()
 
     x = Tensor(x0.copy())
     h = ad.tanh(ad.matmul(x, Tensor(w1)))
     g = ad.sigmoid(ad.matmul(h, Tensor(w2)))
     mixed = ad.concat([h, g], axis=-1)
-    s = ad.softmax_lse(mixed, tau=3.0, axis=-1)
+    s = ad.logsumexp(mixed, axis=-1)
     out = ad.sum_(ad.square(s) + s * 0.5)
     out.backward()
 
@@ -77,16 +77,19 @@ def signal_states(x: Tensor) -> Tensor:
     ("windows", {}),
     ("cumsum", {}),
     ("gather", {}),
+    ("logsumexp", {}),
 ])
 def test_primitive_gradients(op, extra):
     rng = np.random.default_rng(hash(op) % 2**31)
     x0 = rng.normal(size=(3, 6))
 
     def build(x: Tensor) -> Tensor:
-        if op == "softmin":
-            return ad.sum_(ad.softmin_lse(x, tau=4.0, axis=-1))
-        if op == "softmax":
-            return ad.sum_(ad.softmax_lse(x, tau=4.0, axis=-1))
+        if op == "softmin":  # the smooth node's softmin: G over all 6 steps of each row
+            return ad.sum_(inner_rho_tensor(signal_states(x), IAlways(X_COORD, 0, 5), tau=4.0))
+        if op == "softmax":  # and its softmax: F over all 6 steps
+            return ad.sum_(inner_rho_tensor(signal_states(x), IEventually(X_COORD, 0, 5), tau=4.0))
+        if op == "logsumexp":  # the gate loss's node
+            return ad.sum_(ad.logsumexp(x, axis=0))
         if op == "kth":  # the smooth node's task op: the 2nd largest of 3 rows per step
             members = [(signal_states(x[j]), frozenset({"red"})) for j in range(3)]
             pick = Task(X_COORD, "red", extra["k"])
@@ -135,19 +138,16 @@ def test_getitem_with_a_slice_stores_its_gradient_as_is():
 
 
 def test_softmin_is_negated_softmax_of_negation_bitwise():
-    # softmin_lse(x) == -softmax_lse(-x) in value and gradient, ties included
+    # lse's softmin of x is minus its softmax of -x, with the same weights
+    # (the gradient), ties included
     rng = np.random.default_rng(21)
     x0 = rng.integers(-2, 3, size=(5, 7)) * 0.5
     x0[:, :3] += rng.normal(size=(5, 3))
     for axis in (0, -1):
-        a, b = Tensor(x0.copy()), Tensor(x0.copy())
-        lo = ad.softmin_lse(a, tau=4.0, axis=axis)
-        neg_hi = -ad.softmax_lse(-b, tau=4.0, axis=axis)
-        weights = Tensor(rng.normal(size=lo.shape))
-        ad.sum_(lo * weights).backward()
-        ad.sum_(neg_hi * weights).backward()
-        assert np.array_equal(lo.value, neg_hi.value)
-        assert np.array_equal(a.grad, b.grad)
+        lo, w_lo = ad.lse(x0, 4.0, -1, axis)
+        hi, w_hi = ad.lse(-x0, 4.0, 1, axis)
+        assert np.array_equal(lo, -hi)
+        assert np.array_equal(w_lo, w_hi)
 
 
 # two rectangles of the case study's river R, with a gap at 4.4 < x < 5.6
@@ -482,14 +482,14 @@ def test_backward_does_not_mutate_consumed_gradients():
 
 def test_softmax_lse_bound():
     # max <= smooth max <= max + log(n)/tau
-    val = ad.softmax_lse(Tensor(np.array([1.0, 0.0])), tau=10.0).item()
+    val = float(ad.lse(np.array([1.0, 0.0]), 10.0, 1)[0])
     assert 1.0 <= val <= 1.0 + np.log(2) / 10.0
 
 
 def test_recurrent_zero_parameters():
     cell = RecurrentCell(
         w_x=Tensor(np.zeros((3, 8))), w_h=Tensor(np.zeros((2, 8))),
-        b=Tensor(np.zeros(8)), hidden_dim=2,
+        b=Tensor(np.zeros(8)),
     )
     state = Tensor(np.zeros((2, 1, 2)))
     h2, c2 = cell.step(Tensor(np.ones((1, 3))), state, None).value

@@ -158,6 +158,26 @@ def test_monitor_names_json_team_entry_lacking_states(tmp_path, capsys):
     assert captured.err == f"error: {path}: agents[0] lacks ['states']\n"
 
 
+@pytest.mark.parametrize("command", ["monitor", "repair"])
+def test_json_team_with_a_string_id_is_named(command, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    path = tmp_path / "t.json"
+    save_team_json(team, path)
+    doc = json.loads(path.read_text())
+    doc["agents"][0]["id"] = "one"
+    path.write_text(json.dumps(doc))
+    args = [command, "--scenario", "toy", "--spec", text, "--traj", str(path)]
+    if command == "repair":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: agents[0]: 'id' is 'one', want an integer\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option", ["--params", "--scenario", "--config", "--traj", "--caps"])
 def test_file_that_is_not_json_is_named(option, tmp_path, capsys):
     _, _, text = builtin("toy")
@@ -267,12 +287,13 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
     ({"val_fraction": 2.0}, "config key 'val_fraction' is 2.0, want in [0, 1)"),
     ({"val_fraction": 1}, "config key 'val_fraction' is 1, want in [0, 1)"),
     ({"rounds_b": -3}, "config key 'rounds_b' is -3, want at least 1"),
+    ({"seed": -1}, "config key 'seed' is -1, want at least 0"),
 ], ids=["unknown_key", "not_an_object", "str_for_int", "bool_for_int", "str_for_gamma",
         "zero_repair_restarts", "zero_repair_iterations",
         *(f"zero_{key}" for key in ZERO_COUNTS), "zero_tau", "negative_tau_start",
         "nan_lr", "nan_gamma", "inf_beta", "inf_tau", "nan_gate_eps_floor",
         "inf_convergence_pp", "negative_gate_lr", "negative_gamma", "beta_above_1",
-        "val_fraction_2", "val_fraction_1", "negative_rounds_b"])
+        "val_fraction_2", "val_fraction_1", "negative_rounds_b", "negative_seed"])
 def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     _, _, text = builtin("toy")
     config = tmp_path / "cfg.json"
@@ -283,6 +304,26 @@ def test_malformed_train_config_exits_1(doc, why, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {config}: {why}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "synth", "repair", "train"])
+def test_negative_seed_exits_1(command, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "eval": ["eval", "--scenario", "toy", "--spec", text, "--params", "p.json"],
+        "synth": ["synth", "--scenario", "toy", "--agent", "1", "--formula", "F[0,10] in(Goal)"],
+        "repair": ["repair", "--scenario", "toy", "--spec", text, "--traj", "t.json", *out],
+        "train": ["train", "--scenario", "toy", "--spec", text, *out],
+    }[command]
+    assert main(args + ["--seed", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # train's seed is a config key; the other commands name the flag
+    assert captured.err.splitlines()[-1] == (
+        "error: config key 'seed' is -2, want at least 0" if command == "train"
+        else "error: argument --seed: '-2' is not an integer of at least 0")
     assert not (tmp_path / "out").exists()
 
 

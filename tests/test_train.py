@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from catl import autodiff as ad
 from catl import train
 from catl.autodiff import Tensor
-from catl.evaluate import EvalReport, evaluate
+from catl.evaluate import EvalReport, evaluate, scored_rollouts
+from catl.formulas import horizon
 from catl.monitor import outer_rho, outer_rho_batch, outer_sat
 from catl.policy import RolloutResult, create_policy, gate, rollout
 from catl.scenario import toy_benchmark, triple_toy
@@ -35,6 +37,7 @@ from catl.train import (
     train_policy,
 )
 
+from generators import TEAM_CAPS, random_outer, random_states
 from oracles import best_permutation
 
 TOY_SC, TOY_PHI = toy_benchmark()
@@ -43,6 +46,30 @@ TRIPLE_SC, TRIPLE_PHI = triple_toy()
 
 def toy_params(seed=0):
     return create_policy(np.random.default_rng(seed), TOY_SC, n_c=6, hidden=16)
+
+
+# toy paths whose classical robustness is exactly 0. OBS_CORNER touches the
+# Obs corner (2.5, 2.0) on its way to the goal: robustness -0.0, and it
+# violates "never in Obs". GOAL_EDGE ends on the Goal corner (4.5, 4.5),
+# clear of Obs: robustness 0.0, and it satisfies, since a state on a
+# region's edge is in the region.
+OBS_CORNER = np.array([(1, 1), (1.8, 1.2), (2.5, 1.5), (2.5, 2.0), (3.5, 1.9), (4.2, 2.8),
+                       (4.8, 3.7), (5, 4.6), (5, 5), (5, 5), (5, 5)], dtype=float)
+GOAL_EDGE = np.array([(1, 1), (2, 1), (3, 1), (4, 1), (4.5, 1.5), (4.5, 2.5), (4.5, 3.5),
+                      (4.5, 4.0), (4.5, 4.5), (4.5, 4.5), (4.5, 4.5)], dtype=float)
+
+
+def fixed_rollout(states):
+    """A stand-in for ``rollout`` that returns the states (B, J, T, 2)."""
+    def fake(params, x0, length, gate_mode="full", member_caps=None, **kw):
+        batch, agents = states.shape[:2]
+        return RolloutResult(
+            states=Tensor(states), controls=Tensor(np.diff(states, axis=-2)),
+            thoughts=np.zeros((batch, agents, length, 0)),
+            comm_mask=np.ones((batch, agents, length)),
+            agent_ids=list(range(1, agents + 1)), member_caps=member_caps,
+        )
+    return fake
 
 
 class TestObjective:
@@ -229,24 +256,10 @@ class TestDataset:
         assert np.array_equal(loaded.entries[0].states, ds.entries[0].states)
 
     def test_rollout_tied_on_obstacle_edge_goes_to_repair(self, monkeypatch):
-        # touches the Obs corner (2.5, 2.0) on its way to the goal: classical
-        # robustness is -0.0, yet the rollout violates "never in Obs"
-        path = np.array([(1, 1), (1.8, 1.2), (2.5, 1.5), (2.5, 2.0), (3.5, 1.9), (4.2, 2.8),
-                         (4.8, 3.7), (5, 4.6), (5, 5), (5, 5), (5, 5)], dtype=float)
-        assert len(path) == TOY_SC.horizon + 1
-
-        def tied_rollout(params, x0, length, gate_mode="full", member_caps=None, **kw):
-            return RolloutResult(
-                states=Tensor(path[None, None]),
-                controls=Tensor((path[1:] - path[:-1])[None, None]),
-                thoughts=np.zeros((1, 1, length, 0)), comm_mask=np.ones((1, 1, length)),
-                agent_ids=[1], member_caps=member_caps,
-            )
-
-        team = tied_rollout(None, None, TOY_SC.horizon,
-                            member_caps=TOY_SC.member_caps()).to_teams()[0]
+        tied = fixed_rollout(OBS_CORNER[None, None])
+        team = tied(None, None, TOY_SC.horizon, member_caps=TOY_SC.member_caps()).to_teams()[0]
         assert outer_rho(team, TOY_PHI, 0) == 0.0 and not outer_sat(team, TOY_PHI, 0)
-        monkeypatch.setattr(train, "rollout", tied_rollout)
+        monkeypatch.setattr("catl.evaluate.rollout", tied)
         cfg = TrainConfig(n_rollouts=1, repair_iterations=40, repair_restarts=1)
         ds = Dataset()
         stats = aggregate_dataset(toy_params(), TOY_SC, TOY_PHI, cfg, ds,
@@ -450,6 +463,46 @@ class TestPipeline:
         assert doc["dataset_size"] == 0
         assert not (tmp_path / "dataset.json").exists()
         assert (tmp_path / "final.json").exists()
+
+
+class TestSuccess:
+    """``scored_rollouts`` decides success for ``evaluate``, ``success_rate``
+    and ``aggregate_dataset``: the sign of the classical robustness, and the
+    boolean monitor where it is exactly 0."""
+
+    @pytest.mark.parametrize("path, successes", [(OBS_CORNER, 0), (GOAL_EDGE, 3)],
+                             ids=["obstacle_corner", "goal_edge"])
+    def test_tied_toy_path_scores_by_the_boolean_verdict(self, path, successes, monkeypatch):
+        tied = fixed_rollout(np.repeat(path[None, None], 3, axis=0))
+        team = tied(None, None, TOY_SC.horizon, member_caps=TOY_SC.member_caps()).to_teams()[0]
+        assert outer_rho(team, TOY_PHI, 0) == 0.0
+        assert outer_sat(team, TOY_PHI, 0) == (successes > 0)
+        monkeypatch.setattr("catl.evaluate.rollout", tied)
+        report = evaluate(toy_params(), TOY_SC, TOY_PHI, 3)
+        assert (report.successes, report.rho_max) == (successes, 0.0)
+        x0 = TOY_SC.sample_initial_batch(np.random.default_rng(0), 3)
+        assert success_rate(toy_params(), TOY_SC, TOY_PHI, x0, "full") == successes / 3
+
+    def test_success_is_the_boolean_verdict_on_grid_snapped_batches(self, monkeypatch):
+        # states on a 0.5 grid put predicates exactly on region edges, so
+        # many rows tie at robustness 0, each way
+        rng = np.random.default_rng(71)
+        ties = {True: 0, False: 0}
+        for _ in range(400):  # 6,400 rows
+            phi = random_outer(rng, depth=int(rng.integers(0, 3)),
+                               budget=int(rng.integers(0, 4)))
+            length = horizon(phi) + 2
+            states = np.round(2 * np.stack([[random_states(rng, length) for _ in TEAM_CAPS]
+                                            for _ in range(16)])) / 2  # (B, J, T, 2)
+            monkeypatch.setattr("catl.evaluate.rollout", fixed_rollout(states))
+            scenario = SimpleNamespace(horizon=length - 1, member_caps=lambda: TEAM_CAPS)
+            res, eta, success = scored_rollouts(None, scenario, phi, states[:, :, 0], "full")
+            for team, rho, ok in zip(res.to_teams(), eta, success):
+                want = outer_sat(team, phi, 0)
+                assert ok == want
+                if rho == 0:
+                    ties[want] += 1
+        assert ties[True] >= 100 and ties[False] >= 20, ties
 
 
 class TestEvalReport:

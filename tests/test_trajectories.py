@@ -1,6 +1,7 @@
 """Trajectory file formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,3 +120,23 @@ def test_json_capabilities_must_be_a_list_of_names(tmp_path):
     doc["agents"][0]["capabilities"] = ["Robot"]
     path.write_text(json.dumps(doc))
     assert load_team_json(path).members[0].capabilities == {"Robot"}
+
+
+@pytest.mark.parametrize("key, value, why", [
+    ("id", "one", "'id' is 'one', want an integer"),
+    ("id", 1.5, "'id' is 1.5, want an integer"),
+    ("id", True, "'id' is True, want an integer"),
+    ("states", [[0, 0], [0, "a"], [0, 0]], "could not convert string to float: 'a'"),
+    ("states", [[0, 0], [0], [0, 0]], "setting an array element with a sequence"),
+    ("controls", [[0, 0], ["b", 0]], "could not convert string to float: 'b'"),
+    ("controls", [[0, 0]], "controls must be (H, 2)=(2, 2), got (1, 2)"),
+], ids=["str_id", "float_id", "bool_id", "str_state", "ragged_states", "str_control",
+        "short_controls"])
+def test_json_team_entry_faults_name_the_file_and_agent(key, value, why, tmp_path):
+    path = tmp_path / "t.json"
+    save_team_json(robot_team(), path)
+    doc = json.loads(path.read_text())
+    doc["agents"][0][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: agents[0]: {why}")):
+        load_team_json(path)
