@@ -437,18 +437,6 @@ def cumsum(a: Tensor, axis: int = 0) -> Tensor:
     return Tensor(np.cumsum(a.value, axis=axis), (a,), bwd)
 
 
-def window_view(a: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
-    """Sliding windows along the last axis: out[..., i, k] = a[..., start + i + k]
-    for i < count and k < width, a read-only view of shape (..., count, width)."""
-    if start + count + width - 1 > a.shape[-1]:
-        raise ValueError(f"{count} windows of width {width} from {start} overrun {a.shape[-1]}")
-    step = a.strides[-1]
-    return np.lib.stride_tricks.as_strided(
-        a[..., start:], a.shape[:-1] + (count, width), a.strides[:-1] + (step, step),
-        writeable=False,
-    )
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.value.sum(axis=axis, keepdims=keepdims)
     av_shape = a.value.shape

@@ -14,8 +14,8 @@ One signal recursion (``_signal``) serves three backends:
 * smooth (``tau`` > 0) - min/max replaced by temperature-tau log-sum-exp
   softmin/softmax, evaluated in numpy with a reverse sweep for gradients,
   so that they flow to states or parameters.
-  Task atoms select the m-th largest per-agent value by exact sort in both
-  modes (differentiable almost everywhere), and predicate margins are exact
+  Task atoms select the m-th largest per-agent value exactly in both modes
+  (differentiable almost everywhere), and predicate margins are exact
   in both modes, so |smooth - classical| is bounded by depth * log(W) / tau
   (see :func:`smoothness_bound`).
 
@@ -44,14 +44,18 @@ horizon, computed once, and its plan per layout, compiled on first use.
 Every entry point calls one boundary, ``_monitor``, the only place inputs
 are checked and cut to the window that decides the formula.
 
-In a plan each distinct predicate (and each negated predicate) is one
-margin op per member, over all its states, and every pin and window that
-reads it slices that one signal. An F/G window of width W is one
-sliding-window view reduced along its last axis; a width-1 window is a
-plain slice; a conjunction of width-1 slices, such as the pins of a
-synthesis target, is one concat of their distinct sources, one
-integer-index gather and one min. A predicate's margin is the predicate's
-own ``evaluate``, and with its gradient its own ``linearize``.
+A plan has five op kinds: ``full`` (True), ``margin``, ``neg``, ``gather``
+and ``at`` (the value at time 0). Each distinct predicate (and each negated
+predicate) is one margin op per member, over all its states, and every pin
+and window that reads it reads that one signal. Every min, max and k-th
+largest, whether an F/G window, an and/or, an until or a task's holders, is
+one gather: each operand is a run of time steps in some source signal, and
+one integer index reads them all from the distinct sources laid end to end,
+an operand per entry of its last axis, which the reduction then removes. Its
+gradient is one ``np.add.at`` over the same index. A width-1 window is no op
+at all, only a shifted read of its child's signal. A predicate's margin is
+the predicate's own ``evaluate``, and with its gradient its own
+``linearize``.
 """
 
 from __future__ import annotations
@@ -98,11 +102,8 @@ class _Backend:
 
     Each op kind of a plan is a method that reads its inputs from ``vals``,
     the member states followed by the signals computed so far. Subclasses
-    give the leaf ops (``full``, ``margin``) and the primitives the others
-    share: ``stack`` (signals along a new last axis), ``concat`` (signals end
-    to end along the time axis), ``windows`` (sliding windows of one signal
-    along a new last axis) and ``min``, ``max`` and ``kth`` reductions of
-    that last axis."""
+    give the leaf ops (``full``, ``margin``) and the ``min``, ``max`` and
+    ``kth`` reductions of a last axis, which ``gather`` applies."""
 
     top = TOP
 
@@ -113,25 +114,14 @@ class _Backend:
     def neg(self, vals, i: int):
         return -vals[i]
 
-    def slice(self, vals, i: int, start: int, length: int):
-        return vals[i][..., start : start + length]
-
     def at(self, vals, i: int, t: int):
         return vals[i][..., t]
 
-    def window(self, vals, i: int, start: int, count: int, width: int, how: tuple):
-        return self.reduce(self.windows(vals[i], start, count, width), how)
-
-    def stacked(self, vals, ins: tuple, how: tuple):
-        return self.reduce(self.stack([vals[i] for i in ins]), how)
-
-    def gathered(self, vals, ins: tuple, index: np.ndarray, how: tuple):
-        sig = vals[ins[0]] if len(ins) == 1 else self.concat([vals[i] for i in ins])
-        return self.reduce(sig[..., index], how)
-
-    def reduce(self, stacked, how: tuple):
-        """``how`` is ("min",), ("max",) or ("kth", k)."""
-        return getattr(self, how[0])(stacked, *how[1:])
+    def gather(self, vals, ins: tuple, index: np.ndarray, how: tuple):
+        """Reduce the last axis of ``index``, which reads the signals ``ins``
+        laid end to end; ``how`` is ("min",), ("max",) or ("kth", k)."""
+        sig = vals[ins[0]] if len(ins) == 1 else np.concatenate([vals[i] for i in ins], axis=-1)
+        return getattr(self, how[0])(sig[..., index], *how[1:])
 
 
 class _ClassicalBackend(_Backend):
@@ -141,15 +131,6 @@ class _ClassicalBackend(_Backend):
     def margin(self, vals, member: int, pred):
         return pred.evaluate(vals[member])
 
-    def stack(self, sigs):
-        return np.stack(sigs, axis=-1)
-
-    def concat(self, sigs):
-        return np.concatenate(sigs, axis=-1)
-
-    def windows(self, sig, start: int, count: int, width: int):
-        return ad.window_view(sig, start, count, width)
-
     def min(self, stacked):
         return stacked.min(axis=-1)
 
@@ -157,7 +138,12 @@ class _ClassicalBackend(_Backend):
         return stacked.max(axis=-1)
 
     def kth(self, stacked, k: int):
-        return np.sort(stacked, axis=-1)[..., stacked.shape[-1] - k]
+        # the first and the last of the order are plain reductions, much
+        # cheaper than sorting every row
+        n = stacked.shape[-1]
+        if k == 1 or k == n:
+            return self.max(stacked) if k == 1 else self.min(stacked)
+        return np.partition(stacked, n - k, axis=-1)[..., n - k]
 
 
 class _SmoothBackend(_ClassicalBackend):
@@ -181,11 +167,13 @@ class _SmoothBackend(_ClassicalBackend):
             return pred.evaluate(vals[member])
         return self._keep(*pred.linearize(vals[member]))
 
+    # a gather is not C-ordered; summed in its own order, a wide batched
+    # window would differ from its unbatched call by an ulp
     def min(self, stacked):
-        return self._keep(*ad.lse(stacked, self.tau, -1))
+        return self._keep(*ad.lse(np.ascontiguousarray(stacked), self.tau, -1))
 
     def max(self, stacked):
-        return self._keep(*ad.lse(stacked, self.tau, 1))
+        return self._keep(*ad.lse(np.ascontiguousarray(stacked), self.tau, 1))
 
     def kth(self, stacked, k: int):
         # ties go to the first tied entry
@@ -206,19 +194,13 @@ class _SmoothBackend(_ClassicalBackend):
             getattr(self, "d_" + name)(self.grads.pop(), *args)
         return self.grads
 
-    def _add(self, i: int, g, key=None) -> None:
-        """Add g to slot i's gradient, or to its time steps ``key``. A whole
-        g is a new array, or a view of one, that nothing else reads, so it
-        becomes the gradient as it is."""
-        grads = self.grads
-        if key is not None:
-            if grads[i] is None:
-                grads[i] = np.zeros(self.shapes[i])
-            grads[i][..., key] += g
-        elif grads[i] is None:
-            grads[i] = g
+    def _add(self, i: int, g) -> None:
+        """Add g to slot i's gradient. g is a new array, or a view of one,
+        that nothing else reads, so it becomes the gradient as it is."""
+        if self.grads[i] is None:
+            self.grads[i] = g
         else:
-            grads[i] += g
+            self.grads[i] += g
 
     def _reduced(self, g, how: tuple, n: int):
         """The gradient on the (..., n) entries that were reduced to g."""
@@ -238,32 +220,13 @@ class _SmoothBackend(_ClassicalBackend):
     def d_neg(self, g, i: int):
         self._add(i, -g)
 
-    def d_slice(self, g, i: int, start: int, length: int):
-        self._add(i, g, slice(start, start + length))
-
     def d_at(self, g, i: int, t: int):
-        self._add(i, g, t)
+        # the last op, so the first to hand a gradient to its slot
+        self.grads[i] = np.zeros(self.shapes[i])
+        self.grads[i][..., t] = g
 
-    def d_window(self, g, i: int, start: int, count: int, width: int, how: tuple):
-        # loops over offsets k or windows j, whichever is shorter: an F[0,25]
-        # at t = 0 is one window of width 26
-        gw = self._reduced(g, how, width)
-        span = np.zeros(g.shape[:-1] + (count + width - 1,))
-        if width <= count:
-            for k in range(width):
-                span[..., k : k + count] += gw[..., k]
-        else:
-            for j in range(count):
-                span[..., j : j + width] += gw[..., j, :]
-        self._add(i, span, slice(start, start + count + width - 1))
-
-    def d_stacked(self, g, ins: tuple, how: tuple):
-        gs = self._reduced(g, how, len(ins))
-        for j, i in enumerate(ins):
-            self._add(i, gs[..., j])
-
-    def d_gathered(self, g, ins: tuple, index: np.ndarray, how: tuple):
-        # one gradient over the concat of the sources, entries read more
+    def d_gather(self, g, ins: tuple, index: np.ndarray, how: tuple):
+        # one gradient over the sources laid end to end, entries read more
         # than once adding up, then cut at the sources' ends
         sig = np.zeros(g.shape[:-1] + (sum(self.shapes[i][-1] for i in ins),))
         np.add.at(sig, (Ellipsis, index), self._reduced(g, how, index.shape[-1]))
@@ -320,12 +283,11 @@ class _Plan:
 class _Recorder:
     """The backend of _signal at compile time: each call appends ops to a
     flat list and returns a view (slot, start, length) of a signal, so a
-    slice costs no op until something reads the view whole.
+    time shift costs no op: ops read views through an index or whole slots.
 
     Each distinct predicate and negated predicate is one margin op per
-    member; equal predicates share it. A reduction of width-1 views becomes
-    one concat of their distinct source signals and one integer-index
-    gather in child order, where a stack would need one slice per child."""
+    member; equal predicates share it. A reduction of several views is one
+    gather op; a reduction of one view is that view."""
 
     def __init__(self, lengths: list[int]):
         self.lengths = list(lengths)  # time length per slot; members first
@@ -347,13 +309,6 @@ class _Recorder:
         ops = [(name, args, tuple(d)) for (name, args, _), d in zip(self.ops, done)]
         return _Plan(ops, self.lengths)
 
-    def slot(self, view: tuple) -> int:
-        """The slot holding exactly the view's signal, sliced if need be."""
-        i, start, length = view
-        if start == 0 and self.lengths[i] == length:
-            return i
-        return self.emit(length, (i,), "slice", i, start, length)[0]
-
     def const(self, length: int) -> tuple:
         return self.emit(length, (), "full", length)
 
@@ -370,25 +325,21 @@ class _Recorder:
         return self.memo[key]
 
     def neg(self, view: tuple) -> tuple:
-        i = self.slot(view)
-        return self.emit(view[2], (i,), "neg", i)
-
-    def window(self, view: tuple, start: int, count: int, width: int, how: str) -> tuple:
-        i, offset, _ = view
-        return self.emit(count, (i,), "window", i, offset + start, count, width, (how,))
+        """The view of -view: its whole slot negated."""
+        i, start, length = view
+        return self.emit(self.lengths[i], (i,), "neg", i)[0], start, length
 
     def reduce(self, views: list, how: tuple) -> tuple:
-        """min, max or k-th largest of the views, cut to a common length."""
+        """min, max or k-th largest of the views, cut to a common length: one
+        gather whose index reads, for each view, ``length`` steps from its
+        start in its source, the distinct sources laid end to end."""
         if len(views) == 1:
             return views[0]
         length = min(v[2] for v in views)
-        if length == 1 and any(self.lengths[i] > 1 for i, _, _ in views):
-            sources = list(dict.fromkeys(i for i, _, _ in views))
-            offset = dict(zip(sources, np.cumsum([0] + [self.lengths[i] for i in sources])))
-            index = np.array([[offset[i] + start for i, start, _ in views]])
-            return self.emit(1, tuple(sources), "gathered", tuple(sources), index, how)
-        ins = tuple(self.slot((i, start, length)) for i, start, _ in views)
-        return self.emit(length, ins, "stacked", ins, how)
+        sources = list(dict.fromkeys(i for i, _, _ in views))
+        offset = dict(zip(sources, np.cumsum([0] + [self.lengths[i] for i in sources])))
+        index = np.array([offset[i] + start for i, start, _ in views]) + np.arange(length)[:, None]
+        return self.emit(length, tuple(sources), "gather", tuple(sources), index, how)
 
 
 def _slice_t(view: tuple, start: int, length: int) -> tuple:
@@ -426,10 +377,8 @@ def _signal(x, phi, length: int, rec: _Recorder) -> tuple:
             return rec.reduce([_signal(x, c, length, rec) for c in cs], how)
         case _Window(child=c, a=a, b=b):
             sig = _signal(x, c, length + b, rec)
-            if a == b:
-                return _slice_t(sig, a, length)
-            how = "min" if isinstance(phi, _Always) else "max"
-            return rec.window(sig, a, length, b - a + 1, how)
+            how = ("min",) if isinstance(phi, _Always) else ("max",)
+            return rec.reduce([_slice_t(sig, s, length) for s in range(a, b + 1)], how)
         case _Until(left=l, right=r, a=a, b=b):
             # the left operand is read only before a witness at s >= 1
             sig1 = _signal(x, l, length + b, rec) if b > 0 else None
@@ -446,7 +395,7 @@ def _until_signal(sig1, sig2, a: int, b: int, length: int, rec: _Recorder) -> tu
         if s == 0:
             terms.append(witness)
         else:
-            prefix = rec.window(sig1, 0, length, s, "min")
+            prefix = rec.reduce([_slice_t(sig1, k, length) for k in range(s)], ("min",))
             terms.append(rec.reduce([witness, prefix], ("min",)))
     return rec.reduce(terms, ("max",))
 

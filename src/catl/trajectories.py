@@ -53,7 +53,7 @@ class IndividualTrajectory:
                     f"controls must be (H, 2)={len(self.states) - 1, 2}, got {self.controls.shape}"
                 )
             _check_finite("controls", self.controls)
-            err = np.abs(self.states[1:] - self.states[:-1] - self.controls).max()
+            err = np.abs(self.states[1:] - self.states[:-1] - self.controls).max(initial=0.0)
             if err > DYNAMICS_TOL:
                 raise ValueError(f"controls violate x(t+1)=x(t)+u(t) by {err:.3e}")
 

@@ -220,6 +220,17 @@ class TestTaskRho:
         task = Task(phi, "red", 1)
         assert outer_rho(team, task, 0) == pytest.approx(max(rhos))
 
+    def test_every_m_selects_the_mth_largest_exactly(self):
+        # m = 1 and m = holders are a max and a min, the others a partition
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            phi = random_inner(rng, depth=2, budget=2)
+            team = random_team(rng, horizon(phi) + 1, [frozenset({"blue"})] * 4)
+            holders = team.with_capability("blue")
+            rhos = sorted(inner_rho(m.trajectory, phi, 0) for m in holders)
+            for m in range(1, len(holders) + 1):
+                assert outer_rho(team, Task(phi, "blue", m), 0) == rhos[-m]
+
     def test_sign_matches_counting(self):
         rng = np.random.default_rng(59)
         checked = 0
@@ -548,12 +559,13 @@ class TestPlan:
 
     def test_duplicated_pin_gradient_matches_finite_differences(self):
         # in(A) pinned twice at step 2 gathers one margin entry twice, and a
-        # window over the same margin reads it a third time
+        # window over the same margin reads it a third time: the window and
+        # the pins are two gathers
         a, b = in_region(REGIONS["A"]), in_region(REGIONS["B"])
         target = pinned_conjunction([(2, a), (1, IEventually(a, 0, 2)), (2, a),
                                      (3, INot(b)), (0, b)])
         plan = monitor._compile(target, ((5, None),))
-        assert [name for name, _, _ in plan.ops].count("gathered") == 1
+        assert [name for name, _, _ in plan.ops].count("gather") == 2
         rng = np.random.default_rng(70)
         checked = 0
         for _ in range(20):
@@ -565,6 +577,37 @@ class TestPlan:
             scale = max(np.abs(fd).max(), np.abs(x.grad).max(), 1e-8)
             checked += np.abs(fd - x.grad).max() / scale < 1e-4
         assert checked >= 18  # a probe may sit on a face tie of a margin
+
+    def test_plans_hold_five_op_kinds(self):
+        # every min, max and k-th largest is a gather, and a width-1 window
+        # is no op: F[a,a] p is its margin read at time a
+        rng = np.random.default_rng(73)
+        kinds = set()
+        for _ in range(100):
+            phi = random_inner(rng, depth=int(rng.integers(0, 4)), budget=int(rng.integers(0, 5)))
+            plan = monitor._compile(phi, ((horizon(phi) + 1, None),))
+            kinds |= {name for name, _, _ in plan.ops}
+            Phi = random_outer(rng, depth=int(rng.integers(0, 3)), budget=int(rng.integers(0, 4)))
+            layout = tuple((horizon(Phi) + 1, caps) for caps in TEAM_CAPS)
+            kinds |= {name for name, _, _ in monitor._compile(Phi, layout).ops}
+        assert kinds == {"full", "margin", "neg", "gather", "at"}
+        p = in_region(REGIONS["A"])
+        for a in (0, 3):
+            plan = monitor._compile(IEventually(p, a, a), ((a + 1, None),))
+            assert [(name, args) for name, args, _ in plan.ops] == [
+                ("margin", (0, p)), ("at", (1, a))]
+
+    def test_wide_windows_give_each_batch_row_its_unbatched_value(self):
+        # numpy sums 9 or more entries blockwise, so a wide window's softmin
+        # and softmax must see one layout with and without a batch axis
+        rng = np.random.default_rng(74)
+        phi = IAlways(IEventually(random_predicate(rng), 0, 11), 0, 3)
+        batch = np.stack([random_states(rng, 16) for _ in range(8)])
+        smooth, (grads,) = monitor._monitor(phi, [(batch, None)], 0, TAU, grad=True)
+        for b, states in enumerate(batch):
+            rho, grad = monitor.inner_rho_grad(states, phi, TAU)
+            assert smooth[b] == rho
+            assert np.array_equal(grads[b], grad)
 
     def test_plan_cache_stays_within_its_bound(self):
         rng = np.random.default_rng(71)
@@ -650,6 +693,17 @@ class TestPlanNode:
             hits += self.matches_finite_differences(
                 lambda v: objective(v).item(), grad, x0)
         assert hits >= 27
+
+    def test_a_pinned_formula_sends_its_gradient_to_the_pinned_step(self):
+        # F[2,2] p compiles to a margin read at step 2, no reduction
+        p = HalfPlane((0.6, -0.8), 0.25)
+        states = random_states(np.random.default_rng(96), 5)
+        rho, grad = monitor.inner_rho_grad(states, IEventually(p, 2, 2), TAU)
+        margin, dmargin = p.linearize(states)
+        expected = np.zeros_like(states)
+        expected[2] = dmargin
+        assert rho == margin[2]
+        assert np.array_equal(grad, expected)
 
     def test_array_entry_point_is_the_node_bitwise(self):
         # inner_rho_grad runs the node's sweep on the same cut states: the

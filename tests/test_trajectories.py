@@ -92,6 +92,14 @@ def test_non_finite_states_and_controls_are_rejected():
         IndividualTrajectory(states, bad_controls)
 
 
+def test_a_one_state_trajectory_with_no_controls_has_no_step_to_check():
+    # a horizon-0 rollout's team holds (1, 2) states and (0, 2) controls
+    x = IndividualTrajectory(np.ones((1, 2)), np.zeros((0, 2)))
+    assert x.last_time == 0 and x.controls.shape == (0, 2)
+    with pytest.raises(ValueError, match="violate"):
+        IndividualTrajectory(np.zeros((2, 2)), np.ones((1, 2)))
+
+
 def robot_team() -> TeamTrajectory:
     return TeamTrajectory([TeamMember(1, IndividualTrajectory(np.zeros((3, 2))),
                                       frozenset({"Robot"}))])
