@@ -2,8 +2,10 @@
 
 A Tensor wraps an ndarray plus a gradient slot. Operations record their
 inputs and a backward closure; calling ``backward()`` on a scalar result
-accumulates exact adjoints into every reachable leaf. Everything is
-64-bit and single-threaded per graph, so runs are bitwise reproducible.
+accumulates exact adjoints into every reachable leaf. An operand that is
+not a Tensor (an ndarray or a number) is a constant: never a graph node,
+never given a gradient. Everything is 64-bit and single-threaded per
+graph, so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class Tensor:
     """Node in the computation graph: value, gradient slot, recorded parents."""
 
     __slots__ = ("value", "grad", "_parents", "_backward")
+    __array_ufunc__ = None  # so ndarray <op> Tensor calls the Tensor's reflected operator
 
     def __init__(
         self,
@@ -77,7 +80,7 @@ class Tensor:
                 continue
             contribs = node._backward(node.grad)
             for parent, contrib in zip(node._parents, contribs):
-                if contrib is None:
+                if contrib is None or not isinstance(parent, Tensor):
                     continue
                 if parent.grad is None:
                     # a copy: add, reshape, stack and concat hand back g or views of it
@@ -88,28 +91,28 @@ class Tensor:
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _lift(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_lift(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _lift(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_lift(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _lift(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_lift(other), self)
+        return mul(other, self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _lift(other))
+        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -118,8 +121,9 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _value(x):
+    """A Tensor's value, or x itself: a non-Tensor operand is a constant."""
+    return x.value if isinstance(x, Tensor) else x
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -137,7 +141,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if isinstance(parent, Tensor) and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -158,52 +162,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- primitives ----------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value + b.value
+def add(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
 
     def bwd(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return _unbroadcast(g, np.shape(av)), _unbroadcast(g, np.shape(bv))
 
-    return Tensor(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value - b.value
-
-    def bwd(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return Tensor(out, (a, b), bwd)
+    return Tensor(av + bv, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value * b.value
-    av, bv = a.value, b.value
+def sub(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
 
     def bwd(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return _unbroadcast(g, np.shape(av)), _unbroadcast(-g, np.shape(bv))
 
-    return Tensor(out, (a, b), bwd)
+    return Tensor(av - bv, (a, b), bwd)
+
+
+def mul(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
+
+    def bwd(g):
+        return _unbroadcast(g * bv, np.shape(av)), _unbroadcast(g * av, np.shape(bv))
+
+    return Tensor(av * bv, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
     return Tensor(-a.value, (a,), lambda g: (-g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (..., n) @ w (n, m) as one product over a's rows: numpy's own @ on a
+    > 2-D runs one product per leading index, slower and summed otherwise."""
+    if a.ndim <= 2:
+        return a @ w
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
+
+
+def matmul(a, b) -> Tensor:
     """(..., n) x (n, m); gradients reduce over any broadcast batch dims."""
-    out = a.value @ b.value
-    av, bv = a.value, b.value
+    av, bv = _value(a), _value(b)
 
     def bwd(g):
-        ga = g @ bv.T
+        ga = _rows_matmul(g, bv.T)
         if av.ndim == 1:
             gb = np.outer(av, g)
         else:
             gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
-    return Tensor(out, (a, b), bwd)
+    return Tensor(_rows_matmul(av, bv), (a, b), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -274,18 +284,17 @@ def _cell_backward(gh: np.ndarray, gc: np.ndarray, c: np.ndarray, acts: tuple,
     return dc * gf
 
 
-def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
-              carry: np.ndarray | None = None) -> Tensor:
+def lstm_step(x, state, w_x, w_h, b, carry: np.ndarray | None = None) -> Tensor:
     """One gated recurrent update of the state [h, c], stacked to (2, ..., n),
     as one node: z = x @ w_x + h @ w_h + b split into [input, forget, output,
     candidate] pre-activations, c' = f * c + i * cand, h' = o * tanh(c'). The
     value is carry * [h', c'] + (1 - carry) * state, stacked the same way, so
     rows where the constant 0/1 ``carry`` (..., 1) is 0 keep their state; None
-    updates every row. Forward values equal the composition of ``matmul``,
-    ``sigmoid``, ``tanh`` and ``mul`` bitwise."""
-    sv, xv, wxv, whv = state.value, x.value, w_x.value, w_h.value
+    updates every row; any operand may be a constant array. Forward values
+    equal the composition of ``matmul``, ``sigmoid``, ``tanh`` and ``mul`` bitwise."""
+    xv, sv, wxv, whv, bv = map(_value, (x, state, w_x, w_h, b))
     hv, cv = sv[0], sv[1]
-    z = xv @ wxv + hv @ whv + b.value
+    z = _rows_matmul(xv, wxv) + _rows_matmul(hv, whv) + bv
     out = np.empty(sv.shape)
     acts = _cell_forward(z, cv, out[0], out[1])
     if carry is not None:
@@ -297,15 +306,15 @@ def lstm_step(x: Tensor, state: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         dz = np.empty(z.shape)
         dc_prev = _cell_backward(gh, gc, cv, acts, dz)
         flat = dz.reshape(-1, dz.shape[-1])
-        d_state = np.stack([dz @ whv.T, dc_prev])
+        d_state = np.stack([_rows_matmul(dz, whv.T), dc_prev])
         if carry is not None:
             d_state += keep * g
         return (
-            dz @ wxv.T,
+            _rows_matmul(dz, wxv.T),
             d_state,
             xv.reshape(-1, xv.shape[-1]).T @ flat,
             hv.reshape(-1, hv.shape[-1]).T @ flat,
-            _unbroadcast(dz, b.value.shape),
+            _unbroadcast(dz, bv.shape),
         )
 
     return Tensor(out, (x, state, w_x, w_h, b), bwd)
@@ -404,11 +413,11 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return Tensor(a.value.reshape(shape), (a,), bwd)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     tensors = list(tensors)
-    out = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.value.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    values = [_value(t) for t in tensors]
+    out = np.concatenate(values, axis=axis)
+    splits = np.cumsum([v.shape[axis] for v in values])[:-1]
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
@@ -416,9 +425,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor(out, tensors, bwd)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+def stack(tensors: Sequence, axis: int = -1) -> Tensor:
     tensors = list(tensors)
-    out = np.stack([t.value for t in tensors], axis=axis)
+    out = np.stack([_value(t) for t in tensors], axis=axis)
 
     def bwd(g):
         pieces = np.moveaxis(g, axis, 0)
@@ -454,7 +463,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def lse(av: np.ndarray, tau: float, sign: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

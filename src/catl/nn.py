@@ -2,7 +2,7 @@
 
 Dense stacks, a gated recurrent (LSTM) cell, a masked bidirectional scan over
 axis 1 of a (B, J, n) tensor, bias-corrected Adam, and the JSON checkpoint
-format. A recurrent state is [h, c] as one (2, B, n) tensor, and a cell step
+format. A recurrent state is [h, c] as one (2, ..., n) tensor, and a cell step
 is one fused ``lstm_step`` node. The scan is one ``bidirectional_lstm`` node
 for the whole sequence, both directions and the participation mask: it
 steps the two directions together and backpropagates through time itself.
@@ -52,7 +52,7 @@ class Dense:
             b2=Tensor(np.zeros(n_out)),
         )
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x) -> Tensor:
         h = tanh(matmul(x, self.w1) + self.b1)
         return matmul(h, self.w2) + self.b2
 
@@ -67,7 +67,7 @@ class RecurrentCell:
 
     Gate pre-activations are computed as one fused affine map
     x @ w_x + h @ w_h + b, split into [input, forget, output, candidate].
-    The state is [h, c] stacked to one (2, B, n) tensor, and a step records
+    The state is [h, c] stacked to one (2, ..., n) tensor, and a step records
     one ``lstm_step`` node (hand-written backward); callers read h as
     ``state[0]``.
     """
@@ -85,9 +85,9 @@ class RecurrentCell:
         )
 
     def step(self, x: Tensor, state: Tensor, carry: np.ndarray | None) -> Tensor:
-        """One recurrent update of ``state`` (2, B, dim) on input x (B, n_in);
-        rows where the constant 0/1 ``carry`` (B, 1) is 0 keep their state.
-        None updates every row."""
+        """One recurrent update of ``state`` (2, ..., dim) on input x (..., n_in),
+        a Tensor or a constant array; rows where the constant 0/1 ``carry``
+        (..., 1) is 0 keep their state. None updates every row."""
         return lstm_step(x, state, self.w_x, self.w_h, self.b, carry)
 
     def named(self, prefix: str) -> dict[str, Tensor]:

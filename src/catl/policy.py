@@ -7,10 +7,11 @@ participants' thoughts (ascending agent id) produces integrated thoughts, and
 the output network maps [thought, integrated thought] to a control squashed
 into the agent's box bounds. One parameter set serves any number of agents.
 
-``rollout`` simulates B teams of J agents at once. Its loop computes on flat
-(B*J, n) rows, row b*J + j holding agent j of team b; the channel reads the
-same rows as one (B, J, n_c) tensor. It returns every trace as one tensor
-indexed (b, j, time, .), so no other module needs to know the flat row order.
+``rollout`` simulates B teams of J agents at once. Every value of its loop
+is indexed (b, j, .), agent j of team b, and it returns every trace as one
+tensor indexed (b, j, time, .). Constants (initial states, capabilities,
+control bounds) stay plain arrays, so the tape records only what depends on
+the parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import Dense, RecurrentCell, bidirectional_scan, load_checkpoint, save_checkpoint
 from .scenario import Scenario
-from .trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
+from .trajectories import IndividualTrajectory, NonFiniteError, TeamMember, TeamTrajectory
 
 GATE_MODES = ("full", "none", "learned")
 COMM_CLASS = 0  # first gate logit = "communicate"
@@ -89,14 +90,10 @@ class PolicyParams:
     def n_agents(self) -> int:
         return len(self.agent_ids)
 
-    def obs_affine(self) -> tuple[Tensor, Tensor]:
-        """``obs_center`` and ``1 / obs_scale`` as constant Tensors, which a
-        rollout lifts once and passes to every ``normalize_obs``."""
-        return Tensor(self.obs_center), Tensor(1.0 / self.obs_scale)
-
-    def normalize_obs(self, x: Tensor, affine: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        center, inv_scale = affine or self.obs_affine()
-        return (x - center) * inv_scale
+    def normalize_obs(self, x):
+        """Observed states x (..., n_x), a Tensor or an array, mapped to
+        roughly [-1, 1]; the result has x's type."""
+        return (x - self.obs_center) * (1.0 / self.obs_scale)
 
     def copy(self) -> "PolicyParams":
         clone = create_policy_raw(np.random.default_rng(0), self.dims,
@@ -156,24 +153,24 @@ def create_policy(
 
 
 def gate(h: Tensor | np.ndarray, params: PolicyParams, mode: str) -> np.ndarray:
-    """Participation decision per row of ``h``; hard argmax in learned mode."""
+    """Participation decision per thought of ``h`` (..., n_c), shaped as h's
+    leading axes; hard argmax in learned mode."""
     values = h.value if isinstance(h, Tensor) else np.asarray(h)
-    if values.ndim == 1:
-        values = values.reshape(1, -1)
     if mode == "full":
-        return np.ones(len(values), dtype=bool)
+        return np.ones(values.shape[:-1], dtype=bool)
     if mode == "none":
-        return np.zeros(len(values), dtype=bool)
+        return np.zeros(values.shape[:-1], dtype=bool)
     if mode == "learned":
         with ad.no_grad():
-            logits = params.gate_net(Tensor(values)).value
+            logits = params.gate_net(values).value
         return np.argmax(logits, axis=-1) == COMM_CLASS
     raise ValueError(f"unknown gate mode {mode!r} (have: {GATE_MODES})")
 
 
-def act(params: PolicyParams, h: Tensor, h_tilde: Tensor, u_max) -> Tensor:
+def act(params: PolicyParams, h: Tensor, h_tilde, u_max: np.ndarray) -> Tensor:
     """Control from [thought, integrated thought], squashed into the box
-    ``u_max``, an array or a constant Tensor."""
+    ``u_max``, a constant array that broadcasts against the controls.
+    ``h_tilde`` may be a constant array too (zeros for a silent agent)."""
     raw = params.out_net(ad.concat([h, h_tilde], axis=-1))
     return ad.tanh(raw) * u_max
 
@@ -233,11 +230,12 @@ def rollout(
 ) -> RolloutResult:
     """Closed-loop simulation for ``length`` steps under x(t+1) = x(t) + u(t).
 
-    x0 is (J, n_x) or batched (B, J, n_x). ``cut`` is an optional boolean
-    (B, J, length) array: where ``cut[b, j, t]`` is set, the channel
-    connection of roster index j in row b is masked off at time t and that
-    agent's control at t comes from ``nocomm_params`` (its own encoder fed
-    the row's observed states, values only); everything else follows
+    x0 is (J, n_x) or batched (B, J, n_x): ValueError naming that shape for
+    any other, NonFiniteError if it holds NaN or infinite values. ``cut`` is an
+    optional boolean (B, J, length) array: where ``cut[b, j, t]`` is set, the
+    channel connection of roster index j in row b is masked off at time t and
+    that agent's control at t comes from ``nocomm_params`` (its own encoder
+    fed the row's observed states, values only); everything else follows
     ``params``.
     """
     if gate_mode not in GATE_MODES:
@@ -247,71 +245,63 @@ def rollout(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 2:
         x0 = x0[None]
-    batch, n_agents, n_x = x0.shape
-    if n_agents != params.n_agents:
-        raise ValueError(f"x0 has {n_agents} agents, policy roster has {params.n_agents}")
-    bj = batch * n_agents
+    team = (params.n_agents, params.dims.n_x)
+    if x0.ndim != 3 or x0.shape[1:] != team:
+        raise ValueError(f"x0 has shape {x0.shape}, want {team} or (B, {team[0]}, {team[1]})")
+    if not np.isfinite(x0).all():
+        raise NonFiniteError(f"x0 holds {int((~np.isfinite(x0)).sum())} non-finite values")
+    batch, n_agents = x0.shape[:2]
 
-    caps_tiled = np.tile(params.cap_matrix, (batch, 1))
-    umax_tiled = Tensor(np.tile(params.u_max, (batch, 1)))
-    affine = params.obs_affine()
-    x = Tensor(x0.reshape(bj, n_x))
-    zeros = Tensor(np.zeros((bj, params.dims.n_c)))
-    state = ad.stack([params.cap_net(Tensor(caps_tiled)), zeros], axis=0)
+    caps = np.broadcast_to(params.cap_matrix, (batch, n_agents, params.dims.n_cap))
+    state = ad.stack([params.cap_net(caps), np.zeros((batch, n_agents, params.dims.n_c))],
+                     axis=0)
     if cut is not None:
         if nocomm_params is None:
             raise ValueError("cut needs nocomm_params")
         cut = np.asarray(cut, dtype=bool)
         if cut.shape != (batch, n_agents, length):
             raise ValueError(f"cut has shape {cut.shape}, want {(batch, n_agents, length)}")
-        cut_rows = cut.reshape(bj, length)  # flat row b*J + j, as x
-        no_talk = Tensor(np.zeros((bj, nocomm_params.dims.n_c)))
-        state_nc = ad.stack([nocomm_params.cap_net(Tensor(caps_tiled)), no_talk], axis=0)
-        affine_nc = nocomm_params.obs_affine()
+        no_talk = np.zeros((batch, n_agents, nocomm_params.dims.n_c))
+        state_nc = ad.stack([nocomm_params.cap_net(caps), no_talk], axis=0)
 
-    states = [x]
+    states = [x0]
     controls: list[Tensor] = []
     # copied out each step: h is a view of the [h, c] state, and holding it
     # would keep c alive too
-    thoughts = np.empty((bj, length, params.dims.n_c))
+    thoughts = np.empty((batch, n_agents, length, params.dims.n_c))
     comm_mask = np.zeros((batch, n_agents, length))
 
     for t in range(length):
-        state = params.encoder.step(params.normalize_obs(x, affine), state, None)
+        x = states[-1]
+        state = params.encoder.step(params.normalize_obs(x), state, None)
         h = state[0]
-        thoughts[:, t] = h.value
+        thoughts[:, :, t] = h.value
 
-        mask = gate(h, params, gate_mode).astype(np.float64).reshape(batch, n_agents)
+        mask = gate(h, params, gate_mode).astype(np.float64)
         if cut is not None:
             mask[cut[:, :, t]] = 0.0
         comm_mask[:, :, t] = mask
 
-        h_tilde = bidirectional_scan(params.chan_fwd, params.chan_bwd,
-                                     ad.reshape(h, (batch, n_agents, params.dims.n_c)), mask)
-        u = act(params, h, ad.reshape(h_tilde, (bj, params.dims.n_c)), umax_tiled)
+        h_tilde = bidirectional_scan(params.chan_fwd, params.chan_bwd, h, mask)
+        u = act(params, h, h_tilde, params.u_max)
 
         if cut is not None:
-            state_nc = nocomm_params.encoder.step(
-                nocomm_params.normalize_obs(Tensor(x.value), affine_nc), state_nc, None
-            )
             # substitution is values-only: cutting is a labeling tool, never
             # a training path
-            u_nc = act(nocomm_params, state_nc[0], no_talk, umax_tiled).value
-            on = cut_rows[:, t : t + 1]
-            u = u * Tensor(~on) + Tensor(np.where(on, u_nc, 0.0))
+            with ad.no_grad():
+                state_nc = nocomm_params.encoder.step(nocomm_params.normalize_obs(x), state_nc,
+                                                      None)
+                u_nc = act(nocomm_params, state_nc[0], no_talk, params.u_max).value
+            on = cut[:, :, t, None]
+            u = u * ~on + np.where(on, u_nc, 0.0)
 
         controls.append(u)
-        x = x + u
-        states.append(x)
-
-    def trace(steps: list[Tensor]) -> Tensor:
-        """Per-step (B*J, n) rows as one (B, J, steps, n) tensor."""
-        return ad.reshape(ad.stack(steps, axis=1), (batch, n_agents, len(steps), -1))
+        states.append(x + u)
 
     return RolloutResult(
-        states=trace(states),
-        controls=trace(controls),
-        thoughts=thoughts.reshape(batch, n_agents, length, -1),
+        states=ad.stack(states, axis=2),
+        controls=ad.stack(controls, axis=2),
+        thoughts=thoughts,
         comm_mask=comm_mask,
         agent_ids=list(params.agent_ids),
         member_caps=member_caps,

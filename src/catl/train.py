@@ -25,7 +25,8 @@ from .evaluate import scored_rollouts
 from .formulas import OuterFormula
 from .monitor import NonFiniteError, outer_rho_batch, outer_rho_tensor, outer_sat
 from .nn import Adam
-from .policy import COMM_CLASS, PolicyParams, RolloutResult, create_policy, rollout, save_policy
+from .policy import (COMM_CLASS, PolicyParams, RolloutResult, create_policy, gate, rollout,
+                     save_policy)
 from .repair import repair
 from .scenario import Scenario
 from .trajectories import TeamTrajectory, read_json, require_keys
@@ -326,7 +327,7 @@ def imitation_loss(
     for i, entry in enumerate(entries):
         perm = match_identical_agents(roll_np[i], entry.states, groups)
         targets[i] = entry.states[perm]
-    per_agent = ad.sum_(ad.square(res.states - Tensor(targets)), axis=(2, 3))  # (B, J)
+    per_agent = ad.sum_(ad.square(res.states - targets), axis=(2, 3))  # (B, J)
     return ad.mean(ad.sum_(per_agent, axis=1))
 
 
@@ -516,10 +517,10 @@ def gate_cross_entropy(params: PolicyParams, thoughts: np.ndarray,
     Label 1 selects class COMM_CLASS ("communicate"), label 0 the other class
     ("stay silent").
     """
-    logits = params.gate_net(Tensor(thoughts))
+    logits = params.gate_net(thoughts)
     onehot = np.eye(2)[np.where(labels == 1, COMM_CLASS, 1 - COMM_CLASS)]
     lse = ad.logsumexp(logits, axis=-1)
-    picked = ad.sum_(logits * Tensor(onehot), axis=-1)
+    picked = ad.sum_(logits * onehot, axis=-1)
     return ad.mean(lse - picked)
 
 
@@ -558,10 +559,7 @@ def train_gate(
         loss_val = loss.item()
 
     def accuracy(idx) -> float:
-        with ad.no_grad():
-            logits = params.gate_net(Tensor(thoughts[idx])).value
-        pred = (np.argmax(logits, axis=-1) == COMM_CLASS).astype(int)
-        return float((pred == labels[idx]).mean())
+        return float((gate(thoughts[idx], params, "learned") == labels[idx]).mean())
 
     return GateReport(
         samples=len(labels),

@@ -33,6 +33,54 @@ def test_matmul_identity():
     assert np.array_equal(y.value, v)
 
 
+@pytest.mark.parametrize("op, d_tensor", [
+    (lambda c, t: c + t, lambda c: np.ones_like(c)),
+    (lambda c, t: c * t, lambda c: c),
+    (lambda c, t: c - t, lambda c: -np.ones_like(c)),
+], ids=["add", "mul", "sub"])
+def test_an_array_left_of_a_tensor_is_a_constant_operand(op, d_tensor):
+    c = np.array([[1.5, -2.0], [0.5, 3.0]])
+    t = Tensor(np.array([0.25, -1.0]))
+    out = op(c, t)
+    assert isinstance(out, Tensor)
+    assert np.array_equal(out.value, op(c, t.value))
+    ad.sum_(out).backward()
+    assert np.array_equal(t.grad, d_tensor(c).sum(axis=0))
+    assert ad._toposort(out) == [t, out]  # the array is no graph node
+
+
+@pytest.mark.parametrize("batch, agents, n, m", [(4, 3, 5, 7), (150, 6, 32, 2)])
+def test_matmul_on_teams_equals_the_flat_call_bitwise(batch, agents, n, m):
+    rng = np.random.default_rng(31)
+    av, wv = rng.normal(size=(batch, agents, n)), rng.normal(size=(n, m))
+    weights = rng.normal(size=(batch, agents, m))
+    runs = []
+    for rows in ((batch, agents), (batch * agents,)):
+        a, w = Tensor(av.reshape(*rows, n)), Tensor(wv)
+        out = ad.matmul(a, w)
+        ad.sum_(out * weights.reshape(*rows, m)).backward()
+        runs.append((out.value.reshape(batch, agents, m), a.grad.reshape(av.shape), w.grad))
+    for team, flat in zip(*runs):
+        assert np.array_equal(team, flat)
+
+
+@pytest.mark.parametrize("batch, agents, n_in, n", [(4, 3, 5, 6), (150, 6, 2, 8)])
+def test_lstm_step_on_teams_equals_the_flat_call_bitwise(batch, agents, n_in, n):
+    rng = np.random.default_rng(32)
+    x, hc, w_x, w_h, b = lstm_inputs(rng, batch=batch * agents, n_in=n_in, n=n)
+    weights = rng.normal(size=(2, batch * agents, n))
+    runs = []
+    for rows in ((batch, agents), (batch * agents,)):
+        inputs = [Tensor(x.reshape(*rows, n_in)), Tensor(hc.reshape(2, *rows, n)),
+                  *(Tensor(a) for a in (w_x, w_h, b))]
+        out = ad.lstm_step(*inputs)
+        ad.sum_(out * weights.reshape(2, *rows, n)).backward()
+        runs.append([out.value.reshape(hc.shape)]
+                    + [t.grad.reshape(np.shape(a)) for t, a in zip(inputs, (x, hc, w_x, w_h, b))])
+    for team, flat in zip(*runs):
+        assert np.array_equal(team, flat)
+
+
 def test_composite_graph_matches_finite_differences():
     rng = np.random.default_rng(7)
     w1 = rng.normal(size=(4, 5))

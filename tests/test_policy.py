@@ -25,6 +25,7 @@ from catl.policy import (
     save_policy,
 )
 from catl.scenario import case_study, toy_benchmark, triple_toy
+from catl.trajectories import NonFiniteError
 from catl.train import control_cost
 
 from oracles import finite_difference
@@ -152,6 +153,17 @@ class TestRollout:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="length must be >= 1"):
             rollout(small_policy(), np.zeros((2, 2)), 0)
+
+    @pytest.mark.parametrize("x0, error, message", [
+        (np.array([[np.nan, 0.0]]), NonFiniteError, "x0 holds 1 non-finite"),
+        (np.full((3, 1, 2), np.inf), NonFiniteError, "x0 holds 6 non-finite"),
+        (np.zeros((1, 3)), ValueError, r"x0 has shape \(1, 1, 3\), want \(1, 2\) or \(B, 1, 2\)"),
+        (np.zeros((2, 2)), ValueError, r"x0 has shape \(1, 2, 2\), want \(1, 2\)"),
+        (np.zeros((1, 1, 1, 2)), ValueError, r"x0 has shape \(1, 1, 1, 2\), want \(1, 2\)"),
+    ], ids=["nan", "inf-batch", "wide-state", "extra-agent", "four-axes"])
+    def test_bad_initial_states_rejected_at_the_boundary(self, x0, error, message):
+        with pytest.raises(error, match=message):
+            rollout(small_policy(n_agents=1), x0, 3)
 
     def test_dynamics_consistency_and_bounds(self):
         params = small_policy(seed=9, u_max=1.2)

@@ -197,6 +197,26 @@ class TestImitation:
         assert np.abs(fd - grad).max() / scale < 1e-4
 
 
+    def test_a_stage_b_step_graph_has_no_constant_leaf(self):
+        # the objective plus imitation, as a stage-B step builds it: every
+        # node without parents that backward reaches is a policy parameter
+        params = toy_params(9)
+        cfg = TrainConfig(seed=0)
+        rng = np.random.default_rng(9)
+        x0 = TOY_SC.sample_initial_batch(rng, 3)
+        with ad.no_grad():
+            states = rollout(params, x0, TOY_SC.horizon).states_numpy()
+        entries = [DatasetEntry(x0[i], states[i], "rollout", 0) for i in range(2)]
+        objective, _, _ = robustness_objective(params, x0, TOY_PHI, TOY_SC, cfg, "full",
+                                               effective_gamma(cfg, TOY_SC))
+        imit = imitation_loss(params, entries, TOY_SC, "full")
+        loss = -(objective * (1.0 - cfg.beta) - imit * cfg.beta)
+        loss.backward()
+        leaves = [node for node in ad._toposort(loss) if not node._parents]
+        parameters = {id(p) for p in params.policy_named().values()}
+        assert leaves and all(id(node) in parameters for node in leaves)
+
+
 class TestDataset:
     def test_violating_insert_rejected(self):
         length = TRIPLE_SC.horizon + 1
