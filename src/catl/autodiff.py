@@ -4,8 +4,13 @@ A Tensor wraps an ndarray plus a gradient slot. Operations record their
 inputs and a backward closure; calling ``backward()`` on a scalar result
 accumulates exact adjoints into every reachable leaf. An operand that is
 not a Tensor (an ndarray or a number) is a constant: never a graph node,
-never given a gradient. Everything is 64-bit and single-threaded per
-graph, so runs are bitwise reproducible.
+never given a gradient. ``_unbroadcast`` decides that for add, sub, mul,
+matmul and lstm_step, whose backward returns None in a constant's place
+and computes nothing for it; stack and concat hand back views of g, which
+cost nothing. The ops are those the package runs, plus the reference paths
+tests compare against: getitem's integer-array key and lstm_step's carry.
+Everything is 64-bit and single-threaded per graph, so runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ class Tensor:
                 if contrib is None or not isinstance(parent, Tensor):
                     continue
                 if parent.grad is None:
-                    # a copy: add, reshape, stack and concat hand back g or views of it
+                    # a copy: add, sub, stack and concat hand back g or views of it
                     parent.grad = np.array(contrib, dtype=np.float64)
                 else:
                     parent.grad += contrib
@@ -146,8 +151,12 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad over axes that were broadcast to reach ``grad.shape``."""
+def _unbroadcast(x, grad: Callable[[], np.ndarray]) -> np.ndarray | None:
+    """The gradient on operand x: None for a constant, whose ``grad`` is never
+    called, else ``grad()`` summed over the axes broadcast to reach x's shape."""
+    if not isinstance(x, Tensor):
+        return None
+    grad, shape = grad(), x.value.shape
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -166,7 +175,7 @@ def add(a, b) -> Tensor:
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        return _unbroadcast(g, np.shape(av)), _unbroadcast(g, np.shape(bv))
+        return _unbroadcast(a, lambda: g), _unbroadcast(b, lambda: g)
 
     return Tensor(av + bv, (a, b), bwd)
 
@@ -175,7 +184,7 @@ def sub(a, b) -> Tensor:
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        return _unbroadcast(g, np.shape(av)), _unbroadcast(-g, np.shape(bv))
+        return _unbroadcast(a, lambda: g), _unbroadcast(b, lambda: -g)
 
     return Tensor(av - bv, (a, b), bwd)
 
@@ -184,7 +193,7 @@ def mul(a, b) -> Tensor:
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        return _unbroadcast(g * bv, np.shape(av)), _unbroadcast(g * av, np.shape(bv))
+        return _unbroadcast(a, lambda: g * bv), _unbroadcast(b, lambda: g * av)
 
     return Tensor(av * bv, (a, b), bwd)
 
@@ -206,12 +215,9 @@ def matmul(a, b) -> Tensor:
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        ga = _rows_matmul(g, bv.T)
-        if av.ndim == 1:
-            gb = np.outer(av, g)
-        else:
-            gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
+        rows = g.reshape(-1, g.shape[-1])
+        return (_unbroadcast(a, lambda: _rows_matmul(g, bv.T)),
+                _unbroadcast(b, lambda: av.reshape(-1, av.shape[-1]).T @ rows))
 
     return Tensor(_rows_matmul(av, bv), (a, b), bwd)
 
@@ -221,15 +227,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * (1.0 - out * out),)
-
-    return Tensor(out, (a,), bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.value))
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
 
     return Tensor(out, (a,), bwd)
 
@@ -290,8 +287,9 @@ def lstm_step(x, state, w_x, w_h, b, carry: np.ndarray | None = None) -> Tensor:
     candidate] pre-activations, c' = f * c + i * cand, h' = o * tanh(c'). The
     value is carry * [h', c'] + (1 - carry) * state, stacked the same way, so
     rows where the constant 0/1 ``carry`` (..., 1) is 0 keep their state; None
-    updates every row; any operand may be a constant array. Forward values
-    equal the composition of ``matmul``, ``sigmoid``, ``tanh`` and ``mul`` bitwise."""
+    updates every row; any operand may be a constant array. The gates are
+    the logistic 1 / (1 + exp(-z)) in numpy, bitwise. The program steps with
+    no carry; the blend is the per-element reference of ``bidirectional_lstm``."""
     xv, sv, wxv, whv, bv = map(_value, (x, state, w_x, w_h, b))
     hv, cv = sv[0], sv[1]
     z = _rows_matmul(xv, wxv) + _rows_matmul(hv, whv) + bv
@@ -306,15 +304,17 @@ def lstm_step(x, state, w_x, w_h, b, carry: np.ndarray | None = None) -> Tensor:
         dz = np.empty(z.shape)
         dc_prev = _cell_backward(gh, gc, cv, acts, dz)
         flat = dz.reshape(-1, dz.shape[-1])
-        d_state = np.stack([_rows_matmul(dz, whv.T), dc_prev])
-        if carry is not None:
-            d_state += keep * g
+
+        def d_state():
+            d = np.stack([_rows_matmul(dz, whv.T), dc_prev])
+            return d if carry is None else d + keep * g
+
         return (
-            _rows_matmul(dz, wxv.T),
-            d_state,
-            xv.reshape(-1, xv.shape[-1]).T @ flat,
-            hv.reshape(-1, hv.shape[-1]).T @ flat,
-            _unbroadcast(dz, bv.shape),
+            _unbroadcast(x, lambda: _rows_matmul(dz, wxv.T)),
+            _unbroadcast(state, d_state),
+            _unbroadcast(w_x, lambda: xv.reshape(-1, xv.shape[-1]).T @ flat),
+            _unbroadcast(w_h, lambda: hv.reshape(-1, hv.shape[-1]).T @ flat),
+            _unbroadcast(b, lambda: dz),
         )
 
     return Tensor(out, (x, state, w_x, w_h, b), bwd)
@@ -404,15 +404,6 @@ def getitem(a: Tensor, key) -> Tensor:
     return Tensor(out, (a,), bwd)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    av_shape = a.value.shape
-
-    def bwd(g):
-        return (g.reshape(av_shape),)
-
-    return Tensor(a.value.reshape(shape), (a,), bwd)
-
-
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     tensors = list(tensors)
     values = [_value(t) for t in tensors]
@@ -436,27 +427,14 @@ def stack(tensors: Sequence, axis: int = -1) -> Tensor:
     return Tensor(out, tensors, bwd)
 
 
-def cumsum(a: Tensor, axis: int = 0) -> Tensor:
-    """Running sum along ``axis``, added in order: out[k] = (a[0] + a[1]) + ... + a[k].
-    The gradient is the reverse running sum of g."""
-
-    def bwd(g):
-        return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
-
-    return Tensor(np.cumsum(a.value, axis=axis), (a,), bwd)
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.value.sum(axis=axis, keepdims=keepdims)
     av_shape = a.value.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, av_shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, av_shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, av_shape).copy(),)
 
     return Tensor(out, (a,), bwd)
 

@@ -210,15 +210,6 @@ def to_dnf(
 # -- helpers -------------------------------------------------------------------
 
 
-def jc_sizes_of(members_caps) -> dict[str, int]:
-    """Holder counts per capability from an iterable of capability sets."""
-    sizes: dict[str, int] = {}
-    for caps in members_caps:
-        for c in caps:
-            sizes[c] = sizes.get(c, 0) + 1
-    return sizes
-
-
 def clause_formula(atoms: tuple[TimedTask, ...]) -> OuterFormula:
     return OAnd.of(atoms, OTrue())
 

@@ -74,9 +74,19 @@ def evaluate(
     seed: int = 0,
     gate_mode: str = "full",
 ) -> EvalReport:
-    """Independent seeded rollouts, scored by ``scored_rollouts``."""
+    """Independent seeded rollouts, scored by ``scored_rollouts``. ValueError
+    naming the first of agent ids, capability matrix and u_max in which the
+    policy's roster differs from the scenario's."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for name, ours, theirs in (
+        ("agent ids", params.agent_ids, [a.agent_id for a in scenario.agents]),
+        ("capability matrix", params.cap_matrix, scenario.capability_matrix()),
+        ("u_max", params.u_max, scenario.u_max_matrix()),
+    ):
+        if not np.array_equal(ours, theirs):
+            raise ValueError(f"policy roster differs from the scenario in {name}: "
+                             f"{np.asarray(ours).tolist()} vs {np.asarray(theirs).tolist()}")
     rng = np.random.default_rng([seed, 97])
     scores: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     t0 = time.perf_counter()

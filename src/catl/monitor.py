@@ -11,7 +11,7 @@ One signal recursion (``_signal``) serves three backends:
   its sign is the boolean verdict (checked against independent oracles in
   the tests). So success has one rule, ``evaluate.scored_rollouts``'s: the
   sign of the robustness, and the boolean verdict where it is exactly 0.
-* smooth (``tau`` > 0) - min/max replaced by temperature-tau log-sum-exp
+* smooth (finite ``tau`` > 0) - min/max replaced by temperature-tau log-sum-exp
   softmin/softmax, evaluated in numpy with a reverse sweep for gradients,
   so that they flow to states or parameters.
   Task atoms select the m-th largest per-agent value exactly in both modes
@@ -450,7 +450,8 @@ def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool
     ``members`` is a list of (states (..., T, 2), capabilities), one agent
     being one member. This is the one place monitor inputs are checked and
     cut: HorizonError unless t >= 0 and every member has states up to
-    t + horizon(phi), NonFiniteError if a state is NaN or infinite. States
+    t + horizon(phi), NonFiniteError if a state is NaN or infinite,
+    ValueError if a smooth tau is not positive and finite. States
     are cut to [t, t + horizon(phi)] as a view. Array states give an array;
     with ``grad`` the smooth robustness comes with its gradient on each
     member's states. Tensor states give a Tensor, with grad enabled one graph
@@ -479,8 +480,8 @@ def _monitor(phi, members: list, t: int, tau: float | None = None, boolean: bool
     if boolean or tau is None:
         be = _BooleanBackend if boolean else _ClassicalBackend
         return plan.run(values, be(None, batch_shape))
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     tensors = [k for k, (x, _) in enumerate(members) if isinstance(x, Tensor)]
     if not grad and not (tensors and ad.grad_enabled()):
         value = plan.run(values, _SmoothBackend(tau, batch_shape))

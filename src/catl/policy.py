@@ -83,9 +83,6 @@ class PolicyParams:
     def gate_named(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.named().items() if k.startswith("gate")}
 
-    def trainable_count(self) -> int:
-        return sum(p.value.size for p in self.named().values())
-
     @property
     def n_agents(self) -> int:
         return len(self.agent_ids)

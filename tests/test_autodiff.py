@@ -49,6 +49,26 @@ def test_an_array_left_of_a_tensor_is_a_constant_operand(op, d_tensor):
     assert ad._toposort(out) == [t, out]  # the array is no graph node
 
 
+@pytest.mark.parametrize("op, side", [(op, side) for op in ("add", "sub", "mul") for side in (0, 1)]
+                         + [("matmul", 0)])
+def test_a_constant_operand_gets_no_gradient(op, side):
+    # the backward returns None at the constant's position, computing
+    # nothing for it, and the summed gradient on the Tensor
+    rng = np.random.default_rng(33)
+    c = rng.normal(size=(3, 2))
+    t = Tensor(rng.normal(size=(2, 4) if op == "matmul" else 2))
+    operands = [t, t]
+    operands[side] = c
+    node = getattr(ad, op)(*operands)
+    g = rng.normal(size=node.shape)
+    grads = node._backward(g)
+    assert grads[side] is None
+    # d(out)/d(t) of the elementwise ops, summed over the axis t was broadcast along
+    d_out = {"add": 1.0, "sub": -1.0 if side == 0 else 1.0, "mul": c}.get(op)
+    want = c.T @ g if op == "matmul" else (g * d_out).sum(axis=0)
+    assert np.array_equal(grads[1 - side], want)
+
+
 @pytest.mark.parametrize("batch, agents, n, m", [(4, 3, 5, 7), (150, 6, 32, 2)])
 def test_matmul_on_teams_equals_the_flat_call_bitwise(batch, agents, n, m):
     rng = np.random.default_rng(31)
@@ -90,14 +110,14 @@ def test_composite_graph_matches_finite_differences():
     def value(xv: np.ndarray) -> float:
         x = Tensor(xv)
         h = ad.tanh(ad.matmul(x, Tensor(w1)))
-        g = ad.sigmoid(ad.matmul(h, Tensor(w2)))
+        g = ad.tanh(ad.matmul(h, Tensor(w2))) * 0.5 + 0.5
         mixed = ad.concat([h, g], axis=-1)
         s = ad.logsumexp(mixed, axis=-1)
         return ad.sum_(ad.square(s) + s * 0.5).item()
 
     x = Tensor(x0.copy())
     h = ad.tanh(ad.matmul(x, Tensor(w1)))
-    g = ad.sigmoid(ad.matmul(h, Tensor(w2)))
+    g = ad.tanh(ad.matmul(h, Tensor(w2))) * 0.5 + 0.5
     mixed = ad.concat([h, g], axis=-1)
     s = ad.logsumexp(mixed, axis=-1)
     out = ad.sum_(ad.square(s) + s * 0.5)
@@ -123,7 +143,7 @@ def signal_states(x: Tensor) -> Tensor:
     ("stack_slice", {}),
     ("relu", {}),
     ("windows", {}),
-    ("cumsum", {}),
+    ("mean", {}),
     ("gather", {}),
     ("logsumexp", {}),
 ])
@@ -149,8 +169,8 @@ def test_primitive_gradients(op, extra):
         if op == "windows":  # the smooth node's window ops: G of width 3 at 3 starts, then F
             phi = IEventually(IAlways(X_COORD, 0, 2), 1, 3)
             return ad.sum_(inner_rho_tensor(signal_states(x), phi, tau=4.0))
-        if op == "cumsum":
-            return ad.sum_(ad.square(ad.cumsum(x, axis=0)))
+        if op == "mean":  # the objective's reduction, after a constant minus x
+            return ad.sum_(ad.square(ad.mean(0.5 - x, axis=0)))
         if op == "gather":  # entries read twice and three times
             index = np.array([[1, 1, 4], [0, 5, 5], [5, 2, 1]])
             return ad.sum_(ad.square(ad.getitem(x, (Ellipsis, index))))
@@ -314,31 +334,14 @@ def test_windows_match_stacked_slices_bitwise(count):
     assert np.array_equal(grads[0], grads[1])
 
 
-def test_cumsum_matches_chained_adds_bitwise():
-    # ((x0 + u0) + u1) + ..., the rows a loop of adds builds, and the same gradient
-    rng = np.random.default_rng(8)
-    rows0 = rng.normal(size=(9, 2))
-    fused, chained = Tensor(rows0.copy()), Tensor(rows0.copy())
-    a = ad.cumsum(fused, axis=0)
-    acc = [chained[0:1]]
-    for t in range(1, 9):
-        acc.append(acc[-1] + chained[t : t + 1])
-    b = ad.concat(acc, axis=0)
-    weights = Tensor(rng.normal(size=(9, 2)))
-    ad.sum_(a * weights).backward()
-    ad.sum_(b * weights).backward()
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(fused.grad, chained.grad)
-
-
-def composed_lstm_step(x, h, c, w_x, w_h, b) -> tuple[Tensor, Tensor]:
-    """The recurrent update as separate nodes, as the cell built it before
-    the fused step: one affine map, three sigmoid gates and a tanh candidate."""
+def composed_lstm_step(x, h, c, w_x, w_h, b) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrent update of 2-D arrays as separate numpy steps: one affine
+    map, three logistic gates and a tanh candidate."""
     n = h.shape[-1]
-    z = ad.matmul(x, w_x) + ad.matmul(h, w_h) + b
-    gi, gf, go = (ad.sigmoid(z[..., k * n : (k + 1) * n]) for k in range(3))
-    c_next = gf * c + gi * ad.tanh(z[..., 3 * n :])
-    return go * ad.tanh(c_next), c_next
+    z = x @ w_x + h @ w_h + b
+    gi, gf, go = (1.0 / (1.0 + np.exp(-z[..., k * n : (k + 1) * n])) for k in range(3))
+    c_next = gf * c + gi * np.tanh(z[..., 3 * n :])
+    return go * np.tanh(c_next), c_next
 
 
 def lstm_inputs(rng, batch=3, n_in=4, n=5) -> list[np.ndarray]:
@@ -390,11 +393,11 @@ def test_lstm_step_forward_matches_composition_bitwise():
     rng = np.random.default_rng(13)
     x, hc, w_x, w_h, b = lstm_inputs(rng, batch=7, n_in=3, n=6)
     state = ad.lstm_step(*[Tensor(a) for a in (x, hc, w_x, w_h, b)])
-    h_next, c_next = composed_lstm_step(*[Tensor(a) for a in (x, hc[0], hc[1], w_x, w_h, b)])
+    h_next, c_next = composed_lstm_step(x, hc[0], hc[1], w_x, w_h, b)
     assert state.shape == (2, 7, 6)
     assert state.value[0].flags.c_contiguous and state.value[1].flags.c_contiguous
-    assert np.array_equal(state.value[0], h_next.value)
-    assert np.array_equal(state.value[1], c_next.value)
+    assert np.array_equal(state.value[0], h_next)
+    assert np.array_equal(state.value[1], c_next)
 
 
 def test_lstm_step_carry_keeps_masked_rows():
@@ -497,16 +500,17 @@ def test_bidirectional_lstm_masked_elements_are_silent():
 
 def test_backward_does_not_mutate_consumed_gradients():
     # y feeds an add, whose backward hands both parents the same array g, and
-    # a reshape, whose backward hands back a view of g: a first contribution
-    # stored without a copy would alias them, and the later += would change
-    # z's gradient and the add's own
+    # a concat and a stack, whose backwards hand back views of g: a first
+    # contribution stored without a copy would alias them, and the later +=
+    # would change the other nodes' gradients
     rng = np.random.default_rng(15)
-    x0, w0 = rng.normal(size=(2, 3)), rng.normal(size=6)
+    x0, w0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3))
 
     def build(x: Tensor, w: Tensor) -> Tensor:
         y = ad.tanh(x)
-        s = y + ad.sigmoid(x)
-        return ad.sum_(ad.square(s)) + ad.sum_(ad.reshape(y, (6,)) * w)
+        s = y + ad.square(x)
+        both = ad.stack([ad.concat([y, x], axis=0), ad.concat([x, y], axis=0)], axis=0)
+        return ad.sum_(ad.square(s)) + ad.sum_(both * w)
 
     x, w = Tensor(x0.copy()), Tensor(w0.copy())
     out = build(x, w)
@@ -518,7 +522,7 @@ def test_backward_does_not_mutate_consumed_gradients():
                 return bwd(g)
             node._backward = spy
     out.backward()
-    assert len(consumed) == 9
+    assert len(consumed) == 11
     for g, at_use in consumed:
         assert np.array_equal(g, at_use)
     fd_x = finite_difference(lambda v: build(Tensor(v), Tensor(w0)).item(), x0.copy())
@@ -580,7 +584,7 @@ def test_bidirectional_single_element():
     fwd = RecurrentCell.create(rng, 3, 3)
     bwd = RecurrentCell.create(rng, 3, 3)
     x = Tensor(rng.normal(size=(1, 3)))
-    out = bidirectional_scan(fwd, bwd, ad.reshape(x, (1, 1, 3)), np.ones((1, 1)))
+    out = bidirectional_scan(fwd, bwd, Tensor(x.value[:, None]), np.ones((1, 1)))
     hf, _ = fwd.step(x, Tensor(np.zeros((2, 1, 3))), None).value
     hb, _ = bwd.step(x, Tensor(np.zeros((2, 1, 3))), None).value
     assert out.shape == (1, 1, 3)

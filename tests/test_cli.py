@@ -95,6 +95,20 @@ def test_monitor_rejects_non_finite_states(value, tmp_path, capsys):
     assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_monitor_rejects_a_non_finite_temperature(tau, tmp_path, capsys):
+    _, _, text = builtin("toy")
+    team = TeamTrajectory([TeamMember(
+        1, IndividualTrajectory(np.array(AROUND_OBS, dtype=float)), frozenset({"Robot"}))])
+    save_team_csv(team, tmp_path / "t.csv")
+    args = ["monitor", "--scenario", "toy", "--spec", text, "--traj", str(tmp_path / "t.csv"),
+            "--smooth", "--tau", tau]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tau must be positive and finite, got {float(tau)}\n"
+
+
 @pytest.mark.parametrize("row, why", [
     ("3,1,0", "want 4 fields"),
     ("3,x,0,0", "invalid literal for int() with base 10: 'x'"),

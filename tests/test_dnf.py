@@ -10,7 +10,6 @@ from catl.dnf import (
     DnfForm,
     DnfSizeError,
     dnf_to_formula,
-    jc_sizes_of,
     negation_free,
     to_dnf,
 )
@@ -38,6 +37,8 @@ from catl.trajectories import IndividualTrajectory, TeamMember, TeamTrajectory
 from generators import TEAM_CAPS, random_outer, random_team
 
 BOX = Region.box("Box", (0.0, 0.0), (2.0, 2.0))
+# holders per capability in TEAM_CAPS
+TEAM_SIZES = {"red": 2, "blue": 2}
 INSIDE = np.array([[1.0, 1.0]])
 OUTSIDE = np.array([[5.0, 5.0]])
 
@@ -108,7 +109,7 @@ class TestExpansion:
 
     def test_timed_offsets_bounded_by_horizon(self):
         rng = np.random.default_rng(11)
-        sizes = jc_sizes_of(TEAM_CAPS)
+        sizes = TEAM_SIZES
         for _ in range(100):
             phi = random_outer(rng, depth=3, budget=5)
             expanded = negation_free(phi, sizes)
@@ -160,7 +161,7 @@ class TestNegationElimination:
         # constants only at the root: to_dnf's clause cap relies on every
         # proper subformula having at least one clause
         rng = np.random.default_rng(12)
-        sizes = jc_sizes_of(TEAM_CAPS)
+        sizes = TEAM_SIZES
         for _ in range(200):
             out = negation_free(random_outer(rng, depth=3, budget=4), sizes)
             if out in (OTrue(), FALSE):
@@ -197,7 +198,7 @@ class TestToDnf:
 
     def test_negation_free_output(self):
         rng = np.random.default_rng(21)
-        sizes = jc_sizes_of(TEAM_CAPS)
+        sizes = TEAM_SIZES
         for _ in range(100):
             phi = random_outer(rng, depth=3, budget=4)
             try:
@@ -211,7 +212,7 @@ class TestToDnf:
 
     def test_random_equivalence(self):
         rng = np.random.default_rng(22)
-        sizes = jc_sizes_of(TEAM_CAPS)
+        sizes = TEAM_SIZES
         done = 0
         while done < 200:
             phi = random_outer(rng, depth=3, budget=4)
@@ -226,7 +227,7 @@ class TestToDnf:
 
     def test_idempotence(self):
         rng = np.random.default_rng(23)
-        sizes = jc_sizes_of(TEAM_CAPS)
+        sizes = TEAM_SIZES
         done = 0
         while done < 60:
             phi = random_outer(rng, depth=3, budget=3)

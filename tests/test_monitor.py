@@ -346,7 +346,8 @@ class TestUnboundRegion:
 
 
 class TestTemperature:
-    """Every entry point that takes a temperature rejects one at or below 0."""
+    """Every entry point that takes a temperature rejects one at or below 0,
+    NaN or infinite."""
 
     PHI = IEventually(in_region(C_REGION), 0, 2)
 
@@ -361,7 +362,7 @@ class TestTemperature:
         lambda states, phi, tau: outer_rho_tensor(
             [(Tensor(states[None]), frozenset({"red"}))], Task(phi, "red", 1), tau).value,
     ], ids=["inner_rho", "outer_rho", "outer_rho_batch", "inner_rho_tensor", "outer_rho_tensor"])
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_tau_rejected(self, evaluate, tau):
         states = random_states(np.random.default_rng(4), 4)
         assert np.isfinite(evaluate(states, self.PHI, TAU)).all()

@@ -81,8 +81,8 @@ class TestSynthesize:
 
     def test_descent_gradient_is_the_graph_of_unroll_bitwise(self):
         # the hand-carried gradient on w equals backward() through tanh, the
-        # u_max product, the concat with x0 and the running sum composed with
-        # the monitor's node, on random repair-like targets
+        # u_max product and the running sum of chained adds from x0, stacked
+        # and composed with the monitor's node, on random repair-like targets
         a, b = InRegion("C", C), InRegion("Far", FAR)
         rng = np.random.default_rng(17)
         u_max = np.array([0.7, 1.3])
@@ -95,7 +95,10 @@ class TestSynthesize:
             for tau in (2.0, 32.0):
                 w = Tensor(w0.copy())
                 u = ad.tanh(w) * Tensor(u_max)
-                states = ad.cumsum(ad.concat([Tensor(x0.reshape(1, 2)), u], axis=0), axis=0)
+                rows = [x0]
+                for t in range(10):
+                    rows.append(rows[-1] + u[t])
+                states = ad.stack(rows, axis=0)
                 (-inner_rho_tensor(states, target, tau)).backward()
                 assert np.array_equal(_descent_grad(x0, w0, u_max, target, tau), w.grad)
 

@@ -1,7 +1,7 @@
 """Trainer: objectives, matching, dataset rules, gate labeling and fitting."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -535,3 +535,18 @@ class TestEvalReport:
         assert all(doc[name] == getattr(report, name) for name in doc)
         report.save(tmp_path / "report.json")
         assert json.loads((tmp_path / "report.json").read_text()) == doc
+
+    @pytest.mark.parametrize("policy_scenario, edits, name", [
+        (TOY_SC, {}, "agent ids"),
+        (TRIPLE_SC, {1: {"capabilities": {"blue"}}, 3: {"capabilities": {"red"}}},
+         "capability matrix"),
+        (TRIPLE_SC, {3: {"u_max": (1.5, 1.2)}}, "u_max"),
+    ], ids=["agent_ids", "capabilities", "u_max"])
+    def test_a_policy_for_another_roster_is_rejected(self, policy_scenario, edits, name):
+        # a policy runs on its own roster's bounds and capabilities, so
+        # evaluating it on another roster is refused before any rollout
+        agents = [replace(a, **edits.get(a.agent_id, {})) for a in TRIPLE_SC.agents]
+        scenario = replace(TRIPLE_SC, agents=agents)
+        params = create_policy(np.random.default_rng(0), policy_scenario)
+        with pytest.raises(ValueError, match=f"^policy roster differs from the scenario in {name}"):
+            evaluate(params, scenario, TRIPLE_PHI, 4)
